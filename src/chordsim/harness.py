@@ -570,15 +570,17 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan,
     records.sort(key=lambda r: (r.timestamp_s, r.epc, r.antenna_id, r.carrier_hz))
     carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
     groups: list[tuple[str, float, list[SnapshotRecord]]] = []
+    by_epc: dict[str, list[tuple[str, float, list[SnapshotRecord]]]] = {}
     for rec in records:
-        placed = False
-        for g in groups:
-            if g[0] == rec.epc and abs(rec.timestamp_s - g[1]) <= window_s:
+        epc_groups = by_epc.setdefault(rec.epc, [])
+        for g in epc_groups:
+            if abs(rec.timestamp_s - g[1]) <= window_s:
                 g[2].append(rec)
-                placed = True
                 break
-        if not placed:
-            groups.append((rec.epc, rec.timestamp_s, [rec]))
+        else:
+            g = (rec.epc, rec.timestamp_s, [rec])
+            epc_groups.append(g)
+            groups.append(g)
     out = []
     for epc, ts, recs in groups:
         h = np.zeros((geom.n_antennas, plan.n_carriers), dtype=complex)

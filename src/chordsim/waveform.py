@@ -292,21 +292,6 @@ def random_walk_drift(n_symbols: int, blf_hz: float, rng,
     return tuple(float(v) for v in out)
 
 
-def random_tag_packet(rng, blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT,
-                      epc_len: int = 96, t0_s: float = 0.0,
-                      alpha0_frac: float = 0.0, drift_frac: float = 0.0,
-                      fmt: PacketFormat = DEFAULT_FORMAT) -> TagPacket:
-    rn16 = tuple(int(b) for b in rng.integers(0, 2, size=16))
-    epc = tuple(int(b) for b in rng.integers(0, 2, size=epc_len))
-    drift: tuple[float, ...] = ()
-    if drift_frac > 0:
-        layout = packet_layout(blf_hz, miller_m, epc_len, fmt)
-        n_sym = int(np.ceil(layout.total_s / (miller_m / blf_hz))) + 8
-        drift = random_walk_drift(n_sym, blf_hz, rng, max_frac=drift_frac)
-    return TagPacket(rn16_bits=rn16, epc_bits=epc, blf_hz=blf_hz, miller_m=miller_m,
-                     t0_s=t0_s, alpha0_hz=alpha0_frac * blf_hz, drift_alpha_hz=drift)
-
-
 # ---------------------------------------------------------------------------
 # Miller-M line coding
 

@@ -220,6 +220,46 @@ def test_snapshot_missing_carrier_masked(tmp_path, plan, geom):
     assert ch.mask.sum() == 8 * 16 - 1
 
 
+def test_snapshot_grouping_matches_brute_force(tmp_path, plan, geom):
+    # interleaved EPCs; "a" repeats within the window (one reply) and twice
+    # beyond it (two more replies), the last one just past the window edge
+    window_s = 10e-3
+    rng = np.random.default_rng(8)
+    replies = [("a", 0.000), ("b", 0.002), ("c", 0.004), ("a", 0.006),
+               ("a", 0.030), ("b", 0.031), ("c", 0.035), ("a", 0.0405)]
+    records = []
+    for epc, ts in replies:
+        for _ in range(6):
+            v = complex(*rng.normal(size=2))
+            records.append(SnapshotRecord(
+                epc=epc, timestamp_s=ts, antenna_id=int(rng.integers(8)),
+                carrier_hz=plan.carriers_hz[int(rng.integers(16))],
+                phase_rad=float(np.angle(v)), rssi_db=20 * math.log10(abs(v)),
+                re=v.real, im=v.imag))
+    rng.shuffle(records)
+    path = tmp_path / "interleaved.jsonl"
+    export_snapshots(records, path)
+
+    expected = []       # the linear scan over every group
+    for rec in sorted(records, key=lambda r: (r.timestamp_s, r.epc, r.antenna_id,
+                                              r.carrier_hz)):
+        for g in expected:
+            if g[0] == rec.epc and abs(rec.timestamp_s - g[1]) <= window_s:
+                g[2].append(rec)
+                break
+        else:
+            expected.append((rec.epc, rec.timestamp_s, [rec]))
+    got = import_snapshots(path, geom, plan, window_s=window_s)
+    assert [(epc, ts) for epc, ts, _ in got] == [(epc, ts) for epc, ts, _ in expected]
+    assert [epc for epc, _, _ in got] == ["a", "b", "c", "a", "b", "c", "a"]
+    for (_, _, ch), (_, _, recs) in zip(got, expected):
+        h = np.zeros(ch.shape, dtype=complex)
+        for rec in recs:
+            h[rec.antenna_id, plan.carriers_hz.index(rec.carrier_hz)] = rec.re + 1j * rec.im
+        assert np.array_equal(ch.h, h)
+        assert np.array_equal(ch.mask, h != 0)
+
+
 def test_snapshot_malformed_line_number(tmp_path, plan, geom):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"epc": "ab"}\nnot json\n')

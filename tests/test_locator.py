@@ -128,6 +128,87 @@ def test_grid_refinement_consistency(geom, plan):
     assert abs(a.position_m[1] - b.position_m[1]) <= coarse.cell_m + 1e-9
 
 
+# --- steering-row cache ------------------------------------------------------
+
+def _random_phase_channel(geom, plan, seed):
+    rng = np.random.default_rng(seed)
+    return cs.ChannelMatrix(h=np.exp(1j * rng.uniform(-np.pi, np.pi, (8, 16))),
+                            carriers_hz=plan.carriers_hz, geometry=geom)
+
+
+def _sweep_keys(geom, plan):
+    """The (carriers, antennas) subsets of the bandwidth and antenna sweeps."""
+    keys = [(harness.bandwidth_carrier_indices(plan, bw), list(range(geom.n_antennas)))
+            for bw in harness.BANDWIDTH_SETTINGS_HZ]
+    keys += [(list(range(plan.n_carriers)), cs.model.antenna_subset_indices(geom, n))
+             for n in harness.ANTENNA_SETTINGS]
+    return keys
+
+
+def _subset_hologram(ch, carriers, antennas, geom, plan):
+    sub_plan = cs.model.subset_plan(plan, carriers)
+    sub_geom = cs.model.subset_geometry(geom, len(antennas))
+    sub = cs.ChannelMatrix(h=ch.h[np.ix_(antennas, carriers)],
+                           carriers_hz=sub_plan.carriers_hz, geometry=sub_geom)
+    return loc.basic_hologram(sub, GRID, sub_geom, sub_plan)
+
+
+def test_subset_holograms_build_no_new_rows(geom, plan):
+    ch = _random_phase_channel(geom, plan, 11)
+    loc.basic_hologram(ch, GRID, geom, plan)
+    misses = loc._steering_row.cache_info().misses
+    for carriers, antennas in _sweep_keys(geom, plan):
+        _subset_hologram(ch, carriers, antennas, geom, plan)
+    assert loc._steering_row.cache_info().misses == misses
+
+
+def test_cached_rows_are_read_only(geom, plan):
+    tx = loc._point_key(geom.tx_wideband_position_m)
+    rx = loc._point_key(geom.rx_positions_m[0])
+    row = loc._steering_row(GRID, tx, rx, float(plan.carriers_hz[0]))
+    dist = loc._cell_distances(GRID, tx)
+    assert row.shape == dist.shape == (GRID.nx * GRID.ny,)
+    for arr in (row, dist):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_masked_nan_entry_never_enters_the_sum(geom, plan):
+    phases = np.angle(_random_phase_channel(geom, plan, 12).h)
+    mask = np.ones(phases.shape, dtype=bool)
+    mask[3, 5] = False
+    with_nan = phases.copy()
+    with_nan[3, 5] = np.nan
+    res = loc.summation_layer(with_nan, GRID, geom, plan, mask=mask)
+    assert np.all(np.isfinite(res.heatmap))
+    zeroed = phases.copy()
+    zeroed[3, 5] = 0.0
+    assert np.array_equal(res.heatmap,
+                          loc.summation_layer(zeroed, GRID, geom, plan, mask=mask).heatmap)
+    # a whole masked NaN carrier equals the plan without that carrier
+    mask = np.ones(phases.shape, dtype=bool)
+    mask[:, 9] = False
+    with_nan = phases.copy()
+    with_nan[:, 9] = np.nan
+    keep = [l for l in range(plan.n_carriers) if l != 9]
+    sub_plan = cs.model.subset_plan(plan, keep)
+    assert np.array_equal(
+        loc.summation_layer(with_nan, GRID, geom, plan, mask=mask).heatmap,
+        loc.summation_layer(phases[:, keep], GRID, geom, sub_plan).heatmap)
+
+
+def test_cache_within_bound_after_sweep(geom, plan):
+    ch = _random_phase_channel(geom, plan, 13)
+    loc._steering_row.cache_clear()
+    loc.basic_hologram(ch, GRID, geom, plan)
+    for carriers, antennas in _sweep_keys(geom, plan):
+        _subset_hologram(ch, carriers, antennas, geom, plan)
+    info = loc._steering_row.cache_info()
+    assert info.currsize == info.misses == 8 * 16
+    assert info.currsize <= info.maxsize
+
+
 # --- ToF layers --------------------------------------------------------------
 
 def test_tof_single_path_peak(uplan):
