@@ -1,13 +1,17 @@
 """Digital channelization: slice a wideband capture into per-carrier baseband
 streams and remove the single-tone self-interference at each channel's DC.
 
-All channels share one linear-phase FIR design so their group delay is
+The receive chain has three linear-phase FIR stages, each designed only in its
+accessor below and built once per rate (cached, read-only): the tag bandlimit
+and the anti-alias filter at the capture rate, the shaping filter at the
+channel rate.  All channels share the chain, so their group delay is
 identical; streams are delay-compensated onto the capture time axis and the
 transient span is reported for downstream correlators to skip.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,23 +41,56 @@ TAG_STOP_HZ = 380e3
 NOTCH_DEFAULT_HZ = 10e3
 
 
-def design_lowpass(rate_hz: float, pass_hz: float, stop_hz: float,
-                   atten_db: float = STOPBAND_ATTEN_DB) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _design_lowpass(rate_hz: float, pass_hz: float, stop_hz: float) -> np.ndarray:
     """Windowed-sinc (Kaiser) linear-phase FIR, odd length for integer delay."""
     if not 0 < pass_hz < stop_hz < rate_hz / 2:
         raise ModelError("invalid filter band edges")
     width = (stop_hz - pass_hz) / (rate_hz / 2)
-    numtaps, beta = sps.kaiserord(atten_db, width)
+    numtaps, beta = sps.kaiserord(STOPBAND_ATTEN_DB, width)
     numtaps |= 1
-    return sps.firwin(numtaps, (pass_hz + stop_hz) / 2, window=("kaiser", beta), fs=rate_hz)
+    taps = sps.firwin(numtaps, (pass_hz + stop_hz) / 2, window=("kaiser", beta), fs=rate_hz)
+    taps.flags.writeable = False
+    return taps
+
+
+def _tag_taps(rate_hz: float) -> np.ndarray:
+    return _design_lowpass(rate_hz, TAG_PASS_HZ, TAG_STOP_HZ)
+
+
+def _antialias_taps(rate_hz: float, out_rate_hz: float) -> np.ndarray:
+    return _design_lowpass(rate_hz, ANTIALIAS_PASS_HZ,
+                           max(out_rate_hz - TAG_STOP_HZ, ANTIALIAS_PASS_HZ * 1.5))
+
+
+def _shaping_taps(out_rate_hz: float) -> np.ndarray:
+    return _design_lowpass(out_rate_hz, SHAPE_PASS_HZ, SHAPE_STOP_HZ)
 
 
 def _filter_aligned(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Filter and remove the group delay; output sample n is aligned with
-    input sample n."""
-    delay = (taps.size - 1) // 2
-    y = sps.fftconvolve(x, taps, mode="full")
-    return y[delay:delay + x.size]
+    """Filter along the last axis and remove the group delay; output sample n
+    is aligned with input sample n."""
+    return sps.fftconvolve(x, taps[(None,) * (x.ndim - 1)], mode="same", axes=-1)
+
+
+def _channel_filter(x: np.ndarray, plan: CarrierPlan) -> np.ndarray:
+    """Anti-alias, decimate and shape one capture-rate baseband."""
+    rate, out_rate = plan.capture_rate_hz, plan.channel_out_rate_hz
+    low = _filter_aligned(x, _antialias_taps(rate, out_rate))[::plan.decimation]
+    return _filter_aligned(low, _shaping_taps(out_rate))
+
+
+def chain_noise_gain(plan: CarrierPlan) -> float:
+    """Noise power gain of the anti-alias + shaping chain (white input)."""
+    aa = _antialias_taps(plan.capture_rate_hz, plan.channel_out_rate_hz)
+    return float(np.sum(aa ** 2) * np.sum(_shaping_taps(plan.channel_out_rate_hz) ** 2))
+
+
+def chain_transient_s(plan: CarrierPlan) -> float:
+    """Transient span of the anti-alias + shaping chain at each stream end."""
+    rate, out_rate = plan.capture_rate_hz, plan.channel_out_rate_hz
+    aa, sh = _antialias_taps(rate, out_rate), _shaping_taps(out_rate)
+    return (aa.size - 1) / 2 / rate + (sh.size - 1) / 2 / out_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,27 +160,17 @@ def channelize(capture: WidebandCapture, plan: CarrierPlan) -> ChannelBank:
     if abs(capture.rate_hz - plan.capture_rate_hz) > 1e-6:
         raise ModelError("capture rate does not match the plan")
     rate = plan.capture_rate_hz
-    out_rate = plan.channel_out_rate_hz
-    dec = plan.decimation
     offsets = np.asarray(plan.tone_offsets_hz, dtype=float)
     if np.any(np.abs(offsets) + ANTIALIAS_PASS_HZ > 0.49 * rate):
         raise ModelError("carrier too close to the capture Nyquist edge")
 
-    aa = design_lowpass(rate, ANTIALIAS_PASS_HZ, max(out_rate - TAG_STOP_HZ, ANTIALIAS_PASS_HZ * 1.5))
-    sh = design_lowpass(out_rate, SHAPE_PASS_HZ, SHAPE_STOP_HZ)
-
     t = capture.start_s + np.arange(capture.samples.size) / rate
-    n_out = (capture.samples.size - 1) // dec + 1
-    streams = np.empty((plan.n_carriers, n_out), dtype=complex)
-    for l, (off, phi) in enumerate(zip(offsets, plan.tone_phases_rad)):
-        mixed = capture.samples * np.exp(-1j * (2 * np.pi * off * t + phi))
-        low = _filter_aligned(mixed, aa)[::dec]
-        streams[l] = _filter_aligned(low, sh)
-    transient = (aa.size - 1) / 2 / rate + (sh.size - 1) / 2 / out_rate
+    streams = [_channel_filter(capture.samples * np.exp(-1j * (2 * np.pi * off * t + phi)), plan)
+               for off, phi in zip(offsets, plan.tone_phases_rad)]
     return ChannelBank(
-        streams=streams, rate_hz=out_rate, carriers_hz=plan.carriers_hz,
+        streams=streams, rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz,
         antenna_id=capture.antenna_id, start_s=capture.start_s,
-        group_delay_s=transient, compression=compression_report(plan),
+        group_delay_s=chain_transient_s(plan), compression=compression_report(plan),
     )
 
 
@@ -155,20 +182,17 @@ def apply_shaping(wave: BasebandWave, out_rate_hz: float) -> BasebandWave:
     """
     if abs(wave.rate_hz - out_rate_hz) > 1e-6:
         raise ModelError("waveform is not at the channel rate")
-    sh = design_lowpass(out_rate_hz, SHAPE_PASS_HZ, SHAPE_STOP_HZ)
-    return BasebandWave(samples=_filter_aligned(wave.samples, sh), rate_hz=out_rate_hz,
-                        start_s=wave.start_s)
+    return BasebandWave(samples=_filter_aligned(wave.samples, _shaping_taps(out_rate_hz)),
+                        rate_hz=out_rate_hz, start_s=wave.start_s)
 
 
 def bandlimit_tag(wave: BasebandWave) -> BasebandWave:
     """Transmit-side bandlimit of the +/-1 tag baseband, common to all tones."""
-    taps = design_lowpass(wave.rate_hz, TAG_PASS_HZ, TAG_STOP_HZ)
-    return BasebandWave(samples=_filter_aligned(wave.samples, taps), rate_hz=wave.rate_hz,
-                        start_s=wave.start_s)
+    return BasebandWave(samples=_filter_aligned(wave.samples, _tag_taps(wave.rate_hz)),
+                        rate_hz=wave.rate_hz, start_s=wave.start_s)
 
 
-def processed_tag_baseband(tag_capture_rate: BasebandWave, plan: CarrierPlan,
-                           bandlimit: bool = True) -> BasebandWave:
+def processed_tag_baseband(tag_capture_rate: BasebandWave, plan: CarrierPlan) -> BasebandWave:
     """Tag baseband as it appears in one channel stream: bandlimited, decimated
     through the anti-alias filter, and channel-shaped.
 
@@ -178,15 +202,19 @@ def processed_tag_baseband(tag_capture_rate: BasebandWave, plan: CarrierPlan,
     rate = plan.capture_rate_hz
     if abs(tag_capture_rate.rate_hz - rate) > 1e-6:
         raise ModelError("tag waveform must be at the capture rate")
-    out_rate = plan.channel_out_rate_hz
-    dec = plan.decimation
-    x = tag_capture_rate.samples
-    if bandlimit:
-        x = _filter_aligned(x, design_lowpass(rate, TAG_PASS_HZ, TAG_STOP_HZ))
-    aa = design_lowpass(rate, ANTIALIAS_PASS_HZ, max(out_rate - TAG_STOP_HZ, ANTIALIAS_PASS_HZ * 1.5))
-    low = _filter_aligned(x, aa)[::dec]
-    shaped = _filter_aligned(low, design_lowpass(out_rate, SHAPE_PASS_HZ, SHAPE_STOP_HZ))
-    return BasebandWave(samples=shaped, rate_hz=out_rate, start_s=tag_capture_rate.start_s)
+    x = _filter_aligned(tag_capture_rate.samples, _tag_taps(rate))
+    return BasebandWave(samples=_channel_filter(x, plan), rate_hz=plan.channel_out_rate_hz,
+                        start_s=tag_capture_rate.start_s)
+
+
+def shaped_noise(rng: np.random.Generator, shape: tuple[int, int], noise_var: float,
+                 plan: CarrierPlan) -> np.ndarray:
+    """Complex Gaussian channel-rate noise rows run through the shaping
+    filter, with variance noise_var / decimation per sample."""
+    sh = _shaping_taps(plan.channel_out_rate_hz)
+    white = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return _filter_aligned(white * np.sqrt(noise_var / float(np.sum(sh ** 2))
+                                           / plan.decimation / 2), sh)
 
 
 def notch_dc(bank: ChannelBank, notch_hz: float = NOTCH_DEFAULT_HZ,

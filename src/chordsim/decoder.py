@@ -551,26 +551,28 @@ def full_packet_channel_estimate(banks: list[ChannelBank], rn16_bits, epc_bits,
                                  miller_m: int = MILLER_M_DEFAULT) -> ChannelMatrix:
     """Normalized matched-filter channel estimate against the clock-true
     full-packet template, per antenna and carrier."""
-    pkt = TagPacket(rn16_bits=tuple(int(b) for b in rn16_bits),
-                    epc_bits=tuple(int(b) for b in epc_bits),
-                    blf_hz=blf_hz, miller_m=miller_m)
     rate = banks[0].rate_hz
-    tmpl = apply_shaping(packet_template(pkt, rate, fmt), rate).samples.real
-    n_t = tmpl.size
-
-    k_n, l_n = len(banks), plan.n_carriers
+    span_s = packet_layout(blf_hz, miller_m, len(epc_bits), fmt).total_s
+    n_t = int(round(span_s * rate))
     for bank in banks:
-        if bank.n_channels != l_n:
+        if bank.n_channels != plan.n_carriers:
             raise ModelError("bank carrier count does not match the plan")
         if bank.n_samples < n_t:
             raise ModelError("stream shorter than the template")
-    flat = np.stack([b.streams for b in banks]).reshape(k_n * l_n, -1)
-    comp = _compensate_rows(flat, rate, sync, track, blf_hz, n_t / rate)[:, :n_t]
-    return _matched_estimate(comp, tmpl, k_n, l_n, plan, geom)
+    flat = np.stack([b.streams for b in banks]).reshape(len(banks) * plan.n_carriers, -1)
+    comp = _compensate_rows(flat, rate, sync, track, blf_hz, span_s)
+    return _packet_estimate(comp, rn16_bits, epc_bits, rate, fmt, blf_hz, miller_m, plan, geom)
 
 
-def _matched_estimate(comp: np.ndarray, tmpl: np.ndarray, k_n: int, l_n: int,
-                      plan: CarrierPlan, geom: ArrayGeometry) -> ChannelMatrix:
+def _packet_estimate(comp: np.ndarray, rn16_bits, epc_bits, rate_hz: float,
+                     fmt: PacketFormat, blf_hz: float, miller_m: int,
+                     plan: CarrierPlan, geom: ArrayGeometry) -> ChannelMatrix:
+    """Matched-filter estimate of compensated rows (antenna-major, spanning the
+    packet) against the channel-shaped full-packet template of the bits."""
+    pkt = TagPacket(rn16_bits=tuple(int(b) for b in rn16_bits),
+                    epc_bits=tuple(int(b) for b in epc_bits),
+                    blf_hz=blf_hz, miller_m=miller_m)
+    tmpl = apply_shaping(packet_template(pkt, rate_hz, fmt), rate_hz).samples.real
     active = np.abs(tmpl) > 0.1
     t_energy = float(np.sum(tmpl ** 2))
     h = (comp @ tmpl) / t_energy
@@ -578,8 +580,8 @@ def _matched_estimate(comp: np.ndarray, tmpl: np.ndarray, k_n: int, l_n: int,
     noise = np.mean(np.abs(resid) ** 2, axis=1) + 1e-30
     sig = np.abs(h) ** 2 * float(np.mean(tmpl[active] ** 2))
     snr = 10.0 * np.log10(np.maximum(sig / noise, 1e-30))
-    return ChannelMatrix(h=h.reshape(k_n, l_n), carriers_hz=plan.carriers_hz,
-                         geometry=geom, quality=snr.reshape(k_n, l_n))
+    return ChannelMatrix(h=h.reshape(-1, plan.n_carriers), carriers_hz=plan.carriers_hz,
+                         geometry=geom, quality=snr.reshape(-1, plan.n_carriers))
 
 
 def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeometry,
@@ -612,8 +614,7 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     # Clock tracking runs on the best carrier combined across antennas
     # (preamble-matched gains); the array gain keeps the loop's timing jitter
     # well under a quarter subcarrier period at threshold SNR.
-    pre_sync = np.real(miller_encode(fmt.preamble_bits, blf_hz - sync.alpha0_hat_hz,
-                                     miller_m, rate, preamble=False, fmt=fmt).samples)
+    pre_sync = _preamble_template(blf_hz - sync.alpha0_hat_hz, miller_m, rate, fmt)
     i_sync = max(int(round(sync.t0_hat_s * rate)), 0)
     pre_win = stack[:, l_best, i_sync:i_sync + pre_sync.size]
     g_track = pre_win @ pre_sync[:pre_win.shape[1]]
@@ -629,12 +630,11 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
         raise DecodeError("msnr_combine", "pre-SOF window too short for a covariance")
 
     n_nom = int(round(layout.total_s * rate))
-    flat = stack.reshape(k_n * l_n, -1)
-    comp = _compensate_rows(flat, rate, sync, track, blf_hz, layout.total_s)
-    comp = comp.reshape(k_n, l_n, n_nom)
+    comp_rows = _compensate_rows(stack.reshape(k_n * l_n, -1), rate, sync, track, blf_hz,
+                                 layout.total_s)
+    comp = comp_rows.reshape(k_n, l_n, n_nom)
 
-    pre_tmpl = np.real(miller_encode(fmt.preamble_bits, blf_hz, miller_m, rate,
-                                     preamble=False, fmt=fmt).samples)
+    pre_tmpl = _preamble_template(blf_hz, miller_m, rate, fmt)
     lp = pre_tmpl.size
     pre_energy = float(np.sum(pre_tmpl ** 2))
 
@@ -670,12 +670,7 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     if len(epc) != epc_len:
         raise DecodeError("viterbi", "decoded EPC has the wrong length")
 
-    est_pkt = TagPacket(rn16_bits=tuple(int(b) for b in rn16),
-                        epc_bits=tuple(int(b) for b in epc),
-                        blf_hz=blf_hz, miller_m=miller_m)
-    tmpl = apply_shaping(packet_template(est_pkt, rate, fmt), rate).samples.real
-    channel = _matched_estimate(comp.reshape(k_n * l_n, -1)[:, :tmpl.size], tmpl,
-                                k_n, l_n, plan, geom)
+    channel = _packet_estimate(comp_rows, rn16, epc, rate, fmt, blf_hz, miller_m, plan, geom)
     return DecodedPacket(rn16_bits=tuple(rn16), epc_bits=tuple(epc), crc_ok=crc_ok,
                          channel=channel, sync=sync, track=track,
                          snr_db=channel.quality)

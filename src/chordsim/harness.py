@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve as sps_fftconvolve
 
 from . import model
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
@@ -26,9 +25,9 @@ from .waveform import (BLF_DEFAULT_HZ, DEFAULT_FORMAT, MILLER_M_DEFAULT,
                        MultisineSpec, PacketFormat, TagPacket, backscatter_mix,
                        build_packet_baseband, packet_layout, random_walk_drift,
                        synth_multisine)
-from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, channelize,
-                          design_lowpass, notch_dc, processed_tag_baseband,
-                          ANTIALIAS_PASS_HZ, SHAPE_PASS_HZ, SHAPE_STOP_HZ, TAG_STOP_HZ)
+from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
+                          chain_transient_s, channelize, notch_dc, processed_tag_baseband,
+                          shaped_noise)
 from .decoder import DecodeError, decode_pipeline
 from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI,
                       DEFAULT_POLICY, localize)
@@ -67,15 +66,6 @@ class SceneSpec:
     def __post_init__(self):
         if not math.isfinite(self.snr_db):
             raise HarnessError("target SNR must be finite")
-
-
-def _noise_gain(plan: CarrierPlan) -> float:
-    """Noise power gain of the anti-alias + shaping chain (white input)."""
-    out_rate = plan.channel_out_rate_hz
-    aa = design_lowpass(plan.capture_rate_hz, ANTIALIAS_PASS_HZ,
-                        max(out_rate - TAG_STOP_HZ, ANTIALIAS_PASS_HZ * 1.5))
-    sh = design_lowpass(out_rate, SHAPE_PASS_HZ, SHAPE_STOP_HZ)
-    return float(np.sum(aa ** 2) * np.sum(sh ** 2))
 
 
 def _leak_gains(geom: ArrayGeometry, plan: CarrierPlan, antenna: int,
@@ -130,31 +120,22 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
         base = processed_tag_baseband(tag_wave, plan)
         sig_power = float(np.mean(np.abs(base.samples[np.abs(base.samples) > 0.1]) ** 2))
         noise_var_chan = mean_h ** 2 * sig_power / snr_lin
-        dec = plan.decimation
-        sh = design_lowpass(plan.channel_out_rate_hz, SHAPE_PASS_HZ, SHAPE_STOP_HZ)
-        sh_gain = float(np.sum(sh ** 2))
-        n = base.samples.size
         banks = []
         for k in range(geom.n_antennas):
             streams = np.outer(h.h[k], base.samples)
             if leak_amp > 0:
                 streams += _leak_gains(geom, plan, k, leak_amp)[:, None]
-            white = (rng.standard_normal((plan.n_carriers, n))
-                     + 1j * rng.standard_normal((plan.n_carriers, n)))
-            white *= math.sqrt(noise_var_chan / sh_gain / dec / 2)
-            noise = sps_fftconvolve(white, sh[None, :], mode="same", axes=1)
-            streams = streams + noise
+            streams = streams + shaped_noise(rng, streams.shape, noise_var_chan, plan)
             banks.append(ChannelBank(streams=streams, rate_hz=plan.channel_out_rate_hz,
                                      carriers_hz=plan.carriers_hz, antenna_id=k,
-                                     start_s=0.0, group_delay_s=(sh.size - 1) / 2
-                                     / plan.channel_out_rate_hz))
+                                     start_s=0.0, group_delay_s=chain_transient_s(plan)))
         return banks, pkt, h
 
     excitation = synth_multisine(MultisineSpec(plan=plan, duration_s=duration))
     tag_bl = bandlimit_tag(tag_wave)
     active = np.abs(tag_bl.samples) > 0.1
     sig_power = float(np.mean(np.abs(tag_bl.samples[active]) ** 2)) if active.any() else 1.0
-    noise_var_wide = mean_h ** 2 * sig_power / snr_lin / _noise_gain(plan)
+    noise_var_wide = mean_h ** 2 * sig_power / snr_lin / chain_noise_gain(plan)
 
     captures = []
     n = excitation.samples.size
@@ -620,12 +601,16 @@ def packet_record(epc_bits, t0_s: float, alpha0_hz: float, crc_ok: bool,
 
 
 def record_to_channel(doc: dict, geom: ArrayGeometry, plan: CarrierPlan) -> ChannelMatrix:
+    """Channel matrix of a decoded-packet record; absent entries stay masked."""
     h = np.zeros((geom.n_antennas, plan.n_carriers), dtype=complex)
     quality = np.zeros(h.shape)
+    mask = np.zeros(h.shape, dtype=bool)
     carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
     for c in doc["channels"]:
-        l = carrier_index[float(c["carrier_hz"])]
-        h[int(c["antenna"]), l] = float(c["re"]) + 1j * float(c["im"])
+        k, l = int(c["antenna"]), carrier_index[float(c["carrier_hz"])]
+        h[k, l] = float(c["re"]) + 1j * float(c["im"])
+        mask[k, l] = True
         if c.get("snr_db") is not None:
-            quality[int(c["antenna"]), l] = float(c["snr_db"])
-    return ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom, quality=quality)
+            quality[k, l] = float(c["snr_db"])
+    return ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom, quality=quality,
+                         mask=mask)

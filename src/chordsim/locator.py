@@ -1,11 +1,11 @@
-"""Near-field localization with pluggable kernels and layers.
+"""Near-field localization as a stack of layers.
 
-A kernel scores the similarity of one channel's measured phase against the
-phase a candidate location would produce; layers combine kernels across
-carriers and antennas.  The basic hologram sums the exponential kernel over
-the whole grid; the multipath-suppression pipeline inserts a time-of-flight
-layer, direct-path identification against prior range bounds, and a
-direct-path enhancement before the final summation.
+The hologram kernel scores the similarity exp(-j(phi - theta)) of one
+channel's measured phase phi against the phase theta a candidate location
+would produce; layers combine it across carriers and antennas.  The basic
+hologram sums the kernel over the whole grid; the multipath-suppression
+pipeline inserts a time-of-flight layer, direct-path identification against
+prior range bounds, and a direct-path enhancement before the final summation.
 
 Phase bookkeeping: channel entries store angle(h) = minus the propagation
 phase.  Holograms and ToF profiles operate on propagation phases (they negate
@@ -34,19 +34,6 @@ from scipy import ndimage
 
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     C_M_PER_S, wrap_phase)
-
-
-@dataclass(frozen=True)
-class ExponentialPhaseKernel:
-    """similarity(phi, theta) = exp(-j (phi - theta)); unit magnitude, equals
-    one when the phases agree."""
-
-    def similarity(self, measured_phase_rad, theoretical_phase_rad):
-        return np.exp(-1j * (np.asarray(measured_phase_rad)
-                             - np.asarray(theoretical_phase_rad)))
-
-
-DEFAULT_KERNEL = ExponentialPhaseKernel()
 
 
 @dataclass(frozen=True)
@@ -173,6 +160,8 @@ def _phase_hologram(prop_phases: np.ndarray, mask: np.ndarray | None,
         raise ModelError("phase matrix does not match geometry/plan")
     if grid.nx * grid.ny == 0:
         raise ModelError("empty grid")
+    if mask is not None and not np.any(mask):
+        raise ModelError("hologram: every channel entry is masked")
     tx = _point_key(geom.tx_wideband_position_m)
     weights = np.exp(-1j * prop_phases)
     acc = np.zeros(grid.nx * grid.ny, dtype=complex)

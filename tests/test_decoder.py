@@ -424,6 +424,20 @@ def test_full_packet_estimate_noiseless_phase(plan, geom):
                 float(cs.model.wrap_phase(-theta)), abs=2e-3)
 
 
+def test_decode_pipeline_channel_is_the_full_packet_estimate(plan, geom):
+    rng = np.random.default_rng(19)
+    tag = single_path_tag((0.2, 2.8, 1.11), random_epc(rng))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=15.0, alpha0_frac=0.04,
+                     drift_frac=0.02)
+    banks, _, _ = simulate_capture(spec, plan, geom, seed=23, fast_path=True)
+    banks = [chz.notch_dc(b) for b in banks]
+    packet = dc.decode_pipeline(banks, plan, geom)
+    est = dc.full_packet_channel_estimate(banks, packet.rn16_bits, packet.epc_bits,
+                                          packet.sync, packet.track, plan, geom)
+    assert np.array_equal(packet.channel.h, est.h)
+    assert np.array_equal(packet.channel.quality, est.quality)
+
+
 def test_integration_gain_template_length_scaling(plan, geom):
     # var(phase) ~ 1/template-length: log-log slope -1 over 4 lengths
     rng = np.random.default_rng(18)

@@ -83,6 +83,16 @@ def test_fast_path_matches_full_path_channel(plan, geom):
     assert 10 * math.log10(err / ref) < -40.0
 
 
+def test_fast_path_reports_the_channelizer_transient(plan, geom):
+    # both paths pass the tag through the anti-alias and shaping filters
+    one = cs.model.subset_geometry(geom, 1)
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(4)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)))
+    caps, _, _ = simulate_capture(spec, plan, one, seed=4)
+    fast_banks, _, _ = simulate_capture(spec, plan, one, seed=4, fast_path=True)
+    assert fast_banks[0].group_delay_s == chz.channelize(caps[0], plan).group_delay_s
+
+
 def test_run_batch_noiseless_bound(plan, geom, grid):
     rng = np.random.default_rng(3)
     scenes = []
@@ -285,7 +295,7 @@ def test_replay_equivalence(tmp_path, plan, geom, grid):
     assert replayed.position_m == direct.position_m
 
 
-def test_packet_record_round_trip(plan, geom):
+def test_packet_record_round_trip(plan, geom, grid):
     rng = np.random.default_rng(8)
     tag = single_path_tag((0.1, 2.2, 1.11), random_epc(rng))
     h = harness.noisy_channel(cs.synth_channel(Scene(tags=(tag,)), geom, plan, 0), 30.0, rng)
@@ -293,6 +303,18 @@ def test_packet_record_round_trip(plan, geom):
     doc = json.loads(json.dumps(rec))
     back = harness.record_to_channel(doc, geom, plan)
     assert np.allclose(back.h, h.h, atol=1e-12)
+    assert back.mask.all()
+    # entries missing from a record are masked, not scored as h = 0
+    dropped = set(rng.choice(len(doc["channels"]), size=20, replace=False).tolist())
+    doc["channels"] = [c for i, c in enumerate(doc["channels"]) if i not in dropped]
+    part = harness.record_to_channel(doc, geom, plan)
+    mask = np.ones(h.shape, dtype=bool)
+    mask.flat[list(dropped)] = False
+    assert np.array_equal(part.mask, mask)
+    masked = cs.ChannelMatrix(h=back.h, carriers_hz=plan.carriers_hz, geometry=geom,
+                              mask=mask)
+    assert np.array_equal(loc.basic_hologram(part, grid, geom, plan).heatmap,
+                          loc.basic_hologram(masked, grid, geom, plan).heatmap)
 
 
 def test_gate_corpus_labels():

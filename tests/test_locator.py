@@ -49,12 +49,6 @@ def _h_oneway(plan, dists, gains):
 
 # --- basic hologram ----------------------------------------------------------
 
-def test_single_term_kernel_unity():
-    k = loc.ExponentialPhaseKernel()
-    assert k.similarity(0.7, 0.7) == pytest.approx(1.0)
-    assert abs(k.similarity(0.1, 2.0)) == pytest.approx(1.0)
-
-
 def test_hologram_argmax_at_true_cell(geom, plan):
     pos = (0.42, 3.97, 1.11)
     scene = Scene(tags=(single_path_tag(pos, random_epc(np.random.default_rng(0))),))
@@ -196,6 +190,16 @@ def test_masked_nan_entry_never_enters_the_sum(geom, plan):
     assert np.array_equal(
         loc.summation_layer(with_nan, GRID, geom, plan, mask=mask).heatmap,
         loc.summation_layer(phases[:, keep], GRID, geom, sub_plan).heatmap)
+
+
+def test_all_masked_channel_raises_at_the_hologram(geom, plan):
+    ch = _random_phase_channel(geom, plan, 14)
+    ch = cs.ChannelMatrix(h=ch.h, carriers_hz=ch.carriers_hz, geometry=geom,
+                          mask=np.zeros(ch.shape, dtype=bool))
+    with pytest.raises(ModelError, match="hologram"):
+        loc.localize(ch, GRID, geom, plan)
+    with pytest.raises(ModelError, match="hologram"):
+        loc.summation_layer(np.angle(ch.h), GRID, geom, plan, mask=ch.mask)
 
 
 def test_cache_within_bound_after_sweep(geom, plan):
