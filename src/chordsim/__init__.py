@@ -10,7 +10,7 @@ from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     default_array_geometry, default_carrier_plan, uniform_carrier_plan,
                     distance_resolution, fraunhofer_distance, synth_channel,
                     theoretical_phase, thermal_noise_dbm, validate_emission)
-from .waveform import (BasebandWave, MultisineSpec, PacketFormat, TagPacket,
+from .waveform import (BasebandWave, MultisineSpec, TagPacket,
                        apply_clock_offset, backscatter_mix, build_packet_baseband,
                        crest_factor, miller_encode, optimize_crest_phases,
                        optimize_tone_phases, papr_db, synth_multisine)

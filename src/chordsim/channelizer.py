@@ -138,9 +138,6 @@ class ChannelBank:
     def n_samples(self) -> int:
         return self.streams.shape[1]
 
-    def times(self) -> np.ndarray:
-        return self.start_s + np.arange(self.n_samples) / self.rate_hz
-
 
 def compression_report(plan: CarrierPlan, tag_bandwidth_hz: float = TAG_BANDWIDTH_HZ) -> dict:
     """Data-rate and effective-information compression of the channelized form."""

@@ -49,9 +49,10 @@ def _grid_from(doc: dict | None) -> GridSpec:
 def _prior_from(doc: dict | None) -> PriorROI | None:
     if not doc:
         return None
+    extra = {"peak_threshold": float(doc["peak_threshold"])} if "peak_threshold" in doc else {}
     return PriorROI(path_bounds_m=tuple(doc["path_bounds_m"]),
                     region_xy=tuple(tuple(p) for p in doc["region_xy"]) if doc.get("region_xy") else None,
-                    peak_threshold=float(doc.get("peak_threshold", 0.3)))
+                    **extra)
 
 
 def cmd_waveform(args):

@@ -21,8 +21,8 @@ from scipy import optimize as sopt
 
 from .model import ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError
 from .channelizer import ChannelBank, apply_shaping
-from .waveform import (BLF_DEFAULT_HZ, DEFAULT_FORMAT, MILLER_M_DEFAULT,
-                       PacketFormat, TagPacket, check_epc_reply, miller_encode,
+from .waveform import (ALPHA0_LIMIT_FRAC, BLF_DEFAULT_HZ, CLOCK_STRETCH, MILLER_M_DEFAULT,
+                       PREAMBLE_BITS, TagPacket, check_epc_reply, clock_map, miller_encode,
                        miller_symbol_signs, packet_layout, packet_template)
 
 ALPHA_SEARCH_FRAC = 0.10
@@ -30,7 +30,9 @@ ALPHA_STEP_FRAC = 0.0025
 DETECTION_THRESHOLD = 0.3
 METRIC_THRESHOLD = 0.1
 TRACK_LIMIT_FRAC = 0.03
-CLOCK_STRETCH = 1.0 / (1.0 - 0.125)
+# Costas loop noise bandwidth (fraction of BLF) and damping factor.
+LOOP_BW_FRAC = 0.04
+LOOP_DAMPING = 0.707
 
 
 class DecodeError(RuntimeError):
@@ -80,11 +82,8 @@ class DecodedPacket:
     snr_db: np.ndarray
 
 
-def _preamble_template(blf_hz: float, miller_m: int, rate_hz: float,
-                       fmt: PacketFormat) -> np.ndarray:
-    wave = miller_encode(fmt.preamble_bits, blf_hz, miller_m, rate_hz,
-                         preamble=False, fmt=fmt)
-    return np.real(wave.samples)
+def _preamble_template(blf_hz: float, miller_m: int, rate_hz: float) -> np.ndarray:
+    return np.real(miller_encode(PREAMBLE_BITS, blf_hz, miller_m, rate_hz, preamble=False).samples)
 
 
 def _parabolic_refine(values: np.ndarray, p: int) -> float:
@@ -99,7 +98,6 @@ def _parabolic_refine(values: np.ndarray, p: int) -> float:
 
 def preamble_search(stream: np.ndarray, rate_hz: float,
                     blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT,
-                    fmt: PacketFormat = DEFAULT_FORMAT,
                     window_s: tuple[float, float] | None = None,
                     alpha_span_frac: float = ALPHA_SEARCH_FRAC,
                     alpha_step_frac: float = ALPHA_STEP_FRAC,
@@ -122,7 +120,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
     if rate_hz < 4 * blf_hz:
         raise ModelError("channel rate must be at least 4x BLF")
     n = x.size
-    max_tmpl = int(2 * len(fmt.preamble_bits) * miller_m / blf_hz * rate_hz)
+    max_tmpl = int(2 * len(PREAMBLE_BITS) * miller_m / blf_hz * rate_hz)
     nfft = int(2 ** np.ceil(np.log2(n + max_tmpl + 1)))
     xf = np.fft.fft(x, nfft)
     energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
@@ -138,7 +136,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
         raise ModelError("search window outside the stream")
 
     def correlate(alpha_hz: float):
-        tmpl = _preamble_template(blf_hz - alpha_hz, miller_m, rate_hz, fmt)
+        tmpl = _preamble_template(blf_hz - alpha_hz, miller_m, rate_hz)
         lt = tmpl.size
         corr = np.abs(np.fft.ifft(xf * np.conj(np.fft.fft(tmpl, nfft)))[:n])
         t_norm = math.sqrt(float(np.sum(tmpl ** 2)))
@@ -196,7 +194,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
             if t2 > t0:
                 alpha_hat = blf_hz * (1.0 - second_preamble_offset_s / (t2 - t0))
         # the initial offset itself is bounded by the +/-10% protocol envelope
-        limit = ALPHA_SEARCH_FRAC * blf_hz
+        limit = ALPHA0_LIMIT_FRAC * blf_hz
         alpha_hat = float(np.clip(alpha_hat, -limit, limit))
     return SyncEstimate(t0_hat_s=t0, alpha0_hat_hz=alpha_hat,
                         correlation_peak=min(float(rho_best), 1.0))
@@ -204,8 +202,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
 
 def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
               blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT,
-              n_symbols: int = 160,
-              loop_bw_frac: float = 0.04, damping: float = 0.707) -> ClockTrack:
+              n_symbols: int = 160) -> ClockTrack:
     """Second-order Costas loop on the Miller subcarrier.
 
     Tracks the residual fluctuation left after removing the estimated initial
@@ -221,10 +218,10 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     if seg.size < int(4 * t_sym * rate_hz):
         raise ModelError("stream too short behind the sync point")
 
-    bn = loop_bw_frac * blf_hz
+    bn = LOOP_BW_FRAC * blf_hz
     theta_n = bn / rate_hz
-    denom = 1.0 + 2.0 * damping * theta_n + theta_n ** 2
-    kp = 4.0 * damping * theta_n / denom
+    denom = 1.0 + 2.0 * LOOP_DAMPING * theta_n + theta_n ** 2
+    kp = 4.0 * LOOP_DAMPING * theta_n / denom
     ki = 4.0 * theta_n ** 2 / denom
     lp = 1.0 - math.exp(-2.0 * math.pi * (blf_hz / 2.0) / rate_hz)
 
@@ -302,14 +299,7 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
 def _clock_map(elapsed: np.ndarray, sync: SyncEstimate, track: ClockTrack,
                blf_hz: float) -> np.ndarray:
     """Estimated nominal template time for each elapsed receive time."""
-    alpha = np.asarray(track.alpha_t_hz, dtype=float)
-    if alpha.size == 0:
-        integral = np.zeros_like(elapsed)
-    else:
-        cum = np.concatenate([[0.0], np.cumsum(alpha) * track.symbol_s])
-        idx = np.minimum((elapsed / track.symbol_s).astype(int), alpha.size - 1)
-        integral = cum[idx] + alpha[idx] * (elapsed - idx * track.symbol_s)
-    return elapsed - (sync.alpha0_hat_hz * elapsed + integral) / blf_hz
+    return clock_map(elapsed, sync.alpha0_hat_hz, track.alpha_t_hz, track.symbol_s, blf_hz)
 
 
 def _warp_gather(n_vals: np.ndarray, rate_hz: float, n_out: int):
@@ -325,8 +315,7 @@ def _warp_gather(n_vals: np.ndarray, rate_hz: float, n_out: int):
 
 def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
                        layout, blf_hz: float = BLF_DEFAULT_HZ,
-                       miller_m: int = MILLER_M_DEFAULT,
-                       fmt: PacketFormat = DEFAULT_FORMAT) -> ClockTrack:
+                       miller_m: int = MILLER_M_DEFAULT) -> ClockTrack:
     """Clock track over a whole two-reply packet.
 
     One Costas pass per reply (each seeded from its own pilot), with the
@@ -348,7 +337,7 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     sync2 = SyncEstimate(t0_hat_s=expected, alpha0_hat_hz=sync.alpha0_hat_hz,
                          correlation_peak=0.0)
     try:
-        found = preamble_search(stream, rate_hz, blf_hz, miller_m, fmt,
+        found = preamble_search(stream, rate_hz, blf_hz, miller_m,
                                 window_s=(expected - w, expected + w),
                                 alpha_span_frac=0.03, alpha_step_frac=0.005,
                                 alpha_center_hz=sync.alpha0_hat_hz,
@@ -546,13 +535,12 @@ def _sign_after(bits) -> int:
 def full_packet_channel_estimate(banks: list[ChannelBank], rn16_bits, epc_bits,
                                  sync: SyncEstimate, track: ClockTrack,
                                  plan: CarrierPlan, geom: ArrayGeometry,
-                                 fmt: PacketFormat = DEFAULT_FORMAT,
                                  blf_hz: float = BLF_DEFAULT_HZ,
                                  miller_m: int = MILLER_M_DEFAULT) -> ChannelMatrix:
     """Normalized matched-filter channel estimate against the clock-true
     full-packet template, per antenna and carrier."""
     rate = banks[0].rate_hz
-    span_s = packet_layout(blf_hz, miller_m, len(epc_bits), fmt).total_s
+    span_s = packet_layout(blf_hz, miller_m, len(epc_bits)).total_s
     n_t = int(round(span_s * rate))
     for bank in banks:
         if bank.n_channels != plan.n_carriers:
@@ -561,18 +549,18 @@ def full_packet_channel_estimate(banks: list[ChannelBank], rn16_bits, epc_bits,
             raise ModelError("stream shorter than the template")
     flat = np.stack([b.streams for b in banks]).reshape(len(banks) * plan.n_carriers, -1)
     comp = _compensate_rows(flat, rate, sync, track, blf_hz, span_s)
-    return _packet_estimate(comp, rn16_bits, epc_bits, rate, fmt, blf_hz, miller_m, plan, geom)
+    return _packet_estimate(comp, rn16_bits, epc_bits, rate, blf_hz, miller_m, plan, geom)
 
 
 def _packet_estimate(comp: np.ndarray, rn16_bits, epc_bits, rate_hz: float,
-                     fmt: PacketFormat, blf_hz: float, miller_m: int,
+                     blf_hz: float, miller_m: int,
                      plan: CarrierPlan, geom: ArrayGeometry) -> ChannelMatrix:
     """Matched-filter estimate of compensated rows (antenna-major, spanning the
     packet) against the channel-shaped full-packet template of the bits."""
     pkt = TagPacket(rn16_bits=tuple(int(b) for b in rn16_bits),
                     epc_bits=tuple(int(b) for b in epc_bits),
                     blf_hz=blf_hz, miller_m=miller_m)
-    tmpl = apply_shaping(packet_template(pkt, rate_hz, fmt), rate_hz).samples.real
+    tmpl = apply_shaping(packet_template(pkt, rate_hz), rate_hz).samples.real
     active = np.abs(tmpl) > 0.1
     t_energy = float(np.sum(tmpl ** 2))
     h = (comp @ tmpl) / t_energy
@@ -585,11 +573,8 @@ def _packet_estimate(comp: np.ndarray, rn16_bits, epc_bits, rate_hz: float,
 
 
 def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeometry,
-                    fmt: PacketFormat = DEFAULT_FORMAT,
                     blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT,
-                    epc_len: int = 96,
-                    detection_threshold: float = DETECTION_THRESHOLD,
-                    metric_threshold: float = METRIC_THRESHOLD) -> DecodedPacket:
+                    epc_len: int = 96) -> DecodedPacket:
     """One-shot decode of a tag reply from per-antenna channel banks.
 
     Banks are expected to be time-aligned to a common capture clock and
@@ -601,27 +586,25 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     k_n, l_n = len(banks), plan.n_carriers
     if geom.n_antennas != k_n:
         raise ModelError("bank count does not match the geometry")
-    layout = packet_layout(blf_hz, miller_m, epc_len, fmt)
+    layout = packet_layout(blf_hz, miller_m, epc_len)
 
     stack = np.stack([b.streams for b in banks])        # [K, L, N]
     energies = np.sum(np.abs(stack) ** 2, axis=2)
     k_best, l_best = np.unravel_index(int(np.argmax(energies)), energies.shape)
 
-    sync = preamble_search(stack[k_best, l_best], rate, blf_hz, miller_m, fmt,
-                           threshold=detection_threshold,
+    sync = preamble_search(stack[k_best, l_best], rate, blf_hz, miller_m,
                            alpha_span_frac=ALPHA_SEARCH_FRAC + 0.025,
                            second_preamble_offset_s=layout.epc_start_s)
     # Clock tracking runs on the best carrier combined across antennas
     # (preamble-matched gains); the array gain keeps the loop's timing jitter
     # well under a quarter subcarrier period at threshold SNR.
-    pre_sync = _preamble_template(blf_hz - sync.alpha0_hat_hz, miller_m, rate, fmt)
+    pre_sync = _preamble_template(blf_hz - sync.alpha0_hat_hz, miller_m, rate)
     i_sync = max(int(round(sync.t0_hat_s * rate)), 0)
     pre_win = stack[:, l_best, i_sync:i_sync + pre_sync.size]
     g_track = pre_win @ pre_sync[:pre_win.shape[1]]
     denom = float(np.sum(np.abs(g_track))) or 1.0
     track_stream = (np.conj(g_track) @ stack[:, l_best, :]) / denom
-    track = track_packet_clock(track_stream, rate, sync, layout,
-                               blf_hz, miller_m, fmt)
+    track = track_packet_clock(track_stream, rate, sync, layout, blf_hz, miller_m)
 
     # Noise covariance per carrier from the signal-free pre-SOF window.
     pre_hi = max(int(sync.t0_hat_s * rate) - 2, 2)
@@ -634,7 +617,7 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
                                  layout.total_s)
     comp = comp_rows.reshape(k_n, l_n, n_nom)
 
-    pre_tmpl = _preamble_template(blf_hz, miller_m, rate, fmt)
+    pre_tmpl = _preamble_template(blf_hz, miller_m, rate)
     lp = pre_tmpl.size
     pre_energy = float(np.sum(pre_tmpl ** 2))
 
@@ -651,26 +634,22 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
 
     combined = mrc_combine(steered, gains, noise_vars)
 
-    sign0 = _sign_after(fmt.preamble_bits)
-    n_dummy = 1 if fmt.dummy_bit else 0
+    # Both frames are decoded through their dummy bit, which is then dropped.
+    sign0 = _sign_after(PREAMBLE_BITS)
     rn16, m1 = viterbi_decode(combined, rate, 0.0, layout.preamble_symbols,
-                              16 + n_dummy, sign0, blf_hz, miller_m)
+                              16 + 1, sign0, blf_hz, miller_m)
     rn16 = rn16[:16]
-    epc_payload = epc_len + (32 if fmt.include_pc_crc else 0)
+    reply_len = epc_len + 32
     reply, m2 = viterbi_decode(combined, rate, layout.epc_start_s,
-                               layout.preamble_symbols, epc_payload + n_dummy,
+                               layout.preamble_symbols, reply_len + 1,
                                sign0, blf_hz, miller_m)
-    reply = reply[:epc_payload]
-    if min(m1, m2) < metric_threshold:
+    if min(m1, m2) < METRIC_THRESHOLD:
         raise DecodeError("viterbi", "path metric below threshold")
-    if fmt.include_pc_crc:
-        epc, crc_ok = check_epc_reply(reply)
-    else:
-        epc, crc_ok = reply, True
+    epc, crc_ok = check_epc_reply(reply[:reply_len])
     if len(epc) != epc_len:
         raise DecodeError("viterbi", "decoded EPC has the wrong length")
 
-    channel = _packet_estimate(comp_rows, rn16, epc, rate, fmt, blf_hz, miller_m, plan, geom)
+    channel = _packet_estimate(comp_rows, rn16, epc, rate, blf_hz, miller_m, plan, geom)
     return DecodedPacket(rn16_bits=tuple(rn16), epc_bits=tuple(epc), crc_ok=crc_ok,
                          channel=channel, sync=sync, track=track,
                          snr_db=channel.quality)

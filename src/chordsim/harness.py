@@ -21,10 +21,9 @@ from . import model
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     PropagationPath, Scene, TagDef, subset_plan, subset_geometry,
                     synth_channel)
-from .waveform import (BLF_DEFAULT_HZ, DEFAULT_FORMAT, MILLER_M_DEFAULT,
-                       MultisineSpec, PacketFormat, TagPacket, backscatter_mix,
-                       build_packet_baseband, packet_layout, random_walk_drift,
-                       synth_multisine)
+from .waveform import (BLF_DEFAULT_HZ, MILLER_M_DEFAULT, MultisineSpec, TagPacket,
+                       backscatter_mix, build_packet_baseband, packet_layout,
+                       random_walk_drift, synth_multisine)
 from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
                           chain_transient_s, channelize, notch_dc, processed_tag_baseband,
                           shaped_noise)
@@ -78,12 +77,12 @@ def _leak_gains(geom: ArrayGeometry, plan: CarrierPlan, antenna: int,
 
 
 def _make_packet(spec: SceneSpec, tag: TagDef, rng,
-                 blf_hz: float, miller_m: int, fmt: PacketFormat) -> TagPacket:
+                 blf_hz: float, miller_m: int) -> TagPacket:
     t0 = spec.t0_s if spec.t0_s is not None else float(rng.uniform(0.9e-3, 1.1e-3))
     rn16 = tuple(int(b) for b in rng.integers(0, 2, size=16))
     drift: tuple[float, ...] = ()
     if spec.drift_frac > 0:
-        layout = packet_layout(blf_hz, miller_m, len(tag.epc_bits), fmt)
+        layout = packet_layout(blf_hz, miller_m, len(tag.epc_bits))
         n_sym = int(math.ceil(layout.total_s / (miller_m / blf_hz))) + 8
         drift = random_walk_drift(n_sym, blf_hz, rng, max_frac=spec.drift_frac)
     return TagPacket(rn16_bits=rn16, epc_bits=tag.epc_bits, blf_hz=blf_hz,
@@ -93,8 +92,7 @@ def _make_packet(spec: SceneSpec, tag: TagDef, rng,
 
 def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
                      seed: int, tag_index: int = 0, fast_path: bool = False,
-                     blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT,
-                     fmt: PacketFormat = DEFAULT_FORMAT):
+                     blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT):
     """Simulate one tag reply at every antenna.
 
     Returns (captures-or-banks, packet, channel).  The full path emits
@@ -103,12 +101,12 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     per-antenna ChannelBank objects, bypassing the wideband mixing.
     """
     rng = np.random.default_rng(seed)
-    pkt = _make_packet(spec, spec.scene.tags[tag_index], rng, blf_hz, miller_m, fmt)
-    layout = packet_layout(blf_hz, miller_m, len(pkt.epc_bits), fmt)
+    pkt = _make_packet(spec, spec.scene.tags[tag_index], rng, blf_hz, miller_m)
+    layout = packet_layout(blf_hz, miller_m, len(pkt.epc_bits))
     duration = pkt.t0_s + layout.total_s * CLOCK_STRETCH_MARGIN + 0.3e-3
 
     h = synth_channel(spec.scene, geom, plan, tag_index)
-    tag_wave = build_packet_baseband(pkt, plan.capture_rate_hz, fmt)
+    tag_wave = build_packet_baseband(pkt, plan.capture_rate_hz)
 
     snr_lin = 10 ** (spec.snr_db / 10)
     leak_amp = 0.0
@@ -181,9 +179,6 @@ class BatchConfig:
     mode: str = "channel"          # "channel" or "waveform"
     fast_path: bool = True
     seed: int = 0
-    blf_hz: float = BLF_DEFAULT_HZ
-    miller_m: int = MILLER_M_DEFAULT
-    fmt: PacketFormat = DEFAULT_FORMAT
 
     def digest(self) -> str:
         doc = {
@@ -218,17 +213,6 @@ class RunReport:
     n_failed: int
     throughput_pps: float
     config_digest: str
-    miss_rate: float | None = None
-    cross_rate: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "p50_m": self.p50_m, "p90_m": self.p90_m, "p99_m": self.p99_m,
-            "n_tags": self.n_tags, "n_failed": self.n_failed,
-            "throughput_pps": self.throughput_pps, "config_digest": self.config_digest,
-            "miss_rate": self.miss_rate, "cross_rate": self.cross_rate,
-            "errors_m": [r.error_m for r in self.results],
-        }
 
 
 def nearest_rank_percentile(values, pct: float) -> float:
@@ -287,17 +271,14 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
                     t_start = time.perf_counter()
                 else:
                     sim, pkt, _ = simulate_capture(spec, plan, geom, seed, ti,
-                                                   fast_path=cfg.fast_path,
-                                                   blf_hz=cfg.blf_hz,
-                                                   miller_m=cfg.miller_m, fmt=cfg.fmt)
+                                                   fast_path=cfg.fast_path)
                     if isinstance(sim[0], WidebandCapture):
                         banks = [channelize(c, plan) for c in sim]
                     else:
                         banks = sim
-                    banks = [notch_dc(b, blf_hz=cfg.blf_hz) for b in banks]
+                    banks = [notch_dc(b) for b in banks]
                     t_start = time.perf_counter()
-                    packet = decode_pipeline(banks, plan, geom, cfg.fmt, cfg.blf_hz,
-                                             cfg.miller_m, epc_len=len(tag.epc_bits))
+                    packet = decode_pipeline(banks, plan, geom, epc_len=len(tag.epc_bits))
                     decoded = True
                     crc_ok = packet.crc_ok
                     ch = packet.channel
@@ -530,26 +511,41 @@ def export_snapshots(records: list[SnapshotRecord], path) -> None:
     Path(path).write_text("".join(r.to_json() + "\n" for r in records))
 
 
+def _entry_index(antenna_id: int, carrier_hz: float, n_antennas: int,
+                 carrier_index: dict) -> tuple[int, int]:
+    """(k, l) channel-matrix index of an (antenna id, carrier Hz) observation;
+    an antenna outside the geometry or a carrier outside the plan raises a
+    HarnessError."""
+    if not 0 <= antenna_id < n_antennas:
+        raise HarnessError(f"antenna {antenna_id} not in the {n_antennas}-antenna geometry")
+    l = carrier_index.get(carrier_hz)
+    if l is None:
+        raise HarnessError(f"carrier {carrier_hz} not in the plan")
+    return antenna_id, l
+
+
 def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan,
-                     window_s: float = 10e-3, parser=None):
+                     window_s: float = 10e-3):
     """Group snapshot lines into per-reply channel matrices.
 
     Records sharing an EPC within ``window_s`` form one reply; carriers or
-    antennas never observed stay masked.  ``parser`` adapts foreign record
-    schemas (it receives the raw line and must return a SnapshotRecord).
-    Malformed lines raise with their line number.
+    antennas never observed stay masked.  Malformed lines, and lines naming
+    an antenna or carrier outside the geometry or plan, raise with their
+    line number.
     """
-    parser = parser or parse_snapshot_line
+    n_antennas = geom.n_antennas
+    carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
     records = []
     for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(parser(line))
+            rec = parse_snapshot_line(line)
+            _entry_index(rec.antenna_id, rec.carrier_hz, n_antennas, carrier_index)
         except Exception as exc:
             raise HarnessError(f"line {i}: {exc}") from exc
+        records.append(rec)
     records.sort(key=lambda r: (r.timestamp_s, r.epc, r.antenna_id, r.carrier_hz))
-    carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
     groups: list[tuple[str, float, list[SnapshotRecord]]] = []
     by_epc: dict[str, list[tuple[str, float, list[SnapshotRecord]]]] = {}
     for rec in records:
@@ -564,19 +560,18 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan,
             groups.append(g)
     out = []
     for epc, ts, recs in groups:
-        h = np.zeros((geom.n_antennas, plan.n_carriers), dtype=complex)
+        h = np.zeros((n_antennas, plan.n_carriers), dtype=complex)
         mask = np.zeros(h.shape, dtype=bool)
         quality = np.full(h.shape, -np.inf)
         for rec in recs:
-            if rec.carrier_hz not in carrier_index:
-                raise HarnessError(f"carrier {rec.carrier_hz} not in the plan")
-            l = carrier_index[rec.carrier_hz]
+            # checked line by line above, so the lookup cannot fail here
+            kl = _entry_index(rec.antenna_id, rec.carrier_hz, n_antennas, carrier_index)
             if rec.re is not None:
-                h[rec.antenna_id, l] = rec.re + 1j * rec.im
+                h[kl] = rec.re + 1j * rec.im
             else:
-                h[rec.antenna_id, l] = 10 ** (rec.rssi_db / 20) * np.exp(1j * rec.phase_rad)
-            mask[rec.antenna_id, l] = True
-            quality[rec.antenna_id, l] = rec.rssi_db
+                h[kl] = 10 ** (rec.rssi_db / 20) * np.exp(1j * rec.phase_rad)
+            mask[kl] = True
+            quality[kl] = rec.rssi_db
         out.append((epc, ts, ChannelMatrix(h=h, carriers_hz=plan.carriers_hz,
                                            geometry=geom, quality=quality, mask=mask)))
     return out
@@ -601,13 +596,19 @@ def packet_record(epc_bits, t0_s: float, alpha0_hz: float, crc_ok: bool,
 
 
 def record_to_channel(doc: dict, geom: ArrayGeometry, plan: CarrierPlan) -> ChannelMatrix:
-    """Channel matrix of a decoded-packet record; absent entries stay masked."""
+    """Channel matrix of a decoded-packet record; absent entries stay masked.
+    An entry naming an antenna or carrier outside the geometry or plan
+    raises a HarnessError naming the record and entry."""
     h = np.zeros((geom.n_antennas, plan.n_carriers), dtype=complex)
     quality = np.zeros(h.shape)
     mask = np.zeros(h.shape, dtype=bool)
     carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
-    for c in doc["channels"]:
-        k, l = int(c["antenna"]), carrier_index[float(c["carrier_hz"])]
+    for j, c in enumerate(doc["channels"]):
+        try:
+            k, l = _entry_index(int(c["antenna"]), float(c["carrier_hz"]), geom.n_antennas,
+                                carrier_index)
+        except HarnessError as exc:
+            raise HarnessError(f"record {doc.get('epc')} channel {j}: {exc}") from exc
         h[k, l] = float(c["re"]) + 1j * float(c["im"])
         mask[k, l] = True
         if c.get("snr_db") is not None:

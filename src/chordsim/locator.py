@@ -33,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
-                    C_M_PER_S, wrap_phase)
+                    C_M_PER_S, subset_plan, wrap_phase)
 
 
 @dataclass(frozen=True)
@@ -289,16 +289,28 @@ def enhance_direct_path(ch_row, plan: CarrierPlan, d0_rough_m: float) -> np.ndar
 
 def combined_carrier_channel(ch: ChannelMatrix) -> np.ndarray:
     """Quality-weighted average of the channel rows across antennas, feeding
-    the ToF layer a single row per carrier."""
+    the ToF layer a single row per carrier.  Masked entries contribute
+    nothing: neither to their antenna's weight nor to the sum."""
     h = ch.h
+    # ones_like keeps the memory layout of h, so the sums below run in the same
+    # order as for the all-True mask of a carrier-sliced matrix
+    mask = np.ones_like(h, dtype=bool) if ch.mask is None else ch.mask
     if ch.quality is None:
         weights = np.ones(h.shape[0])
     else:
         weights = 10.0 ** (np.asarray(ch.quality, dtype=float) / 10.0)
-        weights = np.mean(weights, axis=1)
+        weights = np.where(mask, weights, 0.0).sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
         total = weights.sum()
         weights = weights / total if total > 0 else np.ones(h.shape[0]) / h.shape[0]
-    return np.einsum("k,kl->l", weights, h)
+    return np.einsum("k,kl->l", weights, np.where(mask, h, 0.0))
+
+
+# Conditional enhancement: the basic hologram is ambiguous when a second peak
+# reaches this fraction of the maximum at least this far from it.
+AMBIGUOUS_PEAK_FRAC = 0.6
+AMBIGUOUS_SEPARATION_M = 0.75
+# The enhanced pick must keep this fraction of the basic hologram's maximum.
+CONSISTENCY_FRAC = 0.8
 
 
 @dataclass(frozen=True)
@@ -306,16 +318,13 @@ class LocalizePolicy:
     """When to run the multipath-suppression layers.
 
     ``conditional`` (default) enhances only when the basic hologram is
-    genuinely ambiguous: a second peak at least ``peak_threshold`` of the
-    maximum and at least ``min_separation_m`` away (sub-resolution multipath
-    merges into the main lobe, where re-pinning the range cannot help).
-    ``always`` and ``never`` are for ablations.
+    genuinely ambiguous: a second peak at least ``AMBIGUOUS_PEAK_FRAC`` of
+    the maximum and at least ``AMBIGUOUS_SEPARATION_M`` away (sub-resolution
+    multipath merges into the main lobe, where re-pinning the range cannot
+    help).  ``always`` and ``never`` are for ablations.
     """
 
     mode: str = "conditional"
-    peak_threshold: float = 0.6
-    min_separation_m: float = 0.75
-    consistency_threshold: float = 0.8
 
     def __post_init__(self):
         if self.mode not in ("conditional", "always", "never"):
@@ -323,6 +332,19 @@ class LocalizePolicy:
 
 
 DEFAULT_POLICY = LocalizePolicy()
+
+
+def _observed_carriers(ch: ChannelMatrix, plan: CarrierPlan) -> tuple[ChannelMatrix, CarrierPlan]:
+    """The channel and plan restricted to the carriers with at least one
+    observed entry."""
+    observed = None if ch.mask is None else ch.mask.any(axis=0)
+    if observed is None or observed.all():
+        return ch, plan
+    seen = np.flatnonzero(observed)
+    sub = subset_plan(plan, seen)
+    return ChannelMatrix(h=ch.h[:, seen], carriers_hz=sub.carriers_hz, geometry=ch.geometry,
+                         quality=None if ch.quality is None else ch.quality[:, seen],
+                         mask=ch.mask[:, seen]), sub
 
 
 def localize(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry, plan: CarrierPlan,
@@ -333,17 +355,20 @@ def localize(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry, plan: Carri
     Basic hologram first; when the policy calls for it (and a prior is given),
     identify the direct path on the combined ToF profile, enhance every
     antenna row and re-run the summation layer.  Falls back to the basic
-    result (flagged) when no direct path qualifies.
+    result (flagged) when no direct path qualifies.  Masked entries
+    contribute nothing to any layer: the ToF and enhancement layers see only
+    the observed carriers, so a carrier masked at every antenna gives the
+    same result as a plan without it.
     """
     base = basic_hologram(ch, grid, geom, plan)
     want_enhance = policy.mode == "always"
     if policy.mode == "conditional":
-        peaks = peak_find_2d(base.heatmap, policy.peak_threshold)
+        peaks = peak_find_2d(base.heatmap, AMBIGUOUS_PEAK_FRAC)
         want_enhance = False
         for iy, ix, _ in peaks[1:]:
             dist = math.hypot((ix - base.argmax_ix) * grid.cell_m,
                               (iy - base.argmax_iy) * grid.cell_m)
-            if dist >= policy.min_separation_m:
+            if dist >= AMBIGUOUS_SEPARATION_M:
                 want_enhance = True
                 break
     if not want_enhance or prior is None:
@@ -352,21 +377,28 @@ def localize(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry, plan: Carri
                                 enhancement_applied=False,
                                 fallback=None if not want_enhance else "no prior")
 
+    sub, sub_plan = _observed_carriers(ch, plan)
     d_max = max(prior.path_bounds_m[1] * 1.25, 1.0)
-    profile = tof_profile(combined_carrier_channel(ch), plan, d_max_m=d_max)
+    profile = tof_profile(combined_carrier_channel(sub), sub_plan, d_max_m=d_max)
     d0 = identify_direct_path(profile, prior)
     if d0 is None:
         return LocationEstimate(position_m=base.position_m, likelihood=base.likelihood,
                                 heatmap=base.heatmap if keep_heatmap else None,
                                 enhancement_applied=False, fallback="no direct path")
-    enhanced = np.stack([enhance_direct_path(ch.h[k], plan, d0)
-                         for k in range(ch.shape[0])])
-    final = summation_layer(enhanced, grid, geom, plan, mask=ch.mask)
+    enhanced = np.zeros(sub.shape)
+    for k in range(sub.shape[0]):
+        if sub.mask is None:
+            enhanced[k] = enhance_direct_path(sub.h[k], sub_plan, d0)
+        elif sub.mask[k].any():
+            seen = np.flatnonzero(sub.mask[k])
+            enhanced[k, seen] = enhance_direct_path(sub.h[k, seen],
+                                                    subset_plan(sub_plan, seen), d0)
+    final = summation_layer(enhanced, grid, geom, sub_plan, mask=sub.mask)
     # The enhanced pick must still explain the raw phases: among the basic
     # hologram's ambiguous peaks it selects one, but a bad range pin would
     # land somewhere that is no peak at all.  Fall back in that case.
     raw_score = base.heatmap[final.argmax_iy, final.argmax_ix]
-    if raw_score < policy.consistency_threshold * base.likelihood:
+    if raw_score < CONSISTENCY_FRAC * base.likelihood:
         return LocationEstimate(position_m=base.position_m, likelihood=base.likelihood,
                                 heatmap=base.heatmap if keep_heatmap else None,
                                 d0_rough_m=d0, enhancement_applied=False,

@@ -340,10 +340,6 @@ class ChannelMatrix:
     def shape(self) -> tuple[int, int]:
         return self.h.shape
 
-    def phases(self) -> np.ndarray:
-        """Stored channel phases, angle(h) in (-pi, pi]."""
-        return np.angle(self.h)
-
 
 def synth_channel(scene: Scene, geom: ArrayGeometry, plan: CarrierPlan,
                   tag_index: int) -> ChannelMatrix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +22,18 @@ from .model import CarrierPlan, ChannelMatrix, ModelError
 
 BLF_DEFAULT_HZ = 250e3
 MILLER_M_DEFAULT = 4
-SYNC_BITS = (0, 1, 1, 1)
-PILOT_SYMBOLS_DEFAULT = 4
-TREXT_EXTRA_PILOT = 12
-GAP_DEFAULT_S = 200e-6
+
+# Gen2 uplink framing without TRext: every frame opens with the pilot zeros and
+# the sync pattern and closes with the dummy bit; the EPC reply carries the PC
+# word and the CRC-16.  The RN16 and EPC frames are one idle gap apart.
+PILOT_SYMBOLS = 4
+PREAMBLE_BITS = (0,) * PILOT_SYMBOLS + (0, 1, 1, 1)
+GAP_S = 200e-6
 
 ALPHA0_LIMIT_FRAC = 0.10
 DRIFT_LIMIT_FRAC = 0.025
+# Upper bound on how far the slowest legal tag clock stretches a reply.
+CLOCK_STRETCH = 1.0 / (1.0 - ALPHA0_LIMIT_FRAC - DRIFT_LIMIT_FRAC)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +49,6 @@ class BasebandWave:
     start_s: float = 0.0
     tone_offsets_hz: tuple[float, ...] | None = None
     tone_phases_rad: tuple[float, ...] | None = None
-    tone_amplitude: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
@@ -63,7 +67,6 @@ class BasebandWave:
 class MultisineSpec:
     plan: CarrierPlan
     duration_s: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.duration_s <= 0:
@@ -82,13 +85,12 @@ def synth_multisine(spec: MultisineSpec) -> BasebandWave:
     n = int(round(spec.duration_s * rate))
     t = np.arange(n) / rate
     phases = np.asarray(plan.tone_phases_rad, dtype=float)
-    samples = spec.amplitude * np.exp(
+    samples = np.exp(
         1j * (2 * np.pi * offsets[:, None] * t[None, :] + phases[:, None])
     ).sum(axis=0)
     return BasebandWave(samples=samples, rate_hz=rate, start_s=0.0,
                         tone_offsets_hz=tuple(offsets),
-                        tone_phases_rad=tuple(phases),
-                        tone_amplitude=spec.amplitude)
+                        tone_phases_rad=tuple(phases))
 
 
 def crest_factor(wave: BasebandWave) -> float:
@@ -198,10 +200,9 @@ def pc_word(epc_len_bits: int) -> list[int]:
     return [(words >> (4 - i)) & 1 for i in range(5)] + [0] * 11
 
 
-def epc_reply_bits(epc_bits, include_pc_crc: bool = True) -> list[int]:
+def epc_reply_bits(epc_bits) -> list[int]:
+    """PC word, EPC and CRC-16 of the EPC reply."""
     epc = [int(b) for b in epc_bits]
-    if not include_pc_crc:
-        return epc
     payload = pc_word(len(epc)) + epc
     return payload + gen2_crc16(payload)
 
@@ -213,29 +214,6 @@ def check_epc_reply(reply_bits) -> tuple[list[int], bool]:
         return bits, False
     payload, crc = bits[:-16], bits[-16:]
     return payload[16:], gen2_crc16(payload) == crc
-
-
-@dataclass(frozen=True)
-class PacketFormat:
-    """Uplink framing knobs shared by the synthesizer and the decoder."""
-
-    pilot_symbols: int = PILOT_SYMBOLS_DEFAULT
-    sync_bits: tuple[int, ...] = SYNC_BITS
-    trext: bool = False
-    gap_s: float = GAP_DEFAULT_S
-    include_pc_crc: bool = True
-    dummy_bit: bool = True
-
-    @property
-    def total_pilot_symbols(self) -> int:
-        return self.pilot_symbols + (TREXT_EXTRA_PILOT if self.trext else 0)
-
-    @property
-    def preamble_bits(self) -> tuple[int, ...]:
-        return (0,) * self.total_pilot_symbols + tuple(self.sync_bits)
-
-
-DEFAULT_FORMAT = PacketFormat()
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +286,7 @@ def miller_symbol_signs(bits) -> np.ndarray:
 
 
 def miller_encode(bits, blf_hz: float, miller_m: int, rate_hz: float,
-                  preamble: bool = True,
-                  fmt: PacketFormat = DEFAULT_FORMAT) -> BasebandWave:
+                  preamble: bool = True) -> BasebandWave:
     """+/-1 Miller-M baseband: M subcarrier cycles per bit, phase inversion at
     every symbol boundary plus a mid-symbol inversion for data-1.  The frame
     preamble (pilot zeros + sync pattern) is prepended when ``preamble``."""
@@ -317,7 +294,7 @@ def miller_encode(bits, blf_hz: float, miller_m: int, rate_hz: float,
         raise ModelError("miller_m must be 2, 4 or 8")
     if rate_hz < 8 * blf_hz:
         raise ModelError("sample rate must be at least 8x BLF")
-    frame = (list(fmt.preamble_bits) if preamble else []) + [int(b) for b in bits]
+    frame = (list(PREAMBLE_BITS) if preamble else []) + [int(b) for b in bits]
     if not frame:
         raise ModelError("no bits to encode")
     frame = np.asarray(frame, dtype=int)
@@ -336,34 +313,6 @@ def miller_encode(bits, blf_hz: float, miller_m: int, rate_hz: float,
     signs = miller_symbol_signs(frame)
     samples = (signs[sym] * mid * sq).astype(complex)
     return BasebandWave(samples=samples, rate_hz=rate_hz)
-
-
-def miller_slice(wave: BasebandWave, blf_hz: float, miller_m: int, n_bits: int,
-                 preamble: bool = True, fmt: PacketFormat = DEFAULT_FORMAT) -> list[int]:
-    """Hard-decision symbol slicer for a +/-1-domain Miller frame.
-
-    Tracks the boundary sign recursion and picks the bit whose symbol template
-    correlates best; exact at high SNR.  The decoder proper uses the Viterbi
-    search instead.
-    """
-    rate = wave.rate_hz
-    t_sym = miller_m / blf_hz
-    skip = len(fmt.preamble_bits) if preamble else 0
-    x = np.real(wave.samples)
-    bits: list[int] = []
-    sign = miller_symbol_signs(list(fmt.preamble_bits) + [0])[-1] if preamble else 1
-    for i in range(n_bits):
-        a = int(round((skip + i) * t_sym * rate))
-        b = int(round((skip + i + 1) * t_sym * rate))
-        t = np.arange(a, b) / rate
-        sq = 1 - 2 * (np.floor(2 * blf_hz * t).astype(np.int64) % 2)
-        within = t - (skip + i) * t_sym
-        tmpl0 = sign * sq
-        tmpl1 = sign * np.where(within >= t_sym / 2, -1, 1) * sq
-        bit = int(np.dot(x[a:b], tmpl1) > np.dot(x[a:b], tmpl0))
-        bits.append(bit)
-        sign = sign if bit else -sign
-    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -419,61 +368,60 @@ class PacketLayout:
                 self.rn16_frame_symbols + self.epc_frame_symbols)
 
 
-def packet_layout(blf_hz: float, miller_m: int, epc_len: int,
-                  fmt: PacketFormat = DEFAULT_FORMAT) -> PacketLayout:
-    t_sym = miller_m / blf_hz
-    pre = len(fmt.preamble_bits)
-    dummy = 1 if fmt.dummy_bit else 0
-    epc_payload = epc_len + (32 if fmt.include_pc_crc else 0)
+def packet_layout(blf_hz: float, miller_m: int, epc_len: int) -> PacketLayout:
+    pre = len(PREAMBLE_BITS)
     return PacketLayout(
-        symbol_s=t_sym,
+        symbol_s=miller_m / blf_hz,
         preamble_symbols=pre,
-        pilot_symbols=fmt.total_pilot_symbols,
-        rn16_frame_symbols=pre + 16 + dummy,
-        epc_frame_symbols=pre + epc_payload + dummy,
-        gap_s=fmt.gap_s,
+        pilot_symbols=PILOT_SYMBOLS,
+        rn16_frame_symbols=pre + 16 + 1,
+        epc_frame_symbols=pre + epc_len + 32 + 1,
+        gap_s=GAP_S,
     )
 
 
-def _frame_bits(payload, fmt: PacketFormat) -> list[int]:
-    return list(fmt.preamble_bits) + [int(b) for b in payload] + ([1] if fmt.dummy_bit else [])
+def _frame(payload, pkt: TagPacket, rate_hz: float) -> BasebandWave:
+    """Miller baseband of one reply frame: preamble, payload, dummy bit."""
+    bits = list(PREAMBLE_BITS) + [int(b) for b in payload] + [1]
+    return miller_encode(bits, pkt.blf_hz, pkt.miller_m, rate_hz, preamble=False)
 
 
-def packet_template(pkt: TagPacket, rate_hz: float,
-                    fmt: PacketFormat = DEFAULT_FORMAT) -> BasebandWave:
+def packet_template(pkt: TagPacket, rate_hz: float) -> BasebandWave:
     """Nominal-clock full-packet baseband (RN16 frame, idle gap, EPC frame)."""
-    layout = packet_layout(pkt.blf_hz, pkt.miller_m, len(pkt.epc_bits), fmt)
+    layout = packet_layout(pkt.blf_hz, pkt.miller_m, len(pkt.epc_bits))
     n = int(round(layout.total_s * rate_hz))
     samples = np.zeros(n, dtype=complex)
-    rn16 = miller_encode(_frame_bits(pkt.rn16_bits, fmt), pkt.blf_hz, pkt.miller_m,
-                         rate_hz, preamble=False, fmt=fmt)
-    epc = miller_encode(_frame_bits(epc_reply_bits(pkt.epc_bits, fmt.include_pc_crc), fmt),
-                        pkt.blf_hz, pkt.miller_m, rate_hz, preamble=False, fmt=fmt)
+    rn16 = _frame(pkt.rn16_bits, pkt, rate_hz)
+    epc = _frame(epc_reply_bits(pkt.epc_bits), pkt, rate_hz)
     i0 = int(round(layout.epc_start_s * rate_hz))
     samples[:rn16.samples.size] = rn16.samples
     samples[i0:i0 + epc.samples.size] = epc.samples
     return BasebandWave(samples=samples, rate_hz=rate_hz)
 
 
-def _drift_integral(elapsed: np.ndarray, pkt: TagPacket) -> np.ndarray:
-    """Exact integral of the piecewise-constant alpha(t) from 0 to each elapsed time."""
-    if not pkt.drift_alpha_hz:
-        return np.zeros_like(elapsed)
-    alpha = np.asarray(pkt.drift_alpha_hz, dtype=float)
-    t_sym = pkt.symbol_s
-    cum = np.concatenate([[0.0], np.cumsum(alpha) * t_sym])
-    idx = np.minimum((elapsed / t_sym).astype(int), alpha.size - 1)
-    return cum[idx] + alpha[idx] * (elapsed - idx * t_sym)
-
-
-def clock_warp(elapsed: np.ndarray, pkt: TagPacket) -> np.ndarray:
+def clock_map(elapsed: np.ndarray, alpha0_hz: float, alpha_hz, symbol_s: float,
+              blf_hz: float) -> np.ndarray:
     """Map elapsed receive time (since t0) to nominal template time.
 
     The tag clock runs at f_blf - alpha0 - alpha(t), so nominal time advances
-    by the integral of that rate over f_blf.
+    by the integral of that rate over f_blf.  alpha(t) is piecewise constant,
+    one value per ``symbol_s`` of elapsed time, the last value holding beyond
+    the array; the integral is exact.
     """
     elapsed = np.asarray(elapsed, dtype=float)
-    return elapsed - (pkt.alpha0_hz * elapsed + _drift_integral(elapsed, pkt)) / pkt.blf_hz
+    alpha = np.asarray(alpha_hz, dtype=float)
+    if alpha.size == 0:
+        integral = np.zeros_like(elapsed)
+    else:
+        cum = np.concatenate([[0.0], np.cumsum(alpha) * symbol_s])
+        idx = np.minimum((elapsed / symbol_s).astype(int), alpha.size - 1)
+        integral = cum[idx] + alpha[idx] * (elapsed - idx * symbol_s)
+    return elapsed - (alpha0_hz * elapsed + integral) / blf_hz
+
+
+def clock_warp(elapsed: np.ndarray, pkt: TagPacket) -> np.ndarray:
+    """The packet's true clock map (see ``clock_map``)."""
+    return clock_map(elapsed, pkt.alpha0_hz, pkt.drift_alpha_hz, pkt.symbol_s, pkt.blf_hz)
 
 
 def apply_clock_offset(wave: BasebandWave, pkt: TagPacket) -> BasebandWave:
@@ -481,9 +429,7 @@ def apply_clock_offset(wave: BasebandWave, pkt: TagPacket) -> BasebandWave:
     it by t0.  Resamples along the exactly integrated clock phase."""
     rate = wave.rate_hz
     dur = wave.duration_s
-    # Upper bound for how long the slowed-down clock can stretch the packet.
-    stretch = 1.0 / (1.0 - ALPHA0_LIMIT_FRAC - DRIFT_LIMIT_FRAC)
-    n_out = int(round((pkt.t0_s + dur * stretch) * rate)) + 1
+    n_out = int(round((pkt.t0_s + dur * CLOCK_STRETCH) * rate)) + 1
     t = np.arange(n_out) / rate
     elapsed = t - pkt.t0_s
     live = elapsed >= 0
@@ -497,16 +443,9 @@ def apply_clock_offset(wave: BasebandWave, pkt: TagPacket) -> BasebandWave:
     return BasebandWave(samples=out, rate_hz=rate, start_s=wave.start_s)
 
 
-def build_packet_baseband(pkt: TagPacket, rate_hz: float,
-                          fmt: PacketFormat = DEFAULT_FORMAT,
-                          rn16_only: bool = False) -> BasebandWave:
+def build_packet_baseband(pkt: TagPacket, rate_hz: float) -> BasebandWave:
     """Full uplink baseband with the packet's clock imperfections applied."""
-    if rn16_only:
-        base = miller_encode(_frame_bits(pkt.rn16_bits, fmt), pkt.blf_hz, pkt.miller_m,
-                             rate_hz, preamble=False, fmt=fmt)
-    else:
-        base = packet_template(pkt, rate_hz, fmt)
-    return apply_clock_offset(base, pkt)
+    return apply_clock_offset(packet_template(pkt, rate_hz), pkt)
 
 
 def backscatter_mix(excitation: BasebandWave, tag: BasebandWave,
@@ -530,11 +469,10 @@ def backscatter_mix(excitation: BasebandWave, tag: BasebandWave,
         raise ModelError("tag waveform does not overlap the excitation")
     b[lo:hi] = src[lo - i0:hi - i0]
     t = excitation.times()
-    amp = excitation.tone_amplitude if excitation.tone_amplitude is not None else 1.0
     out = np.zeros(n, dtype=complex)
     h = channel.h[antenna]
     for off, phi, hl in zip(excitation.tone_offsets_hz, excitation.tone_phases_rad, h):
-        out += hl * amp * np.exp(1j * (2 * np.pi * off * t + phi)) * b
+        out += hl * np.exp(1j * (2 * np.pi * off * t + phi)) * b
     return BasebandWave(samples=out, rate_hz=excitation.rate_hz, start_s=excitation.start_s)
 
 
@@ -562,7 +500,6 @@ def save_wave(wave: BasebandWave, path) -> Path:
     if wave.tone_offsets_hz is not None:
         meta["tone_offsets_hz"] = list(wave.tone_offsets_hz)
         meta["tone_phases_rad"] = list(wave.tone_phases_rad)
-        meta["tone_amplitude"] = wave.tone_amplitude
     _sidecar_path(path).write_text(json.dumps(meta, indent=2))
     return path
 
@@ -579,5 +516,4 @@ def load_wave(path) -> BasebandWave:
         samples=samples, rate_hz=float(meta["rate_hz"]), start_s=float(meta["start_s"]),
         tone_offsets_hz=tuple(tones) if tones else None,
         tone_phases_rad=tuple(meta["tone_phases_rad"]) if tones else None,
-        tone_amplitude=meta.get("tone_amplitude"),
     )

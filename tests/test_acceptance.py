@@ -146,7 +146,7 @@ def test_c05_clock_robustness():
 
 def test_c06_viterbi_equals_exhaustive():
     rng = np.random.default_rng(15)
-    sign0 = dc._sign_after(wf.DEFAULT_FORMAT.preamble_bits)
+    sign0 = dc._sign_after(wf.PREAMBLE_BITS)
     rate = PLAN.channel_out_rate_hz
     t_sym = 4 / BLF
     mismatches = 0

@@ -102,7 +102,7 @@ def test_pll_linear_drift_tracked(plan):
     n_sym = 140
     drift = tuple(np.linspace(0, 0.02 * BLF, n_sym + 10))
     pkt = _packet(rng, t0_s=0.5e-3, drift_alpha_hz=drift)
-    frame = wf.miller_encode(rng.integers(0, 2, n_sym - len(wf.DEFAULT_FORMAT.preamble_bits)),
+    frame = wf.miller_encode(rng.integers(0, 2, n_sym - len(wf.PREAMBLE_BITS)),
                              BLF, 4, plan.capture_rate_hz, preamble=True)
     warped = wf.apply_clock_offset(frame, pkt)
     pad = np.concatenate([warped.samples, np.zeros(int(0.5e-3 * plan.capture_rate_hz))])
@@ -354,7 +354,7 @@ def test_viterbi_noiseless_recovery():
     rng = np.random.default_rng(14)
     bits = list(rng.integers(0, 2, 96))
     frame = wf.miller_encode(bits, BLF, 4, RATE, preamble=True)
-    sign0 = dc._sign_after(wf.DEFAULT_FORMAT.preamble_bits)
+    sign0 = dc._sign_after(wf.PREAMBLE_BITS)
     got, metric = dc.viterbi_decode(frame.samples, RATE, 0.0, LAYOUT.preamble_symbols,
                                     96, sign0)
     assert got == bits
@@ -363,7 +363,7 @@ def test_viterbi_noiseless_recovery():
 
 def test_viterbi_equals_exhaustive_ml():
     rng = np.random.default_rng(15)
-    sign0 = dc._sign_after(wf.DEFAULT_FORMAT.preamble_bits)
+    sign0 = dc._sign_after(wf.PREAMBLE_BITS)
     mismatches = 0
     for trial in range(120):
         n_bits = int(rng.integers(2, 11))
@@ -379,7 +379,7 @@ def test_viterbi_equals_exhaustive_ml():
 
 def test_viterbi_ber_monotone_in_snr():
     rng = np.random.default_rng(16)
-    sign0 = dc._sign_after(wf.DEFAULT_FORMAT.preamble_bits)
+    sign0 = dc._sign_after(wf.PREAMBLE_BITS)
     bers = []
     for snr_db in (-14.0, -10.0, -6.0, -2.0):
         errors = 0

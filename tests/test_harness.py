@@ -324,3 +324,23 @@ def test_gate_corpus_labels():
     for spec, label in zip(scenes, labels):
         y = spec.scene.tags[0].position_m[1]
         assert (y <= 2.0) if label == "inside" else (y >= 3.0)
+
+
+@pytest.mark.parametrize("antenna", [-1, 8])
+def test_snapshot_antenna_outside_geometry_raises_with_line(tmp_path, plan, geom, antenna):
+    recs = [SnapshotRecord(epc="ab", timestamp_s=0.0, antenna_id=a,
+                           carrier_hz=plan.carriers_hz[0], phase_rad=0.5, rssi_db=-3.0)
+            for a in (0, 1, antenna)]
+    path = tmp_path / "antenna.jsonl"
+    export_snapshots(recs, path)
+    with pytest.raises(HarnessError, match=f"line 3: antenna {antenna}"):
+        import_snapshots(path, geom, plan)
+
+
+def test_packet_record_unknown_carrier_raises(plan, geom):
+    h = cs.synth_channel(Scene(tags=(single_path_tag((0.1, 2.2, 1.11), (0, 1) * 48),)),
+                         geom, plan, 0)
+    doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
+    doc["channels"][5]["carrier_hz"] = 900.0e6
+    with pytest.raises(HarnessError, match="channel 5: carrier 900000000.0"):
+        harness.record_to_channel(doc, geom, plan)

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.signal as sps
+from hypothesis import given, settings, strategies as st
 
 import chordsim as cs
 from chordsim import locator as loc
 from chordsim import harness
 from chordsim.model import (C_M_PER_S, ModelError, PropagationPath, Scene, TagDef,
                             default_array_geometry, default_carrier_plan,
-                            uniform_carrier_plan, wrap_phase)
+                            subset_plan, uniform_carrier_plan, wrap_phase)
 from chordsim.harness import multipath_tag, random_epc, single_path_tag
 
 
@@ -511,3 +512,38 @@ def test_roi_range_band(geom):
     far = loc.LocationEstimate(position_m=(0.0, 6.0, 1.11), likelihood=1.0)
     assert loc.classify_roi(near, prior, geom) == "inside"
     assert loc.classify_roi(far, prior, geom) == "outside"
+
+
+
+@pytest.fixture(scope="module")
+def corpus_channels(geom, plan):
+    """Noisy channels of the tags of a small desk multipath corpus."""
+    rng = np.random.default_rng(31)
+    return [harness.noisy_channel(cs.synth_channel(spec.scene, geom, plan, ti), spec.snr_db, rng)
+            for spec in harness.desk_multipath_corpus(n_scenes=8)
+            for ti in range(len(spec.scene.tags))]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(index=st.integers(0, 63),
+       masked=st.sets(st.integers(0, 15), min_size=1, max_size=5))
+def test_masked_carriers_localize_as_subset_plan(geom, plan, corpus_channels, index, masked):
+    # a carrier masked at every antenna contributes nothing to any layer, so
+    # the result equals localizing on the plan without that carrier
+    ch = corpus_channels[index % len(corpus_channels)]
+    seen = [l for l in range(plan.n_carriers) if l not in masked]
+    mask = np.ones(ch.shape, dtype=bool)
+    mask[:, sorted(masked)] = False
+    masked_ch = cs.ChannelMatrix(h=np.where(mask, ch.h, 0), carriers_hz=ch.carriers_hz,
+                                 geometry=geom, quality=np.where(mask, ch.quality, -np.inf),
+                                 mask=mask)
+    sub_plan = subset_plan(plan, seen)
+    sub_ch = cs.ChannelMatrix(h=ch.h[:, seen], carriers_hz=sub_plan.carriers_hz,
+                              geometry=geom, quality=ch.quality[:, seen])
+    prior = loc.PriorROI(path_bounds_m=(1.5, 14.0))
+    always = loc.LocalizePolicy(mode="always")
+    got = loc.localize(masked_ch, GRID, geom, plan, prior, always)
+    want = loc.localize(sub_ch, GRID, geom, sub_plan, prior, always)
+    assert got.position_m == want.position_m
+    assert got.likelihood == want.likelihood
+    assert got.enhancement_applied == want.enhancement_applied
