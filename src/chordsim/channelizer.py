@@ -20,11 +20,11 @@ import numpy as np
 from scipy import signal as sps
 
 from .model import CarrierPlan, ModelError, TAG_BANDWIDTH_HZ
-from .waveform import BasebandWave, save_wave, load_wave
+from .waveform import BLF_HZ, BasebandWave, save_wave, load_wave
 
 STOPBAND_ATTEN_DB = 80.0
 # Channel shaping filter (at the decimated rate): passes the +/-BLF subcarrier
-# sidebands of Miller-4 at BLF 250 kHz and stops before the desk-scale
+# sidebands of Miller-4 at waveform.BLF_HZ and stops before the desk-scale
 # neighbor's band edge.  The tag bandlimit and this filter are staggered so
 # their transition bands never overlap at the 693.75 kHz desk spacing, which
 # keeps adjacent-channel leakage below -55 dB per neighbor.
@@ -38,7 +38,8 @@ ANTIALIAS_PASS_HZ = 400e3
 TAG_PASS_HZ = 300e3
 TAG_STOP_HZ = 380e3
 
-NOTCH_DEFAULT_HZ = 10e3
+# Half-width of the DC notch: well inside the +/-BLF subcarrier offset.
+NOTCH_HZ = 10e3
 
 
 @functools.lru_cache(maxsize=16)
@@ -214,21 +215,18 @@ def shaped_noise(rng: np.random.Generator, shape: tuple[int, int], noise_var: fl
                                            / plan.decimation / 2), sh)
 
 
-def notch_dc(bank: ChannelBank, notch_hz: float = NOTCH_DEFAULT_HZ,
-             blf_hz: float = 250e3) -> ChannelBank:
+def notch_dc(bank: ChannelBank) -> ChannelBank:
     """Remove a narrow band around DC from every channel.
 
-    Implemented as an exact spectral projection (FFT bins inside +/-notch_hz
+    Implemented as an exact spectral projection (FFT bins inside +/-NOTCH_HZ
     zeroed), so it is idempotent and leaves the +/-BLF subcarrier sidebands
     untouched.
     """
-    if notch_hz <= 0 or notch_hz >= blf_hz:
-        raise ModelError("notch must be narrower than the subcarrier offset")
-    if bank.rate_hz <= 2 * blf_hz:
+    if bank.rate_hz <= 2 * BLF_HZ:
         raise ModelError("channel rate too low for the subcarrier sidebands")
     spectra = np.fft.fft(bank.streams, axis=1)
     freqs = np.fft.fftfreq(bank.n_samples, d=1.0 / bank.rate_hz)
-    spectra[:, np.abs(freqs) <= notch_hz] = 0.0
+    spectra[:, np.abs(freqs) <= NOTCH_HZ] = 0.0
     return replace(bank, streams=np.fft.ifft(spectra, axis=1))
 
 

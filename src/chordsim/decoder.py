@@ -21,8 +21,8 @@ from scipy import optimize as sopt
 
 from .model import ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError
 from .channelizer import ChannelBank, apply_shaping
-from .waveform import (ALPHA0_LIMIT_FRAC, BLF_DEFAULT_HZ, CLOCK_STRETCH, MILLER_M_DEFAULT,
-                       PREAMBLE_BITS, TagPacket, check_epc_reply, clock_map, miller_encode,
+from .waveform import (ALPHA0_LIMIT_FRAC, BLF_HZ, CLOCK_STRETCH, MILLER_M, PREAMBLE_BITS,
+                       SYMBOL_S, TagPacket, check_epc_reply, clock_map, miller_encode,
                        miller_symbol_signs, packet_layout, packet_template)
 
 ALPHA_SEARCH_FRAC = 0.10
@@ -33,6 +33,8 @@ TRACK_LIMIT_FRAC = 0.03
 # Costas loop noise bandwidth (fraction of BLF) and damping factor.
 LOOP_BW_FRAC = 0.04
 LOOP_DAMPING = 0.707
+# MSNR diagonal loading, as a fraction of the mean per-antenna noise power.
+DIAG_LOAD_FRAC = 1e-3
 
 
 class DecodeError(RuntimeError):
@@ -66,8 +68,6 @@ class ClockTrack:
     """Per-symbol estimate of the residual clock fluctuation alpha(t)."""
 
     alpha_t_hz: np.ndarray
-    symbol_s: float
-    loop_bandwidth_hz: float
     lock_flag: bool
 
 
@@ -82,8 +82,8 @@ class DecodedPacket:
     snr_db: np.ndarray
 
 
-def _preamble_template(blf_hz: float, miller_m: int, rate_hz: float) -> np.ndarray:
-    return np.real(miller_encode(PREAMBLE_BITS, blf_hz, miller_m, rate_hz, preamble=False).samples)
+def _preamble_template(subcarrier_hz: float, rate_hz: float) -> np.ndarray:
+    return np.real(miller_encode(PREAMBLE_BITS, subcarrier_hz, rate_hz, preamble=False).samples)
 
 
 def _parabolic_refine(values: np.ndarray, p: int) -> float:
@@ -97,7 +97,6 @@ def _parabolic_refine(values: np.ndarray, p: int) -> float:
 
 
 def preamble_search(stream: np.ndarray, rate_hz: float,
-                    blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT,
                     window_s: tuple[float, float] | None = None,
                     alpha_span_frac: float = ALPHA_SEARCH_FRAC,
                     alpha_step_frac: float = ALPHA_STEP_FRAC,
@@ -117,10 +116,10 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
     preamble-length correlation itself.
     """
     x = np.asarray(stream, dtype=complex)
-    if rate_hz < 4 * blf_hz:
+    if rate_hz < 4 * BLF_HZ:
         raise ModelError("channel rate must be at least 4x BLF")
     n = x.size
-    max_tmpl = int(2 * len(PREAMBLE_BITS) * miller_m / blf_hz * rate_hz)
+    max_tmpl = int(2 * len(PREAMBLE_BITS) * MILLER_M / BLF_HZ * rate_hz)
     nfft = int(2 ** np.ceil(np.log2(n + max_tmpl + 1)))
     xf = np.fft.fft(x, nfft)
     energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
@@ -136,7 +135,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
         raise ModelError("search window outside the stream")
 
     def correlate(alpha_hz: float):
-        tmpl = _preamble_template(blf_hz - alpha_hz, miller_m, rate_hz)
+        tmpl = _preamble_template(BLF_HZ - alpha_hz, rate_hz)
         lt = tmpl.size
         corr = np.abs(np.fft.ifft(xf * np.conj(np.fft.fft(tmpl, nfft)))[:n])
         t_norm = math.sqrt(float(np.sum(tmpl ** 2)))
@@ -155,7 +154,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
         top = min(hi, n - 1)
         score = rho.copy()
         if second_preamble_offset_s is not None:
-            d = int(round(second_preamble_offset_s * blf_hz / (blf_hz - alpha_hz) * rate_hz))
+            d = int(round(second_preamble_offset_s * BLF_HZ / (BLF_HZ - alpha_hz) * rate_hz))
             paired = ndimage.maximum_filter1d(rho, size=2 * pair_win + 1, mode="nearest")
             shifted = np.zeros(n)
             if d < n:
@@ -165,11 +164,11 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
         return float(rho[p]), p, corr
 
     alphas = alpha_center_hz + \
-        np.arange(-alpha_span_frac, alpha_span_frac + 1e-12, alpha_step_frac) * blf_hz
+        np.arange(-alpha_span_frac, alpha_span_frac + 1e-12, alpha_step_frac) * BLF_HZ
     best = max((peak_for(a) + (a,) for a in alphas), key=lambda r: r[0])
     _, _, _, alpha_best = best
 
-    step = alpha_step_frac * blf_hz
+    step = alpha_step_frac * BLF_HZ
     res = sopt.minimize_scalar(
         lambda a: -peak_for(a)[0],
         bounds=(alpha_best - step, alpha_best + step), method="bounded",
@@ -185,23 +184,22 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
     t0 = (p_best + _parabolic_refine(corr, p_best)) / rate_hz
     alpha_hat = float(alpha_best)
     if second_preamble_offset_s is not None:
-        d = int(round(second_preamble_offset_s * blf_hz / (blf_hz - alpha_best) * rate_hz))
+        d = int(round(second_preamble_offset_s * BLF_HZ / (BLF_HZ - alpha_best) * rate_hz))
         w_lo = max(p_best + d - pair_win, 0)
         w_hi = min(p_best + d + pair_win + 1, n)
         if w_hi > w_lo:
             p2 = w_lo + int(np.argmax(corr[w_lo:w_hi]))
             t2 = (p2 + _parabolic_refine(corr, p2)) / rate_hz
             if t2 > t0:
-                alpha_hat = blf_hz * (1.0 - second_preamble_offset_s / (t2 - t0))
+                alpha_hat = BLF_HZ * (1.0 - second_preamble_offset_s / (t2 - t0))
         # the initial offset itself is bounded by the +/-10% protocol envelope
-        limit = ALPHA0_LIMIT_FRAC * blf_hz
+        limit = ALPHA0_LIMIT_FRAC * BLF_HZ
         alpha_hat = float(np.clip(alpha_hat, -limit, limit))
     return SyncEstimate(t0_hat_s=t0, alpha0_hat_hz=alpha_hat,
                         correlation_peak=min(float(rho_best), 1.0))
 
 
 def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
-              blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT,
               n_symbols: int = 160) -> ClockTrack:
     """Second-order Costas loop on the Miller subcarrier.
 
@@ -210,20 +208,19 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     loop freezes when the subcarrier envelope drops (inter-reply gap).
     """
     x = np.asarray(stream, dtype=complex)
-    t_sym = miller_m / blf_hz
-    f_sub = blf_hz - sync.alpha0_hat_hz
+    f_sub = BLF_HZ - sync.alpha0_hat_hz
     i0 = max(int(round(sync.t0_hat_s * rate_hz)), 0)
-    n_span = int(round(n_symbols * t_sym * rate_hz * CLOCK_STRETCH))
+    n_span = int(round(n_symbols * SYMBOL_S * rate_hz * CLOCK_STRETCH))
     seg = x[i0:i0 + n_span]
-    if seg.size < int(4 * t_sym * rate_hz):
+    if seg.size < int(4 * SYMBOL_S * rate_hz):
         raise ModelError("stream too short behind the sync point")
 
-    bn = LOOP_BW_FRAC * blf_hz
+    bn = LOOP_BW_FRAC * BLF_HZ
     theta_n = bn / rate_hz
     denom = 1.0 + 2.0 * LOOP_DAMPING * theta_n + theta_n ** 2
     kp = 4.0 * LOOP_DAMPING * theta_n / denom
     ki = 4.0 * theta_n ** 2 / denom
-    lp = 1.0 - math.exp(-2.0 * math.pi * (blf_hz / 2.0) / rate_hz)
+    lp = 1.0 - math.exp(-2.0 * math.pi * (BLF_HZ / 2.0) / rate_hz)
 
     t = (i0 + np.arange(seg.size)) / rate_hz - sync.t0_hat_s
     base = np.exp(-2j * math.pi * f_sub * t)
@@ -234,7 +231,7 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     # 5 kHz loop would spend most of the RN16 reply pulling in.  Quarter-symbol
     # phase blocks on the CFO-stretched grid, skipping the filter-smeared
     # region after each symbol boundary, fitted by weighted least squares.
-    t_sym_eff = t_sym * blf_hz / f_sub
+    t_sym_eff = SYMBOL_S * BLF_HZ / f_sub
     nq = max(int(t_sym_eff / 4 * rate_hz), 4)
     mids, phis, wts = [], [], []
     for s in range(4):
@@ -261,7 +258,7 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     z2 = 0.0 + 0.0j
     freq_log = np.zeros(seg.size)
     err_log = np.zeros(seg.size)
-    warm = min(int(2 * t_sym * rate_hz), seg.size)
+    warm = min(int(2 * SYMBOL_S * rate_hz), seg.size)
     ref_power = float(np.mean(np.abs(seg[:warm]) ** 2)) + 1e-30
     gate = 0.02 * ref_power
     cos, sin = math.cos, math.sin
@@ -282,24 +279,17 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     # carries the exact accumulated clock trajectory (the frequency register
     # lags a moving clock), so integrating these symbol averages reproduces
     # the tracked timing exactly.
-    bounds = np.minimum(np.round(np.arange(n_symbols + 1) * t_sym * rate_hz).astype(int),
+    bounds = np.minimum(np.round(np.arange(n_symbols + 1) * SYMBOL_S * rate_hz).astype(int),
                         seg.size - 1)
     spans = np.maximum(bounds[1:] - bounds[:-1], 1)
     dphase = phase_log[bounds[1:]] - phase_log[bounds[:-1]]
     delta_f_hz = dphase * rate_hz / (2.0 * math.pi) / spans
-    alpha_t = np.clip(-delta_f_hz, -TRACK_LIMIT_FRAC * blf_hz, TRACK_LIMIT_FRAC * blf_hz)
+    alpha_t = np.clip(-delta_f_hz, -TRACK_LIMIT_FRAC * BLF_HZ, TRACK_LIMIT_FRAC * BLF_HZ)
 
     late = err_log[seg.size // 2:]
     late = late[late != 0.0]
     lock = bool(late.size > 32 and np.var(late) < 0.05)
-    return ClockTrack(alpha_t_hz=alpha_t, symbol_s=t_sym,
-                      loop_bandwidth_hz=bn, lock_flag=lock)
-
-
-def _clock_map(elapsed: np.ndarray, sync: SyncEstimate, track: ClockTrack,
-               blf_hz: float) -> np.ndarray:
-    """Estimated nominal template time for each elapsed receive time."""
-    return clock_map(elapsed, sync.alpha0_hat_hz, track.alpha_t_hz, track.symbol_s, blf_hz)
+    return ClockTrack(alpha_t_hz=alpha_t, lock_flag=lock)
 
 
 def _warp_gather(n_vals: np.ndarray, rate_hz: float, n_out: int):
@@ -314,8 +304,7 @@ def _warp_gather(n_vals: np.ndarray, rate_hz: float, n_out: int):
 
 
 def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
-                       layout, blf_hz: float = BLF_DEFAULT_HZ,
-                       miller_m: int = MILLER_M_DEFAULT) -> ClockTrack:
+                       layout) -> ClockTrack:
     """Clock track over a whole two-reply packet.
 
     One Costas pass per reply (each seeded from its own pilot), with the
@@ -328,16 +317,16 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     # track spans are in received time: a slow clock stretches each frame
     n1_span = int(math.ceil(layout.rn16_frame_symbols * CLOCK_STRETCH)) + 1
     n2_span = int(math.ceil(layout.epc_frame_symbols * CLOCK_STRETCH)) + 2
-    tr1 = pll_track(stream, rate_hz, sync, blf_hz, miller_m, n_symbols=n1_span)
+    tr1 = pll_track(stream, rate_hz, sync, n_symbols=n1_span)
 
-    eff = blf_hz / (blf_hz - sync.alpha0_hat_hz)
+    eff = BLF_HZ / (BLF_HZ - sync.alpha0_hat_hz)
     expected = sync.t0_hat_s + layout.epc_start_s * eff
     # the reported alpha0 saturates at +/-10% while drift adds up to 2.5% more
     w = 0.04 * layout.epc_start_s + 12.0 / rate_hz
     sync2 = SyncEstimate(t0_hat_s=expected, alpha0_hat_hz=sync.alpha0_hat_hz,
                          correlation_peak=0.0)
     try:
-        found = preamble_search(stream, rate_hz, blf_hz, miller_m,
+        found = preamble_search(stream, rate_hz,
                                 window_s=(expected - w, expected + w),
                                 alpha_span_frac=0.03, alpha_step_frac=0.005,
                                 alpha_center_hz=sync.alpha0_hat_hz,
@@ -346,7 +335,7 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
                              correlation_peak=found.correlation_peak)
     except (NoPacketError, ModelError):
         pass
-    tr2 = pll_track(stream, rate_hz, sync2, blf_hz, miller_m, n_symbols=n2_span)
+    tr2 = pll_track(stream, rate_hz, sync2, n_symbols=n2_span)
 
     e2 = sync2.t0_hat_s - sync.t0_hat_s
     n_total = int(math.ceil(layout.total_s * CLOCK_STRETCH / t_sym)) + 2
@@ -360,27 +349,24 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     slot_start = s_e2 * t_sym
     # nominal time wanted at the start of the slot containing e2:
     n_at_slot = layout.epc_start_s - (e2 - slot_start) * \
-        (1.0 - (sync.alpha0_hat_hz + float(alpha2_total[0])) / blf_hz)
-    target_integral = blf_hz * (slot_start - n_at_slot) - sync.alpha0_hat_hz * slot_start
+        (1.0 - (sync.alpha0_hat_hz + float(alpha2_total[0])) / BLF_HZ)
+    target_integral = BLF_HZ * (slot_start - n_at_slot) - sync.alpha0_hat_hz * slot_start
     done = float(np.sum(alpha[:n1])) * t_sym
     span = slot_start - n1 * t_sym
     if span > t_sym / 4:
         gap_alpha = (target_integral - done) / span
     else:
         gap_alpha = float(alpha2_total[0])
-    limit = TRACK_LIMIT_FRAC * blf_hz * 2
+    limit = TRACK_LIMIT_FRAC * BLF_HZ * 2
     alpha[n1:s_e2] = np.clip(gap_alpha, -limit, limit)
     for s in range(s_e2, n_total):
         j = min(max(int((s * t_sym - e2) / t_sym + 0.5), 0), alpha2_total.size - 1)
         alpha[s] = alpha2_total[j]
-    return ClockTrack(alpha_t_hz=alpha, symbol_s=t_sym,
-                      loop_bandwidth_hz=tr1.loop_bandwidth_hz,
-                      lock_flag=tr1.lock_flag and tr2.lock_flag)
+    return ClockTrack(alpha_t_hz=alpha, lock_flag=tr1.lock_flag and tr2.lock_flag)
 
 
 def _compensate_rows(rows: np.ndarray, rate_hz: float, sync: SyncEstimate,
-                     track: ClockTrack, blf_hz: float,
-                     duration_s: float | None) -> np.ndarray:
+                     track: ClockTrack, duration_s: float | None) -> np.ndarray:
     """Warp one or more parallel streams onto the nominal clock (shared map)."""
     x = np.atleast_2d(np.asarray(rows, dtype=complex))
     i0 = max(int(math.ceil(sync.t0_hat_s * rate_hz)) - 1, 0)
@@ -388,7 +374,7 @@ def _compensate_rows(rows: np.ndarray, rate_hz: float, sync: SyncEstimate,
     # elapsed may start a fraction of a sample negative; the clock map is
     # monotone there, which keeps the interpolation exact at integer t0
     elapsed = (i0 + np.arange(src.shape[1])) / rate_hz - sync.t0_hat_s
-    n_vals = _clock_map(elapsed, sync, track, blf_hz)
+    n_vals = clock_map(elapsed, sync.alpha0_hat_hz, track.alpha_t_hz)
     if duration_s is None:
         duration_s = float(n_vals[-1])
     n_out = int(round(duration_s * rate_hz))
@@ -397,19 +383,17 @@ def _compensate_rows(rows: np.ndarray, rate_hz: float, sync: SyncEstimate,
 
 
 def compensate_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
-                     track: ClockTrack, blf_hz: float = BLF_DEFAULT_HZ,
-                     duration_s: float | None = None) -> np.ndarray:
+                     track: ClockTrack, duration_s: float | None = None) -> np.ndarray:
     """Resample a stream onto the nominal tag clock.
 
     Output sample m sits at nominal packet time m/rate after the estimated
     start of frame; t0, the initial offset and the tracked fluctuation are all
     removed.
     """
-    return _compensate_rows(stream, rate_hz, sync, track, blf_hz, duration_s)[0]
+    return _compensate_rows(stream, rate_hz, sync, track, duration_s)[0]
 
 
-def msnr_combine(streams: np.ndarray, noise_cov: np.ndarray,
-                 diag_load_frac: float = 1e-3):
+def msnr_combine(streams: np.ndarray, noise_cov: np.ndarray):
     """Max-SNR spatial combining: dominant generalized eigenvector of the
     (signal, noise) covariance pencil.
 
@@ -426,13 +410,13 @@ def msnr_combine(streams: np.ndarray, noise_cov: np.ndarray,
     scale = max(np.trace(rn).real, 1e-6 * np.trace(rx).real, 1e-30) / k
     loaded = False
     if np.linalg.cond(rn) > 1e9:
-        rn = rn + diag_load_frac * scale * np.eye(k)
+        rn = rn + DIAG_LOAD_FRAC * scale * np.eye(k)
         loaded = True
     rs = 0.5 * ((rx - rn) + (rx - rn).conj().T)
     try:
         vals, vecs = sla.eigh(rs, rn)
     except sla.LinAlgError:
-        rn = rn + diag_load_frac * scale * np.eye(k)
+        rn = rn + DIAG_LOAD_FRAC * scale * np.eye(k)
         loaded = True
         vals, vecs = sla.eigh(rs, rn)
     w = vecs[:, -1]
@@ -463,23 +447,22 @@ def _symbol_windows(frame_start_s: float, first_symbol: int, n_symbols: int,
 
 
 def _symbol_templates(frame_start_s: float, first_symbol: int, n_symbols: int,
-                      blf_hz: float, t_sym: float, rate_hz: float, starts):
+                      rate_hz: float, starts):
     """Crisp +/-1 symbol templates (entering sign +1) for bits 0 and 1; the
     subcarrier phase is referenced to the frame start."""
     tmpl0, tmpl1 = [], []
     for i in range(n_symbols):
         idx = np.arange(starts[i], starts[i + 1])
         t = idx / rate_hz - frame_start_s
-        sq = 1 - 2 * (np.floor(2 * blf_hz * t).astype(np.int64) % 2)
-        within = t - (first_symbol + i) * t_sym
+        sq = 1 - 2 * (np.floor(2 * BLF_HZ * t).astype(np.int64) % 2)
+        within = t - (first_symbol + i) * SYMBOL_S
         tmpl0.append(sq.astype(float))
-        tmpl1.append(np.where(within >= t_sym / 2, -1.0, 1.0) * sq)
+        tmpl1.append(np.where(within >= SYMBOL_S / 2, -1.0, 1.0) * sq)
     return tmpl0, tmpl1
 
 
 def viterbi_decode(stream: np.ndarray, rate_hz: float, frame_start_s: float,
-                   first_symbol: int, n_bits: int, entering_sign: int,
-                   blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT):
+                   first_symbol: int, n_bits: int, entering_sign: int):
     """Maximum-likelihood Miller bit sequence over the two-state sign trellis.
 
     State is the baseband sign entering a symbol; a data-0 flips it, a data-1
@@ -488,10 +471,8 @@ def viterbi_decode(stream: np.ndarray, rate_hz: float, frame_start_s: float,
     sequence with the same metric.
     """
     y = np.asarray(stream, dtype=complex)
-    t_sym = miller_m / blf_hz
-    starts = _symbol_windows(frame_start_s, first_symbol, n_bits, t_sym, rate_hz, y.size)
-    tmpl0, tmpl1 = _symbol_templates(frame_start_s, first_symbol, n_bits,
-                                     blf_hz, t_sym, rate_hz, starts)
+    starts = _symbol_windows(frame_start_s, first_symbol, n_bits, SYMBOL_S, rate_hz, y.size)
+    tmpl0, tmpl1 = _symbol_templates(frame_start_s, first_symbol, n_bits, rate_hz, starts)
     # c[i, b] for entering sign +1; sign -1 negates it.
     c = np.zeros((n_bits, 2))
     norm = 0.0
@@ -534,13 +515,11 @@ def _sign_after(bits) -> int:
 
 def full_packet_channel_estimate(banks: list[ChannelBank], rn16_bits, epc_bits,
                                  sync: SyncEstimate, track: ClockTrack,
-                                 plan: CarrierPlan, geom: ArrayGeometry,
-                                 blf_hz: float = BLF_DEFAULT_HZ,
-                                 miller_m: int = MILLER_M_DEFAULT) -> ChannelMatrix:
+                                 plan: CarrierPlan, geom: ArrayGeometry) -> ChannelMatrix:
     """Normalized matched-filter channel estimate against the clock-true
     full-packet template, per antenna and carrier."""
     rate = banks[0].rate_hz
-    span_s = packet_layout(blf_hz, miller_m, len(epc_bits)).total_s
+    span_s = packet_layout(len(epc_bits)).total_s
     n_t = int(round(span_s * rate))
     for bank in banks:
         if bank.n_channels != plan.n_carriers:
@@ -548,18 +527,16 @@ def full_packet_channel_estimate(banks: list[ChannelBank], rn16_bits, epc_bits,
         if bank.n_samples < n_t:
             raise ModelError("stream shorter than the template")
     flat = np.stack([b.streams for b in banks]).reshape(len(banks) * plan.n_carriers, -1)
-    comp = _compensate_rows(flat, rate, sync, track, blf_hz, span_s)
-    return _packet_estimate(comp, rn16_bits, epc_bits, rate, blf_hz, miller_m, plan, geom)
+    comp = _compensate_rows(flat, rate, sync, track, span_s)
+    return _packet_estimate(comp, rn16_bits, epc_bits, rate, plan, geom)
 
 
 def _packet_estimate(comp: np.ndarray, rn16_bits, epc_bits, rate_hz: float,
-                     blf_hz: float, miller_m: int,
                      plan: CarrierPlan, geom: ArrayGeometry) -> ChannelMatrix:
     """Matched-filter estimate of compensated rows (antenna-major, spanning the
     packet) against the channel-shaped full-packet template of the bits."""
     pkt = TagPacket(rn16_bits=tuple(int(b) for b in rn16_bits),
-                    epc_bits=tuple(int(b) for b in epc_bits),
-                    blf_hz=blf_hz, miller_m=miller_m)
+                    epc_bits=tuple(int(b) for b in epc_bits))
     tmpl = apply_shaping(packet_template(pkt, rate_hz), rate_hz).samples.real
     active = np.abs(tmpl) > 0.1
     t_energy = float(np.sum(tmpl ** 2))
@@ -573,7 +550,6 @@ def _packet_estimate(comp: np.ndarray, rn16_bits, epc_bits, rate_hz: float,
 
 
 def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeometry,
-                    blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT,
                     epc_len: int = 96) -> DecodedPacket:
     """One-shot decode of a tag reply from per-antenna channel banks.
 
@@ -586,25 +562,25 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     k_n, l_n = len(banks), plan.n_carriers
     if geom.n_antennas != k_n:
         raise ModelError("bank count does not match the geometry")
-    layout = packet_layout(blf_hz, miller_m, epc_len)
+    layout = packet_layout(epc_len)
 
     stack = np.stack([b.streams for b in banks])        # [K, L, N]
     energies = np.sum(np.abs(stack) ** 2, axis=2)
     k_best, l_best = np.unravel_index(int(np.argmax(energies)), energies.shape)
 
-    sync = preamble_search(stack[k_best, l_best], rate, blf_hz, miller_m,
+    sync = preamble_search(stack[k_best, l_best], rate,
                            alpha_span_frac=ALPHA_SEARCH_FRAC + 0.025,
                            second_preamble_offset_s=layout.epc_start_s)
     # Clock tracking runs on the best carrier combined across antennas
     # (preamble-matched gains); the array gain keeps the loop's timing jitter
     # well under a quarter subcarrier period at threshold SNR.
-    pre_sync = _preamble_template(blf_hz - sync.alpha0_hat_hz, miller_m, rate)
+    pre_sync = _preamble_template(BLF_HZ - sync.alpha0_hat_hz, rate)
     i_sync = max(int(round(sync.t0_hat_s * rate)), 0)
     pre_win = stack[:, l_best, i_sync:i_sync + pre_sync.size]
     g_track = pre_win @ pre_sync[:pre_win.shape[1]]
     denom = float(np.sum(np.abs(g_track))) or 1.0
     track_stream = (np.conj(g_track) @ stack[:, l_best, :]) / denom
-    track = track_packet_clock(track_stream, rate, sync, layout, blf_hz, miller_m)
+    track = track_packet_clock(track_stream, rate, sync, layout)
 
     # Noise covariance per carrier from the signal-free pre-SOF window.
     pre_hi = max(int(sync.t0_hat_s * rate) - 2, 2)
@@ -613,11 +589,11 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
         raise DecodeError("msnr_combine", "pre-SOF window too short for a covariance")
 
     n_nom = int(round(layout.total_s * rate))
-    comp_rows = _compensate_rows(stack.reshape(k_n * l_n, -1), rate, sync, track, blf_hz,
+    comp_rows = _compensate_rows(stack.reshape(k_n * l_n, -1), rate, sync, track,
                                  layout.total_s)
     comp = comp_rows.reshape(k_n, l_n, n_nom)
 
-    pre_tmpl = _preamble_template(blf_hz, miller_m, rate)
+    pre_tmpl = _preamble_template(BLF_HZ, rate)
     lp = pre_tmpl.size
     pre_energy = float(np.sum(pre_tmpl ** 2))
 
@@ -636,20 +612,18 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
 
     # Both frames are decoded through their dummy bit, which is then dropped.
     sign0 = _sign_after(PREAMBLE_BITS)
-    rn16, m1 = viterbi_decode(combined, rate, 0.0, layout.preamble_symbols,
-                              16 + 1, sign0, blf_hz, miller_m)
+    rn16, m1 = viterbi_decode(combined, rate, 0.0, layout.preamble_symbols, 16 + 1, sign0)
     rn16 = rn16[:16]
     reply_len = epc_len + 32
     reply, m2 = viterbi_decode(combined, rate, layout.epc_start_s,
-                               layout.preamble_symbols, reply_len + 1,
-                               sign0, blf_hz, miller_m)
+                               layout.preamble_symbols, reply_len + 1, sign0)
     if min(m1, m2) < METRIC_THRESHOLD:
         raise DecodeError("viterbi", "path metric below threshold")
     epc, crc_ok = check_epc_reply(reply[:reply_len])
     if len(epc) != epc_len:
         raise DecodeError("viterbi", "decoded EPC has the wrong length")
 
-    channel = _packet_estimate(comp_rows, rn16, epc, rate, blf_hz, miller_m, plan, geom)
+    channel = _packet_estimate(comp_rows, rn16, epc, rate, plan, geom)
     return DecodedPacket(rn16_bits=tuple(rn16), epc_bits=tuple(epc), crc_ok=crc_ok,
                          channel=channel, sync=sync, track=track,
                          snr_db=channel.quality)

@@ -21,9 +21,9 @@ from . import model
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     PropagationPath, Scene, TagDef, subset_plan, subset_geometry,
                     synth_channel)
-from .waveform import (BLF_DEFAULT_HZ, MILLER_M_DEFAULT, MultisineSpec, TagPacket,
-                       backscatter_mix, build_packet_baseband, packet_layout,
-                       random_walk_drift, synth_multisine)
+from .waveform import (BLF_HZ, SYMBOL_S, MultisineSpec, TagPacket, backscatter_mix,
+                       build_packet_baseband, packet_layout, random_walk_drift,
+                       synth_multisine)
 from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
                           chain_transient_s, channelize, notch_dc, processed_tag_baseband,
                           shaped_noise)
@@ -76,23 +76,20 @@ def _leak_gains(geom: ArrayGeometry, plan: CarrierPlan, antenna: int,
     return amplitude * np.exp(-2j * math.pi * f * d / model.C_M_PER_S)
 
 
-def _make_packet(spec: SceneSpec, tag: TagDef, rng,
-                 blf_hz: float, miller_m: int) -> TagPacket:
+def _make_packet(spec: SceneSpec, tag: TagDef, rng) -> TagPacket:
     t0 = spec.t0_s if spec.t0_s is not None else float(rng.uniform(0.9e-3, 1.1e-3))
     rn16 = tuple(int(b) for b in rng.integers(0, 2, size=16))
     drift: tuple[float, ...] = ()
     if spec.drift_frac > 0:
-        layout = packet_layout(blf_hz, miller_m, len(tag.epc_bits))
-        n_sym = int(math.ceil(layout.total_s / (miller_m / blf_hz))) + 8
-        drift = random_walk_drift(n_sym, blf_hz, rng, max_frac=spec.drift_frac)
-    return TagPacket(rn16_bits=rn16, epc_bits=tag.epc_bits, blf_hz=blf_hz,
-                     miller_m=miller_m, t0_s=t0,
-                     alpha0_hz=spec.alpha0_frac * blf_hz, drift_alpha_hz=drift)
+        layout = packet_layout(len(tag.epc_bits))
+        n_sym = int(math.ceil(layout.total_s / SYMBOL_S)) + 8
+        drift = random_walk_drift(n_sym, rng, max_frac=spec.drift_frac)
+    return TagPacket(rn16_bits=rn16, epc_bits=tag.epc_bits, t0_s=t0,
+                     alpha0_hz=spec.alpha0_frac * BLF_HZ, drift_alpha_hz=drift)
 
 
 def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
-                     seed: int, tag_index: int = 0, fast_path: bool = False,
-                     blf_hz: float = BLF_DEFAULT_HZ, miller_m: int = MILLER_M_DEFAULT):
+                     seed: int, tag_index: int = 0, fast_path: bool = False):
     """Simulate one tag reply at every antenna.
 
     Returns (captures-or-banks, packet, channel).  The full path emits
@@ -101,8 +98,8 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     per-antenna ChannelBank objects, bypassing the wideband mixing.
     """
     rng = np.random.default_rng(seed)
-    pkt = _make_packet(spec, spec.scene.tags[tag_index], rng, blf_hz, miller_m)
-    layout = packet_layout(blf_hz, miller_m, len(pkt.epc_bits))
+    pkt = _make_packet(spec, spec.scene.tags[tag_index], rng)
+    layout = packet_layout(len(pkt.epc_bits))
     duration = pkt.t0_s + layout.total_s * CLOCK_STRETCH_MARGIN + 0.3e-3
 
     h = synth_channel(spec.scene, geom, plan, tag_index)
@@ -469,6 +466,14 @@ class SnapshotRecord:
     im: float | None = None
 
     def __post_init__(self):
+        re, im = self.re, self.im
+        if (re is None) != (im is None):
+            raise HarnessError("re and im must be given together")
+        # a non-finite phase fails the range test below
+        if not (math.isfinite(self.timestamp_s) and math.isfinite(self.carrier_hz)
+                and math.isfinite(self.rssi_db)
+                and (re is None or math.isfinite(re) and math.isfinite(im))):
+            raise HarnessError("every number must be finite")
         if not -math.pi < self.phase_rad <= math.pi + 1e-12:
             raise HarnessError("phase must lie in (-pi, pi]")
 
@@ -529,9 +534,10 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan,
     """Group snapshot lines into per-reply channel matrices.
 
     Records sharing an EPC within ``window_s`` form one reply; carriers or
-    antennas never observed stay masked.  Malformed lines, and lines naming
-    an antenna or carrier outside the geometry or plan, raise with their
-    line number.
+    antennas never observed stay masked.  Malformed lines (a missing field,
+    ``re`` without ``im`` or the reverse, a non-finite number), and lines
+    naming an antenna or carrier outside the geometry or plan, raise with
+    their line number.
     """
     n_antennas = geom.n_antennas
     carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
@@ -597,21 +603,27 @@ def packet_record(epc_bits, t0_s: float, alpha0_hz: float, crc_ok: bool,
 
 def record_to_channel(doc: dict, geom: ArrayGeometry, plan: CarrierPlan) -> ChannelMatrix:
     """Channel matrix of a decoded-packet record; absent entries stay masked.
-    An entry naming an antenna or carrier outside the geometry or plan
-    raises a HarnessError naming the record and entry."""
+    An entry naming an antenna or carrier outside the geometry or plan, or
+    holding a non-finite number, raises a HarnessError naming the record and
+    entry."""
     h = np.zeros((geom.n_antennas, plan.n_carriers), dtype=complex)
     quality = np.zeros(h.shape)
     mask = np.zeros(h.shape, dtype=bool)
     carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
     for j, c in enumerate(doc["channels"]):
+        snr = c.get("snr_db")
         try:
             k, l = _entry_index(int(c["antenna"]), float(c["carrier_hz"]), geom.n_antennas,
                                 carrier_index)
+            re, im = float(c["re"]), float(c["im"])
+            if not (math.isfinite(re) and math.isfinite(im)
+                    and (snr is None or math.isfinite(snr))):
+                raise HarnessError("every number must be finite")
         except HarnessError as exc:
             raise HarnessError(f"record {doc.get('epc')} channel {j}: {exc}") from exc
-        h[k, l] = float(c["re"]) + 1j * float(c["im"])
+        h[k, l] = re + 1j * im
         mask[k, l] = True
-        if c.get("snr_db") is not None:
-            quality[k, l] = float(c["snr_db"])
+        if snr is not None:
+            quality[k, l] = float(snr)
     return ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom, quality=quality,
                          mask=mask)

@@ -20,8 +20,11 @@ import numpy as np
 
 from .model import CarrierPlan, ChannelMatrix, ModelError
 
-BLF_DEFAULT_HZ = 250e3
-MILLER_M_DEFAULT = 4
+# The one uplink link setting: Miller-4 at a 250 kHz backscatter link frequency
+# (BLF).  The channelizer's receive filters are designed around it.
+BLF_HZ = 250e3
+MILLER_M = 4
+SYMBOL_S = MILLER_M / BLF_HZ
 
 # Gen2 uplink framing without TRext: every frame opens with the pilot zeros and
 # the sync pattern and closes with the dummy bit; the EPC reply carries the PC
@@ -32,6 +35,8 @@ GAP_S = 200e-6
 
 ALPHA0_LIMIT_FRAC = 0.10
 DRIFT_LIMIT_FRAC = 0.025
+# Per-symbol standard deviation of the random-walk drift, as a fraction of BLF.
+DRIFT_STEP_FRAC = 0.0006
 # Upper bound on how far the slowest legal tag clock stretches a reply.
 CLOCK_STRETCH = 1.0 / (1.0 - ALPHA0_LIMIT_FRAC - DRIFT_LIMIT_FRAC)
 
@@ -226,8 +231,6 @@ class TagPacket:
 
     rn16_bits: tuple[int, ...]
     epc_bits: tuple[int, ...]
-    blf_hz: float = BLF_DEFAULT_HZ
-    miller_m: int = MILLER_M_DEFAULT
     t0_s: float = 0.0
     alpha0_hz: float = 0.0
     drift_alpha_hz: tuple[float, ...] = ()
@@ -237,27 +240,20 @@ class TagPacket:
             raise ModelError("RN16 must be 16 bits")
         if len(self.epc_bits) % 16 or not self.epc_bits:
             raise ModelError("EPC length must be a positive multiple of 16 bits")
-        if self.miller_m not in (2, 4, 8):
-            raise ModelError("miller_m must be 2, 4 or 8")
-        if abs(self.alpha0_hz) > ALPHA0_LIMIT_FRAC * self.blf_hz + 1e-9:
+        if abs(self.alpha0_hz) > ALPHA0_LIMIT_FRAC * BLF_HZ + 1e-9:
             raise ModelError("alpha0 outside +/-10% of BLF")
         if self.drift_alpha_hz and max(abs(a) for a in self.drift_alpha_hz) > \
-                DRIFT_LIMIT_FRAC * self.blf_hz + 1e-9:
+                DRIFT_LIMIT_FRAC * BLF_HZ + 1e-9:
             raise ModelError("drift outside +/-2.5% of BLF")
         if self.t0_s < 0:
             raise ModelError("t0 must be non-negative")
 
-    @property
-    def symbol_s(self) -> float:
-        return self.miller_m / self.blf_hz
 
-
-def random_walk_drift(n_symbols: int, blf_hz: float, rng,
-                      max_frac: float = DRIFT_LIMIT_FRAC,
-                      step_frac: float = 0.0006) -> tuple[float, ...]:
+def random_walk_drift(n_symbols: int, rng,
+                      max_frac: float = DRIFT_LIMIT_FRAC) -> tuple[float, ...]:
     """Bounded random walk for alpha(t): reflective clipping at +/-max_frac*blf."""
-    limit = max_frac * blf_hz
-    steps = rng.normal(0.0, step_frac * blf_hz, size=n_symbols)
+    limit = max_frac * BLF_HZ
+    steps = rng.normal(0.0, DRIFT_STEP_FRAC * BLF_HZ, size=n_symbols)
     out = np.zeros(n_symbols)
     a = rng.uniform(-limit, limit)
     for i, s in enumerate(steps):
@@ -285,14 +281,13 @@ def miller_symbol_signs(bits) -> np.ndarray:
     return signs
 
 
-def miller_encode(bits, blf_hz: float, miller_m: int, rate_hz: float,
+def miller_encode(bits, subcarrier_hz: float, rate_hz: float,
                   preamble: bool = True) -> BasebandWave:
     """+/-1 Miller-M baseband: M subcarrier cycles per bit, phase inversion at
     every symbol boundary plus a mid-symbol inversion for data-1.  The frame
-    preamble (pilot zeros + sync pattern) is prepended when ``preamble``."""
-    if miller_m not in (2, 4, 8):
-        raise ModelError("miller_m must be 2, 4 or 8")
-    if rate_hz < 8 * blf_hz:
+    preamble (pilot zeros + sync pattern) is prepended when ``preamble``.
+    ``subcarrier_hz`` is BLF for a nominal clock."""
+    if rate_hz < 8 * subcarrier_hz:
         raise ModelError("sample rate must be at least 8x BLF")
     frame = (list(PREAMBLE_BITS) if preamble else []) + [int(b) for b in bits]
     if not frame:
@@ -300,16 +295,16 @@ def miller_encode(bits, blf_hz: float, miller_m: int, rate_hz: float,
     frame = np.asarray(frame, dtype=int)
     if np.any((frame != 0) & (frame != 1)):
         raise ModelError("bits must be 0/1")
-    t_sym = miller_m / blf_hz
+    t_sym = MILLER_M / subcarrier_hz
     n = int(round(frame.size * t_sym * rate_hz))
     t = np.arange(n) / rate_hz
     # One global half-period index drives the subcarrier, the symbol index and
     # the mid-symbol flip, so coincident inversions cancel exactly even when
     # boundaries fall between samples.
-    half = np.floor(2 * blf_hz * t + 1e-9).astype(np.int64)
-    sym = np.minimum(half // (2 * miller_m), frame.size - 1)
+    half = np.floor(2 * subcarrier_hz * t + 1e-9).astype(np.int64)
+    sym = np.minimum(half // (2 * MILLER_M), frame.size - 1)
     sq = 1 - 2 * (half % 2)
-    mid = np.where((frame[sym] == 1) & (half - sym * 2 * miller_m >= miller_m), -1, 1)
+    mid = np.where((frame[sym] == 1) & (half - sym * 2 * MILLER_M >= MILLER_M), -1, 1)
     signs = miller_symbol_signs(frame)
     samples = (signs[sym] * mid * sq).astype(complex)
     return BasebandWave(samples=samples, rate_hz=rate_hz)
@@ -368,10 +363,10 @@ class PacketLayout:
                 self.rn16_frame_symbols + self.epc_frame_symbols)
 
 
-def packet_layout(blf_hz: float, miller_m: int, epc_len: int) -> PacketLayout:
+def packet_layout(epc_len: int) -> PacketLayout:
     pre = len(PREAMBLE_BITS)
     return PacketLayout(
-        symbol_s=miller_m / blf_hz,
+        symbol_s=SYMBOL_S,
         preamble_symbols=pre,
         pilot_symbols=PILOT_SYMBOLS,
         rn16_frame_symbols=pre + 16 + 1,
@@ -380,48 +375,47 @@ def packet_layout(blf_hz: float, miller_m: int, epc_len: int) -> PacketLayout:
     )
 
 
-def _frame(payload, pkt: TagPacket, rate_hz: float) -> BasebandWave:
+def _frame(payload, rate_hz: float) -> BasebandWave:
     """Miller baseband of one reply frame: preamble, payload, dummy bit."""
     bits = list(PREAMBLE_BITS) + [int(b) for b in payload] + [1]
-    return miller_encode(bits, pkt.blf_hz, pkt.miller_m, rate_hz, preamble=False)
+    return miller_encode(bits, BLF_HZ, rate_hz, preamble=False)
 
 
 def packet_template(pkt: TagPacket, rate_hz: float) -> BasebandWave:
     """Nominal-clock full-packet baseband (RN16 frame, idle gap, EPC frame)."""
-    layout = packet_layout(pkt.blf_hz, pkt.miller_m, len(pkt.epc_bits))
+    layout = packet_layout(len(pkt.epc_bits))
     n = int(round(layout.total_s * rate_hz))
     samples = np.zeros(n, dtype=complex)
-    rn16 = _frame(pkt.rn16_bits, pkt, rate_hz)
-    epc = _frame(epc_reply_bits(pkt.epc_bits), pkt, rate_hz)
+    rn16 = _frame(pkt.rn16_bits, rate_hz)
+    epc = _frame(epc_reply_bits(pkt.epc_bits), rate_hz)
     i0 = int(round(layout.epc_start_s * rate_hz))
     samples[:rn16.samples.size] = rn16.samples
     samples[i0:i0 + epc.samples.size] = epc.samples
     return BasebandWave(samples=samples, rate_hz=rate_hz)
 
 
-def clock_map(elapsed: np.ndarray, alpha0_hz: float, alpha_hz, symbol_s: float,
-              blf_hz: float) -> np.ndarray:
+def clock_map(elapsed: np.ndarray, alpha0_hz: float, alpha_hz) -> np.ndarray:
     """Map elapsed receive time (since t0) to nominal template time.
 
     The tag clock runs at f_blf - alpha0 - alpha(t), so nominal time advances
     by the integral of that rate over f_blf.  alpha(t) is piecewise constant,
-    one value per ``symbol_s`` of elapsed time, the last value holding beyond
-    the array; the integral is exact.
+    one value per nominal symbol period of elapsed time, the last value
+    holding beyond the array; the integral is exact.
     """
     elapsed = np.asarray(elapsed, dtype=float)
     alpha = np.asarray(alpha_hz, dtype=float)
     if alpha.size == 0:
         integral = np.zeros_like(elapsed)
     else:
-        cum = np.concatenate([[0.0], np.cumsum(alpha) * symbol_s])
-        idx = np.minimum((elapsed / symbol_s).astype(int), alpha.size - 1)
-        integral = cum[idx] + alpha[idx] * (elapsed - idx * symbol_s)
-    return elapsed - (alpha0_hz * elapsed + integral) / blf_hz
+        cum = np.concatenate([[0.0], np.cumsum(alpha) * SYMBOL_S])
+        idx = np.minimum((elapsed / SYMBOL_S).astype(int), alpha.size - 1)
+        integral = cum[idx] + alpha[idx] * (elapsed - idx * SYMBOL_S)
+    return elapsed - (alpha0_hz * elapsed + integral) / BLF_HZ
 
 
 def clock_warp(elapsed: np.ndarray, pkt: TagPacket) -> np.ndarray:
     """The packet's true clock map (see ``clock_map``)."""
-    return clock_map(elapsed, pkt.alpha0_hz, pkt.drift_alpha_hz, pkt.symbol_s, pkt.blf_hz)
+    return clock_map(elapsed, pkt.alpha0_hz, pkt.drift_alpha_hz)
 
 
 def apply_clock_offset(wave: BasebandWave, pkt: TagPacket) -> BasebandWave:

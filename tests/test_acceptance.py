@@ -27,7 +27,7 @@ PLAN = default_carrier_plan()
 GEOM = default_array_geometry()
 GRID = loc.GridSpec()
 BLF = 250e3
-LAYOUT = wf.packet_layout(BLF, 4, 96)
+LAYOUT = wf.packet_layout(96)
 
 
 def report(index, label, ok, detail=""):
@@ -154,14 +154,13 @@ def test_c06_viterbi_equals_exhaustive():
     for seed in range(1000):
         r = np.random.default_rng(seed)
         bits = list(r.integers(0, 2, 8))
-        frame = wf.miller_encode(bits, BLF, 4, rate, preamble=True)
+        frame = wf.miller_encode(bits, BLF, rate, preamble=True)
         x = frame.samples + (r.standard_normal(frame.samples.size)
                              + 1j * r.standard_normal(frame.samples.size)) \
             / math.sqrt(2) / math.sqrt(snr_lin)
         got, _ = dc.viterbi_decode(x, rate, 0.0, LAYOUT.preamble_symbols, 8, sign0)
         starts = dc._symbol_windows(0.0, LAYOUT.preamble_symbols, 8, t_sym, rate, x.size)
-        t0l, t1l = dc._symbol_templates(0.0, LAYOUT.preamble_symbols, 8, BLF,
-                                        t_sym, rate, starts)
+        t0l, t1l = dc._symbol_templates(0.0, LAYOUT.preamble_symbols, 8, rate, starts)
         c = np.array([[np.dot(np.real(x[starts[i]:starts[i + 1]]), t0l[i]),
                        np.dot(np.real(x[starts[i]:starts[i + 1]]), t1l[i])]
                       for i in range(8)])

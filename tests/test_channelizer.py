@@ -99,7 +99,7 @@ def test_adjacent_isolation_physical_spacing():
     rng = np.random.default_rng(3)
     t = np.arange(n) / plan.capture_rate_hz
     bits = rng.integers(0, 2, 24)
-    b_wave = chz.bandlimit_tag(wf.miller_encode(bits, 250e3, 4, plan.capture_rate_hz,
+    b_wave = chz.bandlimit_tag(wf.miller_encode(bits, 250e3, plan.capture_rate_hz,
                                                 preamble=False))
     b = np.zeros(n, dtype=complex)
     b[:b_wave.samples.size] = b_wave.samples[:n]
@@ -141,7 +141,7 @@ def test_notch_kills_pure_leak():
 
 def test_notch_preserves_subcarrier_signal():
     rng = np.random.default_rng(4)
-    wave = wf.miller_encode(rng.integers(0, 2, 64), 250e3, 4, 2.56e6, preamble=False)
+    wave = wf.miller_encode(rng.integers(0, 2, 64), 250e3, 2.56e6, preamble=False)
     bank = _single_channel_bank(wave.samples)
     out = chz.notch_dc(bank)
     p_in = np.mean(np.abs(bank.streams) ** 2)
@@ -151,7 +151,7 @@ def test_notch_preserves_subcarrier_signal():
 
 def test_notch_sir_improvement():
     rng = np.random.default_rng(5)
-    wave = wf.miller_encode(rng.integers(0, 2, 64), 250e3, 4, 2.56e6, preamble=False)
+    wave = wf.miller_encode(rng.integers(0, 2, 64), 250e3, 2.56e6, preamble=False)
     sig = wave.samples
     leak = np.full_like(sig, math.sqrt(np.mean(np.abs(sig) ** 2)))
     bank = _single_channel_bank(sig + leak)
@@ -176,12 +176,16 @@ def test_notch_idempotent():
 
 
 def test_notch_validation():
-    bank = _single_channel_bank(np.ones(1024, dtype=complex))
-    with pytest.raises(ModelError):
-        chz.notch_dc(bank, notch_hz=300e3)
     with pytest.raises(ModelError):
         chz.notch_dc(chz.ChannelBank(streams=np.ones((1, 64)), rate_hz=400e3,
                                      carriers_hz=(887e6,)))
+
+
+def test_link_setting_inside_filter_chain():
+    # the notch stays inside the subcarrier offset, and the tag bandlimit and
+    # the shaping filter pass the +/-BLF sidebands
+    assert chz.NOTCH_HZ < wf.BLF_HZ < chz.SHAPE_PASS_HZ
+    assert wf.BLF_HZ < chz.TAG_PASS_HZ
 
 
 # --- dynamic range -----------------------------------------------------------

@@ -15,7 +15,7 @@ from chordsim.model import ModelError, Scene, default_array_geometry, default_ca
 
 RATE = 2.56e6
 BLF = 250e3
-LAYOUT = wf.packet_layout(BLF, 4, 96)
+LAYOUT = wf.packet_layout(96)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ def test_pll_linear_drift_tracked(plan):
     drift = tuple(np.linspace(0, 0.02 * BLF, n_sym + 10))
     pkt = _packet(rng, t0_s=0.5e-3, drift_alpha_hz=drift)
     frame = wf.miller_encode(rng.integers(0, 2, n_sym - len(wf.PREAMBLE_BITS)),
-                             BLF, 4, plan.capture_rate_hz, preamble=True)
+                             BLF, plan.capture_rate_hz, preamble=True)
     warped = wf.apply_clock_offset(frame, pkt)
     pad = np.concatenate([warped.samples, np.zeros(int(0.5e-3 * plan.capture_rate_hz))])
     x = chz.processed_tag_baseband(
@@ -134,8 +134,7 @@ def test_compensate_identity(plan):
     pkt = _packet(rng, t0_s=0.5e-3)
     x = _shaped_packet(pkt, plan)
     sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=0.0, correlation_peak=1.0)
-    track = dc.ClockTrack(alpha_t_hz=np.zeros(170), symbol_s=pkt.symbol_s,
-                          loop_bandwidth_hz=0.0, lock_flag=True)
+    track = dc.ClockTrack(alpha_t_hz=np.zeros(170), lock_flag=True)
     comp = dc.compensate_clock(x, RATE, sync, track, duration_s=LAYOUT.total_s)
     i0 = int(round(pkt.t0_s * RATE))
     direct = x[i0:i0 + comp.size]
@@ -149,8 +148,7 @@ def test_compensate_constant_offset_correlation(plan):
     x = _shaped_packet(pkt, plan)
     sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=pkt.alpha0_hz,
                            correlation_peak=1.0)
-    track = dc.ClockTrack(alpha_t_hz=np.zeros(190), symbol_s=pkt.symbol_s,
-                          loop_bandwidth_hz=0.0, lock_flag=True)
+    track = dc.ClockTrack(alpha_t_hz=np.zeros(190), lock_flag=True)
     comp = dc.compensate_clock(x, RATE, sync, track, duration_s=LAYOUT.total_s)
     tmpl = chz.apply_shaping(wf.packet_template(pkt, RATE), RATE).samples.real
     n = min(comp.size, tmpl.size)
@@ -162,18 +160,17 @@ def test_compensate_residual_matches_trajectory_difference(plan):
     # the residual timing error equals the integral of (injected - tracked),
     # computed here by an independent trapezoidal quadrature
     rng = np.random.default_rng(8)
-    drift = wf.random_walk_drift(170, BLF, rng)
+    drift = wf.random_walk_drift(170, rng)
     pkt = _packet(rng, t0_s=0.5e-3, drift_alpha_hz=drift)
     sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=0.0, correlation_peak=1.0)
     tracked = np.asarray(drift) + rng.normal(0, 50.0, len(drift))
-    track = dc.ClockTrack(alpha_t_hz=tracked, symbol_s=pkt.symbol_s,
-                          loop_bandwidth_hz=0.0, lock_flag=True)
-    probe = np.linspace(0, 150 * pkt.symbol_s, 23)
-    est_map = dc._clock_map(probe, sync, track, BLF)
+    track = dc.ClockTrack(alpha_t_hz=tracked, lock_flag=True)
+    probe = np.linspace(0, 150 * wf.SYMBOL_S, 23)
+    est_map = wf.clock_map(probe, sync.alpha0_hat_hz, track.alpha_t_hz)
     true_map = wf.clock_warp(probe, pkt)
     resid = est_map - true_map
     t_fine = np.linspace(0, probe[-1], 200001)
-    idx = np.minimum((t_fine / pkt.symbol_s).astype(int), len(drift) - 1)
+    idx = np.minimum((t_fine / wf.SYMBOL_S).astype(int), len(drift) - 1)
     delta = (np.asarray(drift)[idx] - tracked[idx]) / BLF
     oracle = np.concatenate([[0.0], np.cumsum((delta[1:] + delta[:-1]) / 2 * np.diff(t_fine))])
     expect = np.interp(probe, t_fine, oracle)
@@ -182,14 +179,14 @@ def test_compensate_residual_matches_trajectory_difference(plan):
 
 def test_full_chain_residual_timing_under_five_percent(plan):
     rng = np.random.default_rng(9)
-    drift = wf.random_walk_drift(190, BLF, rng)
+    drift = wf.random_walk_drift(190, rng)
     pkt = _packet(rng, t0_s=0.8e-3, alpha0_hz=-0.05 * BLF, drift_alpha_hz=drift)
     x = _shaped_packet(pkt, plan, noise_snr_db=22.0, rng=rng, tail_s=1.2e-3)
     sync = dc.preamble_search(x, RATE, alpha_span_frac=0.125,
                               second_preamble_offset_s=LAYOUT.epc_start_s)
     track = dc.track_packet_clock(x, RATE, sync, LAYOUT)
     e = np.arange(0, LAYOUT.total_s * 1.08, 4 / RATE)
-    est_map = dc._clock_map(e, sync, track, BLF)
+    est_map = wf.clock_map(e, sync.alpha0_hat_hz, track.alpha_t_hz)
     true_map = wf.clock_warp(e + (sync.t0_hat_s - pkt.t0_s), pkt)
     inside = true_map <= LAYOUT.total_s  # up to the end of the packet
     resid = (est_map - true_map)
@@ -326,7 +323,7 @@ def test_mrc_scale_invariant_direction():
 def _symbol_corr_table(y, n_bits, first_symbol, frame_start, sign):
     t_sym = 4 / BLF
     starts = dc._symbol_windows(frame_start, first_symbol, n_bits, t_sym, RATE, y.size)
-    t0l, t1l = dc._symbol_templates(frame_start, first_symbol, n_bits, BLF, t_sym, RATE, starts)
+    t0l, t1l = dc._symbol_templates(frame_start, first_symbol, n_bits, RATE, starts)
     c = np.zeros((n_bits, 2))
     for i in range(n_bits):
         seg = np.real(y[starts[i]:starts[i + 1]])
@@ -353,7 +350,7 @@ def _exhaustive_ml(y, n_bits, first_symbol, frame_start, entering_sign):
 def test_viterbi_noiseless_recovery():
     rng = np.random.default_rng(14)
     bits = list(rng.integers(0, 2, 96))
-    frame = wf.miller_encode(bits, BLF, 4, RATE, preamble=True)
+    frame = wf.miller_encode(bits, BLF, RATE, preamble=True)
     sign0 = dc._sign_after(wf.PREAMBLE_BITS)
     got, metric = dc.viterbi_decode(frame.samples, RATE, 0.0, LAYOUT.preamble_symbols,
                                     96, sign0)
@@ -368,7 +365,7 @@ def test_viterbi_equals_exhaustive_ml():
     for trial in range(120):
         n_bits = int(rng.integers(2, 11))
         bits = list(rng.integers(0, 2, n_bits))
-        frame = wf.miller_encode(bits, BLF, 4, RATE, preamble=True)
+        frame = wf.miller_encode(bits, BLF, RATE, preamble=True)
         x = frame.samples + (rng.standard_normal(frame.samples.size)
                              + 1j * rng.standard_normal(frame.samples.size)) / math.sqrt(2) / math.sqrt(2.0)
         got, _ = dc.viterbi_decode(x, RATE, 0.0, LAYOUT.preamble_symbols, n_bits, sign0)
@@ -386,7 +383,7 @@ def test_viterbi_ber_monotone_in_snr():
         total = 0
         for _ in range(60):
             bits = list(rng.integers(0, 2, 12))
-            frame = wf.miller_encode(bits, BLF, 4, RATE, preamble=True)
+            frame = wf.miller_encode(bits, BLF, RATE, preamble=True)
             sig = frame.samples
             n = sig.size
             noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
@@ -411,8 +408,7 @@ def test_full_packet_estimate_noiseless_phase(plan, geom):
     banks, pkt, h = simulate_capture(spec, plan, geom, seed=21, fast_path=True)
     banks = [chz.notch_dc(b) for b in banks]
     sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=0.0, correlation_peak=1.0)
-    track = dc.ClockTrack(alpha_t_hz=np.zeros(200), symbol_s=pkt.symbol_s,
-                          loop_bandwidth_hz=0.0, lock_flag=True)
+    track = dc.ClockTrack(alpha_t_hz=np.zeros(200), lock_flag=True)
     est = dc.full_packet_channel_estimate(banks, pkt.rn16_bits, pkt.epc_bits,
                                           sync, track, plan, geom)
     err = np.abs(np.angle(est.h * np.conj(h.h)))

@@ -270,10 +270,26 @@ def test_snapshot_grouping_matches_brute_force(tmp_path, plan, geom):
         assert np.array_equal(ch.mask, h != 0)
 
 
-def test_snapshot_malformed_line_number(tmp_path, plan, geom):
+_DROP = object()
+
+
+@pytest.mark.parametrize("change, match", [
+    pytest.param({"rssi_db": _DROP}, "line 2: 'rssi_db'", id="missing_field"),
+    pytest.param({"im": _DROP}, "line 2: re and im", id="re_without_im"),
+    pytest.param({"re": _DROP}, "line 2: re and im", id="im_without_re"),
+    pytest.param({"re": _DROP, "im": _DROP, "rssi_db": math.nan}, "line 2: .* finite",
+                 id="nan_rssi"),
+    pytest.param({"rssi_db": math.nan}, "line 2: .* finite", id="nan_rssi_with_re_im"),
+    pytest.param({"re": math.inf}, "line 2: .* finite", id="inf_re"),
+])
+def test_snapshot_malformed_line_number(tmp_path, plan, geom, change, match):
+    good = json.loads(SnapshotRecord(epc="ab", timestamp_s=0.0, antenna_id=0,
+                                     carrier_hz=plan.carriers_hz[0], phase_rad=0.0,
+                                     rssi_db=-40.0, re=0.01, im=0.0).to_json())
+    bad = {k: v for k, v in {**good, **change}.items() if v is not _DROP}
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"epc": "ab"}\nnot json\n')
-    with pytest.raises(HarnessError, match="line 1"):
+    path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\nnot json\n")
+    with pytest.raises(HarnessError, match=match):
         import_snapshots(path, geom, plan)
 
 
@@ -337,10 +353,15 @@ def test_snapshot_antenna_outside_geometry_raises_with_line(tmp_path, plan, geom
         import_snapshots(path, geom, plan)
 
 
-def test_packet_record_unknown_carrier_raises(plan, geom):
+@pytest.mark.parametrize("key, value, match", [
+    ("carrier_hz", 900.0e6, "channel 5: carrier 900000000.0"),
+    ("re", math.nan, "channel 5: .* finite"),
+    ("snr_db", math.nan, "channel 5: .* finite"),
+], ids=["unknown_carrier", "nan_re", "nan_snr_db"])
+def test_packet_record_unknown_carrier_raises(plan, geom, key, value, match):
     h = cs.synth_channel(Scene(tags=(single_path_tag((0.1, 2.2, 1.11), (0, 1) * 48),)),
                          geom, plan, 0)
     doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
-    doc["channels"][5]["carrier_hz"] = 900.0e6
-    with pytest.raises(HarnessError, match="channel 5: carrier 900000000.0"):
+    doc["channels"][5][key] = value
+    with pytest.raises(HarnessError, match=match):
         harness.record_to_channel(doc, geom, plan)

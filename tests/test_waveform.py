@@ -126,48 +126,46 @@ def test_optimize_rejects_single_tone():
 # --- Miller coding -----------------------------------------------------------
 
 def test_symbol_duration():
-    wave = wf.miller_encode([1], BLF, 4, RATE, preamble=False)
+    wave = wf.miller_encode([1], BLF, RATE, preamble=False)
     assert wave.duration_s == pytest.approx(4 / BLF, abs=1.0 / RATE)
 
 
 def test_payload_duration_96_bits():
-    wave = wf.miller_encode([0] * 96, BLF, 4, RATE, preamble=False)
+    wave = wf.miller_encode([0] * 96, BLF, RATE, preamble=False)
     assert wave.duration_s == pytest.approx(96 * 4 / BLF, abs=1.0 / RATE)
 
 
 def test_encode_unit_magnitude_zero_mean_round_trip():
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, 96)
-    wave = wf.miller_encode(bits, BLF, 4, RATE, preamble=True)
+    wave = wf.miller_encode(bits, BLF, RATE, preamble=True)
     assert np.allclose(np.abs(wave.samples), 1.0)
     assert abs(np.mean(wave.samples)) < 0.01
 
 
-@pytest.mark.parametrize("m", [2, 4, 8])
+@pytest.mark.parametrize("m", [wf.MILLER_M])
 def test_transition_count_exact(m):
     # independent recount from the coding rules: each bit contributes 2M-1
     # subcarrier half-period transitions, the data-1 mid inversion cancels
     # one, and boundary inversions cancel the boundary flips exactly
     rng = np.random.default_rng(m)
     bits = rng.integers(0, 2, 64)
-    x = np.real(wf.miller_encode(bits, BLF, m, 16e6, preamble=False).samples)
+    x = np.real(wf.miller_encode(bits, BLF, 16e6, preamble=False).samples)
     transitions = int(np.sum(x[1:] != x[:-1]))
     assert transitions == 64 * (2 * m - 1) - int(bits.sum())
 
 
 def test_miller_preconditions():
     with pytest.raises(ModelError):
-        wf.miller_encode([1, 0], BLF, 3, RATE)
+        wf.miller_encode([1, 0], BLF, BLF * 4)
     with pytest.raises(ModelError):
-        wf.miller_encode([1, 0], BLF, 4, BLF * 4)
-    with pytest.raises(ModelError):
-        wf.miller_encode([], BLF, 4, RATE, preamble=False)
+        wf.miller_encode([], BLF, RATE, preamble=False)
 
 
 # --- packet framing ----------------------------------------------------------
 
 def test_packet_durations_near_reference():
-    layout = wf.packet_layout(BLF, 4, 96)
+    layout = wf.packet_layout(96)
     assert layout.rn16_active_s == pytest.approx(0.31e-3, rel=0.10)
     assert layout.active_s == pytest.approx(2.31e-3, rel=0.10)
     # matched-filter template length ratio stays in the integration-gain band
@@ -214,7 +212,7 @@ def test_fast_clock_leads_template():
     alpha = -0.025 * BLF
     pkt = wf.TagPacket(rn16_bits=tuple(rng.integers(0, 2, 16)),
                        epc_bits=tuple(rng.integers(0, 2, 96)), alpha0_hz=alpha)
-    t_sym = pkt.symbol_s
+    t_sym = wf.SYMBOL_S
     for n_bits, lead_bits in [(32, 0.8), (40, 1.0)]:
         elapsed_rx = np.array([n_bits * t_sym / (1 - alpha / BLF * (-1) - 0) ])
         # received time at which the warped waveform reaches bit n:
@@ -239,18 +237,18 @@ def test_fast_clock_leads_template():
 
 def test_clock_warp_matches_numerical_integration():
     rng = np.random.default_rng(5)
-    drift = wf.random_walk_drift(160, BLF, rng)
+    drift = wf.random_walk_drift(160, rng)
     pkt = wf.TagPacket(rn16_bits=tuple(rng.integers(0, 2, 16)),
                        epc_bits=tuple(rng.integers(0, 2, 96)),
                        alpha0_hz=0.05 * BLF, drift_alpha_hz=drift)
     # independent oracle: dense trapezoidal integration of the step function
-    t_fine = np.linspace(0, 160 * pkt.symbol_s, 400001)
-    idx = np.minimum((t_fine / pkt.symbol_s).astype(int), len(drift) - 1)
+    t_fine = np.linspace(0, 160 * wf.SYMBOL_S, 400001)
+    idx = np.minimum((t_fine / wf.SYMBOL_S).astype(int), len(drift) - 1)
     alpha_fine = np.asarray(drift)[idx]
     rate_fine = 1.0 - (pkt.alpha0_hz + alpha_fine) / BLF
     nominal_oracle = np.concatenate(
         [[0.0], np.cumsum((rate_fine[1:] + rate_fine[:-1]) / 2 * np.diff(t_fine))])
-    probe = np.linspace(0, 160 * pkt.symbol_s * 0.999, 57)
+    probe = np.linspace(0, 160 * wf.SYMBOL_S * 0.999, 57)
     got = wf.clock_warp(probe, pkt)
     expect = np.interp(probe, t_fine, nominal_oracle)
     assert np.allclose(got, expect, atol=2e-9)
@@ -259,11 +257,11 @@ def test_clock_warp_matches_numerical_integration():
 def test_clock_offset_preserves_transition_count():
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, 64)
-    wave = wf.miller_encode(bits, BLF, 4, RATE, preamble=False)
+    wave = wf.miller_encode(bits, BLF, RATE, preamble=False)
     pkt = wf.TagPacket(rn16_bits=tuple(rng.integers(0, 2, 16)),
                        epc_bits=tuple(rng.integers(0, 2, 96)),
                        alpha0_hz=0.05 * BLF,
-                       drift_alpha_hz=wf.random_walk_drift(80, BLF, rng))
+                       drift_alpha_hz=wf.random_walk_drift(80, rng))
     warped = wf.apply_clock_offset(wave, pkt)
     crisp = np.sign(np.real(wave.samples))
     resampled = np.real(warped.samples)
@@ -370,6 +368,6 @@ def test_wave_file_round_trip(tmp_path, plan):
 def test_synthesis_bit_reproducible():
     rng1 = np.random.default_rng(77)
     rng2 = np.random.default_rng(77)
-    d1 = wf.random_walk_drift(50, BLF, rng1)
-    d2 = wf.random_walk_drift(50, BLF, rng2)
+    d1 = wf.random_walk_drift(50, rng1)
+    d2 = wf.random_walk_drift(50, rng2)
     assert d1 == d2
