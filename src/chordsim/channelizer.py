@@ -20,7 +20,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .model import CarrierPlan, ModelError, TAG_BANDWIDTH_HZ
-from .waveform import BLF_HZ, BasebandWave, save_wave, load_wave
+from .waveform import BLF_HZ, BasebandWave, load_wave, save_wave, tone_table
 
 STOPBAND_ATTEN_DB = 80.0
 # Channel shaping filter (at the decimated rate): passes the +/-BLF subcarrier
@@ -162,9 +162,8 @@ def channelize(capture: WidebandCapture, plan: CarrierPlan) -> ChannelBank:
     if np.any(np.abs(offsets) + ANTIALIAS_PASS_HZ > 0.49 * rate):
         raise ModelError("carrier too close to the capture Nyquist edge")
 
-    t = capture.start_s + np.arange(capture.samples.size) / rate
-    streams = [_channel_filter(capture.samples * np.exp(-1j * (2 * np.pi * off * t + phi)), plan)
-               for off, phi in zip(offsets, plan.tone_phases_rad)]
+    tones = tone_table(plan, capture.samples.size, capture.start_s)
+    streams = [_channel_filter(capture.samples * np.conj(row), plan) for row in tones]
     return ChannelBank(
         streams=streams, rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz,
         antenna_id=capture.antenna_id, start_s=capture.start_s,
@@ -269,6 +268,9 @@ def load_bank(manifest_path) -> ChannelBank:
         manifest_path = manifest_path / "manifest.json"
     meta = json.loads(manifest_path.read_text())
     streams = [load_wave(manifest_path.parent / name).samples for name in meta["files"]]
+    for name, x in zip(meta["files"], streams):
+        if not np.all(np.isfinite(x)):
+            raise ModelError(f"channel file {name}: samples must be finite")
     return ChannelBank(
         streams=np.asarray(streams), rate_hz=float(meta["rate_hz"]),
         carriers_hz=tuple(meta["carriers_hz"]), antenna_id=int(meta["antenna_id"]),

@@ -133,6 +133,13 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
     hi = n if window_s is None else min(n, int(window_s[1] * rate_hz))
     if lo >= hi:
         raise ModelError("search window outside the stream")
+    alphas = alpha_center_hz + \
+        np.arange(-alpha_span_frac, alpha_span_frac + 1e-12, alpha_step_frac) * BLF_HZ
+    step = alpha_step_frac * BLF_HZ
+    # the refinement reaches one step past the grid's slowest clock
+    longest = _preamble_template(BLF_HZ - alphas.max() - step, rate_hz).size
+    if n < longest:
+        raise DecodeError("preamble_search", f"stream shorter than the {longest}-sample preamble")
 
     def correlate(alpha_hz: float):
         tmpl = _preamble_template(BLF_HZ - alpha_hz, rate_hz)
@@ -163,12 +170,9 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
         p = lo + int(np.argmax(score[lo:top]))
         return float(rho[p]), p, corr
 
-    alphas = alpha_center_hz + \
-        np.arange(-alpha_span_frac, alpha_span_frac + 1e-12, alpha_step_frac) * BLF_HZ
     best = max((peak_for(a) + (a,) for a in alphas), key=lambda r: r[0])
     _, _, _, alpha_best = best
 
-    step = alpha_step_frac * BLF_HZ
     res = sopt.minimize_scalar(
         lambda a: -peak_for(a)[0],
         bounds=(alpha_best - step, alpha_best + step), method="bounded",

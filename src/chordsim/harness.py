@@ -21,9 +21,8 @@ from . import model
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     PropagationPath, Scene, TagDef, subset_plan, subset_geometry,
                     synth_channel)
-from .waveform import (BLF_HZ, SYMBOL_S, MultisineSpec, TagPacket, backscatter_mix,
-                       build_packet_baseband, packet_layout, random_walk_drift,
-                       synth_multisine)
+from .waveform import (BLF_HZ, SYMBOL_S, TagPacket, backscatter_mix, build_packet_baseband,
+                       packet_layout, random_walk_drift, tone_table)
 from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
                           chain_transient_s, channelize, notch_dc, processed_tag_baseband,
                           shaped_noise)
@@ -126,21 +125,19 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
                                      start_s=0.0, group_delay_s=chain_transient_s(plan)))
         return banks, pkt, h
 
-    excitation = synth_multisine(MultisineSpec(plan=plan, duration_s=duration))
     tag_bl = bandlimit_tag(tag_wave)
     active = np.abs(tag_bl.samples) > 0.1
     sig_power = float(np.mean(np.abs(tag_bl.samples[active]) ** 2)) if active.any() else 1.0
     noise_var_wide = mean_h ** 2 * sig_power / snr_lin / chain_noise_gain(plan)
 
     captures = []
-    n = excitation.samples.size
-    t = excitation.times()
+    n = int(round(duration * plan.capture_rate_hz))
     for k in range(geom.n_antennas):
-        rx = backscatter_mix(excitation, tag_bl, h, k).samples
+        rx = backscatter_mix(plan, n, tag_bl, h, k).samples
         if leak_amp > 0:
             gl = _leak_gains(geom, plan, k, leak_amp)
-            for off, phi, g in zip(plan.tone_offsets_hz, plan.tone_phases_rad, gl):
-                rx = rx + g * np.exp(1j * (2 * math.pi * off * t + phi))
+            for row, g in zip(tone_table(plan, n, 0.0), gl):
+                rx = rx + g * row
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             * math.sqrt(noise_var_wide / 2)
         captures.append(WidebandCapture(samples=rx + noise, rate_hz=plan.capture_rate_hz,
@@ -603,23 +600,26 @@ def packet_record(epc_bits, t0_s: float, alpha0_hz: float, crc_ok: bool,
 
 def record_to_channel(doc: dict, geom: ArrayGeometry, plan: CarrierPlan) -> ChannelMatrix:
     """Channel matrix of a decoded-packet record; absent entries stay masked.
-    An entry naming an antenna or carrier outside the geometry or plan, or
-    holding a non-finite number, raises a HarnessError naming the record and
-    entry."""
+    A record without a channel list, or an entry that is not an object, misses
+    a field, holds a non-number or a non-finite number, or names an antenna or
+    carrier outside the geometry or plan, raises a HarnessError naming the
+    record and entry."""
     h = np.zeros((geom.n_antennas, plan.n_carriers), dtype=complex)
     quality = np.zeros(h.shape)
     mask = np.zeros(h.shape, dtype=bool)
     carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
+    if not isinstance(doc.get("channels"), list):
+        raise HarnessError(f"record {doc.get('epc')}: channels must be a list")
     for j, c in enumerate(doc["channels"]):
-        snr = c.get("snr_db")
         try:
+            snr = c.get("snr_db")
             k, l = _entry_index(int(c["antenna"]), float(c["carrier_hz"]), geom.n_antennas,
                                 carrier_index)
             re, im = float(c["re"]), float(c["im"])
             if not (math.isfinite(re) and math.isfinite(im)
                     and (snr is None or math.isfinite(snr))):
                 raise HarnessError("every number must be finite")
-        except HarnessError as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise HarnessError(f"record {doc.get('epc')} channel {j}: {exc}") from exc
         h[k, l] = re + 1j * im
         mask[k, l] = True

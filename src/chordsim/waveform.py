@@ -11,6 +11,7 @@ RNG state is always passed explicitly; synthesis is bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,17 +44,11 @@ CLOCK_STRETCH = 1.0 / (1.0 - ALPHA0_LIMIT_FRAC - DRIFT_LIMIT_FRAC)
 
 @dataclass(frozen=True, eq=False)
 class BasebandWave:
-    """Complex baseband sample series.
-
-    Synthesis functions that know their tone decomposition attach it via the
-    ``tone_*`` fields so downstream mixing can regenerate individual tones.
-    """
+    """Complex baseband sample series."""
 
     samples: np.ndarray
     rate_hz: float
     start_s: float = 0.0
-    tone_offsets_hz: tuple[float, ...] | None = None
-    tone_phases_rad: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
@@ -64,9 +59,6 @@ class BasebandWave:
     def duration_s(self) -> float:
         return self.samples.size / self.rate_hz
 
-    def times(self) -> np.ndarray:
-        return self.start_s + np.arange(self.samples.size) / self.rate_hz
-
 
 @dataclass(frozen=True)
 class MultisineSpec:
@@ -76,26 +68,32 @@ class MultisineSpec:
     def __post_init__(self):
         if self.duration_s <= 0:
             raise ModelError("duration must be positive")
-        if self.plan.n_carriers < 1:
-            raise ModelError("need at least one tone")
+
+
+@functools.lru_cache(maxsize=1)
+def tone_table(plan: CarrierPlan, n: int, start_s: float) -> np.ndarray:
+    """Tone phasors of the plan's multisine, one row per carrier (read-only):
+    row l is exp(j(2 pi f_l t + phi_l)) at t = start_s + arange(n) / rate.
+
+    The excitation, the tag reply at each antenna, the leak and the
+    channelizer's mixers all use these rows; a simulated capture and its
+    channelization share the one cached table.  ``start_s`` has no default
+    because the cache keys on the call form.
+    """
+    t = start_s + np.arange(n) / plan.capture_rate_hz
+    offsets = np.asarray(plan.tone_offsets_hz, dtype=float)
+    phases = np.asarray(plan.tone_phases_rad, dtype=float)
+    table = np.exp(1j * (2 * np.pi * offsets[:, None] * t[None, :] + phases[:, None]))
+    table.flags.writeable = False
+    return table
 
 
 def synth_multisine(spec: MultisineSpec) -> BasebandWave:
     """Sum of equal-amplitude complex tones at the plan's capture-band offsets."""
     plan = spec.plan
     rate = plan.capture_rate_hz
-    offsets = np.asarray(plan.tone_offsets_hz, dtype=float)
-    if np.any(np.abs(offsets) >= rate / 2):
-        raise ModelError("tone offset outside the Nyquist band of the capture rate")
     n = int(round(spec.duration_s * rate))
-    t = np.arange(n) / rate
-    phases = np.asarray(plan.tone_phases_rad, dtype=float)
-    samples = np.exp(
-        1j * (2 * np.pi * offsets[:, None] * t[None, :] + phases[:, None])
-    ).sum(axis=0)
-    return BasebandWave(samples=samples, rate_hz=rate, start_s=0.0,
-                        tone_offsets_hz=tuple(offsets),
-                        tone_phases_rad=tuple(phases))
+    return BasebandWave(samples=tone_table(plan, n, 0.0).sum(axis=0), rate_hz=rate, start_s=0.0)
 
 
 def crest_factor(wave: BasebandWave) -> float:
@@ -442,32 +440,29 @@ def build_packet_baseband(pkt: TagPacket, rate_hz: float) -> BasebandWave:
     return apply_clock_offset(packet_template(pkt, rate_hz), pkt)
 
 
-def backscatter_mix(excitation: BasebandWave, tag: BasebandWave,
+def backscatter_mix(plan: CarrierPlan, n: int, tag: BasebandWave,
                     channel: ChannelMatrix, antenna: int) -> BasebandWave:
-    """Received baseband at one antenna: every excitation tone modulated by the
-    tag baseband and weighted by that carrier's channel entry."""
-    if excitation.tone_offsets_hz is None:
-        raise ModelError("excitation wave carries no tone decomposition")
-    if abs(excitation.rate_hz - tag.rate_hz) > 1e-6:
-        raise ModelError("excitation and tag sample rates differ")
+    """Received baseband at one antenna over an n-sample capture starting at
+    time 0: every excitation tone modulated by the tag baseband and weighted
+    by that carrier's channel entry."""
+    rate = plan.capture_rate_hz
+    if abs(rate - tag.rate_hz) > 1e-6:
+        raise ModelError("tag wave is not at the capture rate")
     if not 0 <= antenna < channel.shape[0]:
         raise ModelError("antenna index out of range")
-    if len(excitation.tone_offsets_hz) != channel.shape[1]:
+    if plan.n_carriers != channel.shape[1]:
         raise ModelError("tone count does not match channel carriers")
-    n = excitation.samples.size
     b = np.zeros(n, dtype=complex)
-    i0 = int(round((tag.start_s - excitation.start_s) * excitation.rate_hz))
+    i0 = int(round(tag.start_s * rate))
     src = tag.samples
     lo, hi = max(i0, 0), min(i0 + src.size, n)
     if hi <= lo:
-        raise ModelError("tag waveform does not overlap the excitation")
+        raise ModelError("tag waveform does not overlap the capture")
     b[lo:hi] = src[lo - i0:hi - i0]
-    t = excitation.times()
     out = np.zeros(n, dtype=complex)
-    h = channel.h[antenna]
-    for off, phi, hl in zip(excitation.tone_offsets_hz, excitation.tone_phases_rad, h):
-        out += hl * np.exp(1j * (2 * np.pi * off * t + phi)) * b
-    return BasebandWave(samples=out, rate_hz=excitation.rate_hz, start_s=excitation.start_s)
+    for row, hl in zip(tone_table(plan, n, 0.0), channel.h[antenna]):
+        out += hl * row * b
+    return BasebandWave(samples=out, rate_hz=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +486,6 @@ def save_wave(wave: BasebandWave, path) -> Path:
         "start_s": wave.start_s,
         "n_samples": int(wave.samples.size),
     }
-    if wave.tone_offsets_hz is not None:
-        meta["tone_offsets_hz"] = list(wave.tone_offsets_hz)
-        meta["tone_phases_rad"] = list(wave.tone_phases_rad)
     _sidecar_path(path).write_text(json.dumps(meta, indent=2))
     return path
 
@@ -505,9 +497,5 @@ def load_wave(path) -> BasebandWave:
     samples = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
     if samples.size != meta["n_samples"]:
         raise ModelError("sample count does not match sidecar")
-    tones = meta.get("tone_offsets_hz")
-    return BasebandWave(
-        samples=samples, rate_hz=float(meta["rate_hz"]), start_s=float(meta["start_s"]),
-        tone_offsets_hz=tuple(tones) if tones else None,
-        tone_phases_rad=tuple(meta["tone_phases_rad"]) if tones else None,
-    )
+    return BasebandWave(samples=samples, rate_hz=float(meta["rate_hz"]),
+                        start_s=float(meta["start_s"]))

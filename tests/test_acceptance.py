@@ -99,8 +99,7 @@ def test_c04_channelization_losslessness():
                        t0_s=0.3e-3)
     tagwave = wf.build_packet_baseband(pkt, PLAN.capture_rate_hz)
     tag_bl = chz.bandlimit_tag(tagwave)
-    exc = cs.synth_multisine(cs.MultisineSpec(plan=PLAN, duration_s=tagwave.duration_s))
-    rx = cs.backscatter_mix(exc, tag_bl, h, 0)
+    rx = cs.backscatter_mix(PLAN, tag_bl.samples.size, tag_bl, h, 0)
     cap = chz.WidebandCapture(samples=rx.samples, rate_hz=PLAN.capture_rate_hz,
                               center_hz=PLAN.capture_center_hz)
     bank = chz.channelize(cap, PLAN)

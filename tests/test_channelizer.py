@@ -63,8 +63,7 @@ def test_channelize_round_trip_matches_direct_baseband(plan, geom):
                        t0_s=0.3e-3)
     tagwave = wf.build_packet_baseband(pkt, plan.capture_rate_hz)
     tag_bl = chz.bandlimit_tag(tagwave)
-    exc = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=tagwave.duration_s))
-    rx = cs.backscatter_mix(exc, tag_bl, h, 0)
+    rx = cs.backscatter_mix(plan, tag_bl.samples.size, tag_bl, h, 0)
     bank = chz.channelize(_capture(rx.samples, plan), plan)
     ref = chz.processed_tag_baseband(tagwave, plan)
     skip = int(bank.group_delay_s * bank.rate_hz * 2) + 8
@@ -212,3 +211,15 @@ def test_bank_save_load_round_trip(tmp_path, plan):
     assert back.carriers_hz == plan.carriers_hz
     assert back.group_delay_s == pytest.approx(bank.group_delay_s)
     assert np.allclose(back.streams, streams, atol=1e-5)
+
+
+def test_load_bank_rejects_non_finite_sample(tmp_path, plan):
+    streams = np.ones((plan.n_carriers, 256), dtype=complex)
+    bank = chz.ChannelBank(streams=streams, rate_hz=plan.channel_out_rate_hz,
+                           carriers_hz=plan.carriers_hz)
+    manifest = chz.save_bank(bank, tmp_path / "ant0")
+    raw = np.fromfile(tmp_path / "ant0" / "ch_03.cf32", dtype="<f4")
+    raw[101] = np.nan
+    raw.tofile(tmp_path / "ant0" / "ch_03.cf32")
+    with pytest.raises(ModelError, match="ch_03.cf32"):
+        chz.load_bank(manifest)

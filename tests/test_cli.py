@@ -21,7 +21,6 @@ def test_waveform_excitation(tmp_path):
                 "--out", out]) == 0
     wave = load_wave(out)
     assert wave.samples.size == int(2e-4 * 15.36e6)
-    assert wave.tone_offsets_hz is not None
 
 
 def test_waveform_tag_template(tmp_path):

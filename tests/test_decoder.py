@@ -9,9 +9,11 @@ import pytest
 import chordsim as cs
 from chordsim import channelizer as chz
 from chordsim import decoder as dc
+from chordsim import locator as loc
 from chordsim import waveform as wf
 from chordsim.harness import SceneSpec, simulate_capture, single_path_tag, random_epc
-from chordsim.model import ModelError, Scene, default_array_geometry, default_carrier_plan
+from chordsim.model import (ModelError, Scene, default_array_geometry, default_carrier_plan,
+                            subset_geometry)
 
 RATE = 2.56e6
 BLF = 250e3
@@ -76,6 +78,13 @@ def test_preamble_pure_noise_no_packet():
     x = rng.standard_normal(1 << 14) + 1j * rng.standard_normal(1 << 14)
     with pytest.raises(dc.NoPacketError):
         dc.preamble_search(x, RATE)
+
+
+def test_preamble_stream_shorter_than_template():
+    # 200 samples cannot hold the 328-sample preamble template
+    with pytest.raises(dc.DecodeError, match="shorter than") as info:
+        dc.preamble_search(np.ones(200, dtype=complex), RATE)
+    assert info.value.stage == "preamble_search"
 
 
 def test_preamble_rate_precondition():
@@ -518,3 +527,38 @@ def test_pipeline_deterministic(plan, geom):
     b = dc.decode_pipeline(banks, plan, geom)
     assert a.epc_bits == b.epc_bits
     assert np.array_equal(a.channel.h, b.channel.h)
+
+
+# --- degenerate inputs -------------------------------------------------------
+
+def test_pipeline_all_zero_banks_raise_no_packet(plan, geom):
+    banks = [chz.ChannelBank(streams=np.zeros((plan.n_carriers, 9000), dtype=complex),
+                             rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz,
+                             antenna_id=k)
+             for k in range(geom.n_antennas)]
+    with pytest.raises(dc.NoPacketError):
+        dc.decode_pipeline(banks, plan, geom)
+
+
+def _decode_fast(plan, geom, tag, seed, **kw):
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=18.0, leak_db=20.0)
+    banks, pkt, _ = simulate_capture(spec, plan, geom, seed=seed, fast_path=True)
+    return dc.decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom, **kw), pkt
+
+
+def test_pipeline_single_antenna_decodes_and_localizes(plan, geom):
+    one = subset_geometry(geom, 1)
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(24)))
+    packet, pkt = _decode_fast(plan, one, tag, seed=5)
+    assert packet.crc_ok and packet.epc_bits == tag.epc_bits
+    assert packet.rn16_bits == pkt.rn16_bits
+    assert packet.channel.shape == (1, plan.n_carriers)
+    est = loc.localize(packet.channel, loc.GridSpec(), one, plan)
+    assert np.all(np.isfinite(est.position_m))
+
+
+def test_pipeline_64_bit_epc(plan, geom):
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(25), 64))
+    packet, pkt = _decode_fast(plan, geom, tag, seed=6, epc_len=64)
+    assert packet.crc_ok and packet.epc_bits == tag.epc_bits
+    assert len(packet.epc_bits) == 64 and packet.rn16_bits == pkt.rn16_bits

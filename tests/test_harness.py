@@ -357,11 +357,22 @@ def test_snapshot_antenna_outside_geometry_raises_with_line(tmp_path, plan, geom
     ("carrier_hz", 900.0e6, "channel 5: carrier 900000000.0"),
     ("re", math.nan, "channel 5: .* finite"),
     ("snr_db", math.nan, "channel 5: .* finite"),
-], ids=["unknown_carrier", "nan_re", "nan_snr_db"])
+    ("re", _DROP, "channel 5: 're'"),
+    ("snr_db", "x", "channel 5: "),
+    ("antenna", "a", "channel 5: "),
+    ("channels", _DROP, "^record 5{24}: channels must be a list"),
+    ("channels", 5, "^record 5{24}: channels must be a list"),
+    ("channels", [5], "channel 0: "),
+], ids=["unknown_carrier", "nan_re", "nan_snr_db", "missing_re", "text_snr_db",
+        "text_antenna", "no_channels", "channels_not_a_list", "entry_not_an_object"])
 def test_packet_record_unknown_carrier_raises(plan, geom, key, value, match):
     h = cs.synth_channel(Scene(tags=(single_path_tag((0.1, 2.2, 1.11), (0, 1) * 48),)),
                          geom, plan, 0)
     doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
-    doc["channels"][5][key] = value
+    target = doc if key == "channels" else doc["channels"][5]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
     with pytest.raises(HarnessError, match=match):
         harness.record_to_channel(doc, geom, plan)

@@ -193,6 +193,14 @@ def test_masked_nan_entry_never_enters_the_sum(geom, plan):
         loc.summation_layer(phases[:, keep], GRID, geom, sub_plan).heatmap)
 
 
+def test_single_carrier_plan_localizes(geom, plan):
+    one = subset_plan(plan, [7])
+    tag = single_path_tag((0.3, 2.5, 1.11), (0, 1) * 48)
+    h = cs.synth_channel(Scene(tags=(tag,)), geom, one, 0)
+    est = loc.localize(h, GRID, geom, one, policy=loc.LocalizePolicy("never"))
+    assert np.all(np.isfinite(est.position_m))
+
+
 def test_all_masked_channel_raises_at_the_hologram(geom, plan):
     ch = _random_phase_channel(geom, plan, 14)
     ch = cs.ChannelMatrix(h=ch.h, carriers_hz=ch.carriers_hz, geometry=geom,

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import chordsim as cs
+from chordsim import channelizer as chz
 from chordsim import waveform as wf
-from chordsim.model import ModelError, default_carrier_plan, uniform_carrier_plan
+from chordsim.harness import SceneSpec, simulate_capture, single_path_tag
+from chordsim.model import ModelError, Scene, default_carrier_plan, uniform_carrier_plan
 
 RATE = 2.56e6
 BLF = 250e3
@@ -61,6 +63,37 @@ def test_tone_outside_nyquist_rejected():
                        per_tone_power_dbm=-15.0, capture_rate_hz=15.36e6,
                        channel_out_rate_hz=2.56e6, capture_center_hz=887e6,
                        tone_offsets_hz=(9e6,))
+
+
+# --- tone table --------------------------------------------------------------
+
+def test_tone_table_read_only(plan):
+    table = wf.tone_table(plan, 64, 0.0)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+def test_tone_table_rows_are_the_per_tone_phasors(plan):
+    tuned = default_carrier_plan(tone_phases_rad=cs.optimize_tone_phases(plan.tone_offsets_hz))
+    start_s, n = 3.7e-4, 1000
+    t = start_s + np.arange(n) / tuned.capture_rate_hz
+    table = wf.tone_table(tuned, n, start_s)
+    assert table.shape == (tuned.n_carriers, n)
+    for row, off, phi in zip(table, tuned.tone_offsets_hz, tuned.tone_phases_rad):
+        assert np.array_equal(row, np.exp(1j * (2 * np.pi * off * t + phi)))
+        # the channelizer's mixer
+        assert np.array_equal(np.conj(row), np.exp(-1j * (2 * np.pi * off * t + phi)))
+
+
+def test_full_path_capture_and_channelize_build_one_table(plan):
+    tag = single_path_tag((0.3, 2.5, 1.11), (0, 1) * 48)
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=20.0, leak_db=20.0)
+    geom = cs.default_array_geometry()
+    wf.tone_table.cache_clear()
+    captures, _, _ = simulate_capture(spec, plan, geom, seed=4)
+    for cap in captures:
+        chz.channelize(cap, plan)
+    assert wf.tone_table.cache_info().misses == 1
 
 
 # --- crest factor ------------------------------------------------------------
@@ -292,16 +325,16 @@ def _one_tone_setup(h_value):
 
 
 def test_mix_transparent_tag():
-    _, ch, exc = _one_tone_setup(1.0 + 0.0j)
+    plan, ch, exc = _one_tone_setup(1.0 + 0.0j)
     tag = wf.BasebandWave(samples=np.ones(exc.samples.size), rate_hz=exc.rate_hz)
-    out = cs.backscatter_mix(exc, tag, ch, 0)
+    out = cs.backscatter_mix(plan, exc.samples.size, tag, ch, 0)
     assert np.allclose(out.samples, exc.samples, atol=1e-12)
 
 
 def test_mix_phase_rotation():
-    _, ch, exc = _one_tone_setup(np.exp(0.5j * math.pi))
+    plan, ch, exc = _one_tone_setup(np.exp(0.5j * math.pi))
     tag = wf.BasebandWave(samples=np.ones(exc.samples.size), rate_hz=exc.rate_hz)
-    out = cs.backscatter_mix(exc, tag, ch, 0)
+    out = cs.backscatter_mix(plan, exc.samples.size, tag, ch, 0)
     assert np.allclose(out.samples, exc.samples * np.exp(0.5j * math.pi), atol=1e-12)
 
 
@@ -311,22 +344,22 @@ def test_mix_linear_in_channel():
     rng = np.random.default_rng(8)
     h1 = (rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16)))
     h2 = (rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16)))
-    exc = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=1e-4))
-    tag = wf.BasebandWave(samples=np.sign(rng.standard_normal(exc.samples.size)).astype(complex),
-                          rate_hz=exc.rate_hz)
+    n = int(round(1e-4 * plan.capture_rate_hz))
+    tag = wf.BasebandWave(samples=np.sign(rng.standard_normal(n)).astype(complex),
+                          rate_hz=plan.capture_rate_hz)
     mk = lambda h: cs.ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom)
-    a = cs.backscatter_mix(exc, tag, mk(h1), 2).samples
-    b = cs.backscatter_mix(exc, tag, mk(h2), 2).samples
-    ab = cs.backscatter_mix(exc, tag, mk(h1 + h2), 2).samples
+    a = cs.backscatter_mix(plan, n, tag, mk(h1), 2).samples
+    b = cs.backscatter_mix(plan, n, tag, mk(h2), 2).samples
+    ab = cs.backscatter_mix(plan, n, tag, mk(h1 + h2), 2).samples
     scale = np.max(np.abs(ab))
     assert np.max(np.abs(ab - (a + b))) / scale < 1e-12
 
 
 def test_mix_rate_mismatch_rejected():
-    _, ch, exc = _one_tone_setup(1.0)
+    plan, ch, exc = _one_tone_setup(1.0)
     tag = wf.BasebandWave(samples=np.ones(100), rate_hz=exc.rate_hz * 2)
     with pytest.raises(ModelError):
-        cs.backscatter_mix(exc, tag, ch, 0)
+        cs.backscatter_mix(plan, exc.samples.size, tag, ch, 0)
 
 
 # --- Gen2 framing helpers ----------------------------------------------------
@@ -359,7 +392,6 @@ def test_wave_file_round_trip(tmp_path, plan):
     wf.save_wave(wave, path)
     back = wf.load_wave(path)
     assert back.rate_hz == wave.rate_hz
-    assert back.tone_offsets_hz == wave.tone_offsets_hz
     assert np.allclose(back.samples, wave.samples, atol=1e-6)
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     assert raw.size == 2 * wave.samples.size
