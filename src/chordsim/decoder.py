@@ -12,7 +12,7 @@ function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
@@ -21,15 +21,19 @@ from scipy import optimize as sopt
 
 from .model import ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError
 from .channelizer import ChannelBank, apply_shaping
-from .waveform import (ALPHA0_LIMIT_FRAC, BLF_HZ, CLOCK_STRETCH, MILLER_M, PREAMBLE_BITS,
-                       SYMBOL_S, TagPacket, check_epc_reply, clock_map, miller_encode,
-                       miller_symbol_signs, packet_layout, packet_template)
+from .waveform import (ALPHA0_LIMIT_FRAC, BLF_HZ, CLOCK_STRETCH, DRIFT_LIMIT_FRAC, MILLER_M,
+                       PREAMBLE_BITS, SYMBOL_S, TagPacket, check_epc_reply, clock_map,
+                       miller_encode, miller_symbol_signs, packet_layout, packet_template)
 
-ALPHA_SEARCH_FRAC = 0.10
+# The sync grid spans the initial offset envelope plus the drift on top of it.
+ALPHA_SEARCH_FRAC = ALPHA0_LIMIT_FRAC + DRIFT_LIMIT_FRAC
 ALPHA_STEP_FRAC = 0.0025
 DETECTION_THRESHOLD = 0.3
 METRIC_THRESHOLD = 0.1
 TRACK_LIMIT_FRAC = 0.03
+# Nominal RN16-to-EPC preamble spacing (RN16 frame + gap; the EPC length does
+# not enter it).
+EPC_SPACING_S = packet_layout(0).epc_start_s
 # Costas loop noise bandwidth (fraction of BLF) and damping factor.
 LOOP_BW_FRAC = 0.04
 LOOP_DAMPING = 0.707
@@ -57,6 +61,7 @@ class SyncEstimate:
     t0_hat_s: float
     alpha0_hat_hz: float
     correlation_peak: float
+    epc_t0_hat_s: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.correlation_peak <= 1.0 + 1e-9:
@@ -96,24 +101,20 @@ def _parabolic_refine(values: np.ndarray, p: int) -> float:
     return float(np.clip(0.5 * (c0 - c2) / denom, -0.5, 0.5))
 
 
-def preamble_search(stream: np.ndarray, rate_hz: float,
-                    window_s: tuple[float, float] | None = None,
-                    alpha_span_frac: float = ALPHA_SEARCH_FRAC,
-                    alpha_step_frac: float = ALPHA_STEP_FRAC,
-                    threshold: float = DETECTION_THRESHOLD,
-                    alpha_center_hz: float = 0.0,
-                    second_preamble_offset_s: float | None = None) -> SyncEstimate:
-    """Joint argmax of the normalized preamble correlation over start time and
+def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
+    """Joint argmax of the paired preamble correlation over start time and
     initial clock offset.
 
-    The t0 axis is searched on the sample grid and refined by parabolic
-    interpolation; the alpha0 axis on a grid of ``alpha_step_frac`` * BLF and
-    refined by bounded scalar minimization.  When the nominal spacing of a
-    second in-packet preamble is given, candidates are scored by both peaks
-    (both uplink replies start with the same preamble, so a lone correlation
-    cannot tell them apart) and alpha0 is re-estimated from the measured
+    Both uplink replies open with the same preamble, so a lone correlation
+    cannot tell them apart: each candidate start is scored by its own peak
+    plus the best peak near the EPC preamble one nominal spacing later.  The
+    t0 axis is searched on the sample grid and refined by parabolic
+    interpolation; the alpha0 axis spans the protocol envelope plus drift on a
+    grid of ALPHA_STEP_FRAC * BLF and is refined by bounded scalar
+    minimization.  alpha0 is then re-estimated from the measured
     preamble-to-preamble time baseline, which is far more sensitive than the
-    preamble-length correlation itself.
+    preamble-length correlation itself, and the measured EPC preamble time is
+    returned as ``epc_t0_hat_s``.
     """
     x = np.asarray(stream, dtype=complex)
     if rate_hz < 4 * BLF_HZ:
@@ -123,19 +124,13 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
     nfft = int(2 ** np.ceil(np.log2(n + max_tmpl + 1)))
     xf = np.fft.fft(x, nfft)
     energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
-    # Drift can move the second preamble by up to 2.5% of its spacing, and the
-    # alpha grid saturates 2.5% short of the worst-case total clock offset.
-    pair_win = 8
-    if second_preamble_offset_s is not None:
-        pair_win = int(0.04 * second_preamble_offset_s * rate_hz) + 8
+    # Drift can move the EPC preamble by up to 2.5% of the spacing; the rest
+    # covers the coarse alpha0 of a preamble-length correlation, which sets
+    # the expected lag.
+    pair_win = int(0.04 * EPC_SPACING_S * rate_hz) + 8
 
-    lo = 0 if window_s is None else max(0, int(window_s[0] * rate_hz))
-    hi = n if window_s is None else min(n, int(window_s[1] * rate_hz))
-    if lo >= hi:
-        raise ModelError("search window outside the stream")
-    alphas = alpha_center_hz + \
-        np.arange(-alpha_span_frac, alpha_span_frac + 1e-12, alpha_step_frac) * BLF_HZ
-    step = alpha_step_frac * BLF_HZ
+    alphas = np.arange(-ALPHA_SEARCH_FRAC, ALPHA_SEARCH_FRAC + 1e-12, ALPHA_STEP_FRAC) * BLF_HZ
+    step = ALPHA_STEP_FRAC * BLF_HZ
     # the refinement reaches one step past the grid's slowest clock
     longest = _preamble_template(BLF_HZ - alphas.max() - step, rate_hz).size
     if n < longest:
@@ -156,18 +151,17 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
         rho[:m] = np.where(window_energy > 100 * floor, corr[:m] / (t_norm * seg), 0.0)
         return rho, corr
 
+    def epc_lag(alpha_hz: float) -> int:
+        return int(round(EPC_SPACING_S * BLF_HZ / (BLF_HZ - alpha_hz) * rate_hz))
+
     def peak_for(alpha_hz: float):
         rho, corr = correlate(alpha_hz)
-        top = min(hi, n - 1)
-        score = rho.copy()
-        if second_preamble_offset_s is not None:
-            d = int(round(second_preamble_offset_s * BLF_HZ / (BLF_HZ - alpha_hz) * rate_hz))
-            paired = ndimage.maximum_filter1d(rho, size=2 * pair_win + 1, mode="nearest")
-            shifted = np.zeros(n)
-            if d < n:
-                shifted[:n - d] = paired[d:]
-            score = rho + shifted
-        p = lo + int(np.argmax(score[lo:top]))
+        d = epc_lag(alpha_hz)
+        paired = ndimage.maximum_filter1d(rho, size=2 * pair_win + 1, mode="nearest")
+        shifted = np.zeros(n)
+        if d < n:
+            shifted[:n - d] = paired[d:]
+        p = int(np.argmax((rho + shifted)[:n - 1]))
         return float(rho[p]), p, corr
 
     best = max((peak_for(a) + (a,) for a in alphas), key=lambda r: r[0])
@@ -182,25 +176,24 @@ def preamble_search(stream: np.ndarray, rate_hz: float,
         alpha_best = float(res.x)
     rho_best, p_best, corr = peak_for(alpha_best)
 
-    if rho_best < threshold:
+    if rho_best < DETECTION_THRESHOLD:
         raise NoPacketError()
 
     t0 = (p_best + _parabolic_refine(corr, p_best)) / rate_hz
     alpha_hat = float(alpha_best)
-    if second_preamble_offset_s is not None:
-        d = int(round(second_preamble_offset_s * BLF_HZ / (BLF_HZ - alpha_best) * rate_hz))
-        w_lo = max(p_best + d - pair_win, 0)
-        w_hi = min(p_best + d + pair_win + 1, n)
-        if w_hi > w_lo:
-            p2 = w_lo + int(np.argmax(corr[w_lo:w_hi]))
-            t2 = (p2 + _parabolic_refine(corr, p2)) / rate_hz
-            if t2 > t0:
-                alpha_hat = BLF_HZ * (1.0 - second_preamble_offset_s / (t2 - t0))
-        # the initial offset itself is bounded by the +/-10% protocol envelope
-        limit = ALPHA0_LIMIT_FRAC * BLF_HZ
-        alpha_hat = float(np.clip(alpha_hat, -limit, limit))
+    t2 = None
+    d = epc_lag(alpha_best)
+    w_lo = max(p_best + d - pair_win, 0)
+    w_hi = min(p_best + d + pair_win + 1, n)
+    if w_hi > w_lo:
+        p2 = w_lo + int(np.argmax(corr[w_lo:w_hi]))
+        t2 = (p2 + _parabolic_refine(corr, p2)) / rate_hz
+        alpha_hat = BLF_HZ * (1.0 - EPC_SPACING_S / (t2 - t0))
+    # the initial offset itself is bounded by the +/-10% protocol envelope
+    limit = ALPHA0_LIMIT_FRAC * BLF_HZ
+    alpha_hat = float(np.clip(alpha_hat, -limit, limit))
     return SyncEstimate(t0_hat_s=t0, alpha0_hat_hz=alpha_hat,
-                        correlation_peak=min(float(rho_best), 1.0))
+                        correlation_peak=min(float(rho_best), 1.0), epc_t0_hat_s=t2)
 
 
 def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
@@ -311,11 +304,13 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
                        layout) -> ClockTrack:
     """Clock track over a whole two-reply packet.
 
-    One Costas pass per reply (each seeded from its own pilot), with the
-    inter-reply gap pinned so the integrated clock lands exactly on the
-    measured EPC-frame preamble position.  Tracking each reply separately
-    keeps the loop's phase-slip exposure to a single reply span and lets the
-    second reply re-anchor after the signal-free gap.
+    One Costas pass per reply, each seeded from its own pilot and both at the
+    sync's alpha0.  The second pass starts at the EPC preamble time the
+    preamble search measured (``sync.epc_t0_hat_s``), or, when it has none, at
+    the nominal spacing stretched by alpha0.  The inter-reply gap is pinned so
+    the integrated clock lands exactly on that start.  Tracking each reply
+    separately keeps the loop's phase-slip exposure to a single reply span and
+    lets the second reply re-anchor after the signal-free gap.
     """
     t_sym = layout.symbol_s
     # track spans are in received time: a slow clock stretches each frame
@@ -323,25 +318,12 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     n2_span = int(math.ceil(layout.epc_frame_symbols * CLOCK_STRETCH)) + 2
     tr1 = pll_track(stream, rate_hz, sync, n_symbols=n1_span)
 
-    eff = BLF_HZ / (BLF_HZ - sync.alpha0_hat_hz)
-    expected = sync.t0_hat_s + layout.epc_start_s * eff
-    # the reported alpha0 saturates at +/-10% while drift adds up to 2.5% more
-    w = 0.04 * layout.epc_start_s + 12.0 / rate_hz
-    sync2 = SyncEstimate(t0_hat_s=expected, alpha0_hat_hz=sync.alpha0_hat_hz,
-                         correlation_peak=0.0)
-    try:
-        found = preamble_search(stream, rate_hz,
-                                window_s=(expected - w, expected + w),
-                                alpha_span_frac=0.03, alpha_step_frac=0.005,
-                                alpha_center_hz=sync.alpha0_hat_hz,
-                                threshold=0.15)
-        sync2 = SyncEstimate(t0_hat_s=found.t0_hat_s, alpha0_hat_hz=found.alpha0_hat_hz,
-                             correlation_peak=found.correlation_peak)
-    except (NoPacketError, ModelError):
-        pass
-    tr2 = pll_track(stream, rate_hz, sync2, n_symbols=n2_span)
+    t2 = sync.epc_t0_hat_s
+    if t2 is None:
+        t2 = sync.t0_hat_s + layout.epc_start_s * BLF_HZ / (BLF_HZ - sync.alpha0_hat_hz)
+    tr2 = pll_track(stream, rate_hz, replace(sync, t0_hat_s=t2), n_symbols=n2_span)
 
-    e2 = sync2.t0_hat_s - sync.t0_hat_s
+    e2 = t2 - sync.t0_hat_s
     n_total = int(math.ceil(layout.total_s * CLOCK_STRETCH / t_sym)) + 2
     alpha = np.zeros(n_total)
     n1 = tr1.alpha_t_hz.size
@@ -349,23 +331,23 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     s_e2 = max(int(e2 / t_sym), n1)
     # Solve the constant gap alpha so that the integrated clock maps the
     # measured second-preamble time onto the nominal EPC frame start.
-    alpha2_total = sync2.alpha0_hat_hz + tr2.alpha_t_hz - sync.alpha0_hat_hz
+    alpha2 = tr2.alpha_t_hz
     slot_start = s_e2 * t_sym
     # nominal time wanted at the start of the slot containing e2:
     n_at_slot = layout.epc_start_s - (e2 - slot_start) * \
-        (1.0 - (sync.alpha0_hat_hz + float(alpha2_total[0])) / BLF_HZ)
+        (1.0 - (sync.alpha0_hat_hz + float(alpha2[0])) / BLF_HZ)
     target_integral = BLF_HZ * (slot_start - n_at_slot) - sync.alpha0_hat_hz * slot_start
     done = float(np.sum(alpha[:n1])) * t_sym
     span = slot_start - n1 * t_sym
     if span > t_sym / 4:
         gap_alpha = (target_integral - done) / span
     else:
-        gap_alpha = float(alpha2_total[0])
+        gap_alpha = float(alpha2[0])
     limit = TRACK_LIMIT_FRAC * BLF_HZ * 2
     alpha[n1:s_e2] = np.clip(gap_alpha, -limit, limit)
     for s in range(s_e2, n_total):
-        j = min(max(int((s * t_sym - e2) / t_sym + 0.5), 0), alpha2_total.size - 1)
-        alpha[s] = alpha2_total[j]
+        j = min(max(int((s * t_sym - e2) / t_sym + 0.5), 0), alpha2.size - 1)
+        alpha[s] = alpha2[j]
     return ClockTrack(alpha_t_hz=alpha, lock_flag=tr1.lock_flag and tr2.lock_flag)
 
 
@@ -572,9 +554,7 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     energies = np.sum(np.abs(stack) ** 2, axis=2)
     k_best, l_best = np.unravel_index(int(np.argmax(energies)), energies.shape)
 
-    sync = preamble_search(stack[k_best, l_best], rate,
-                           alpha_span_frac=ALPHA_SEARCH_FRAC + 0.025,
-                           second_preamble_offset_s=layout.epc_start_s)
+    sync = preamble_search(stack[k_best, l_best], rate)
     # Clock tracking runs on the best carrier combined across antennas
     # (preamble-matched gains); the array gain keeps the loop's timing jitter
     # well under a quarter subcarrier period at threshold SNR.

@@ -1,5 +1,6 @@
 """Synchronization, clock tracking, combining, Viterbi and pipeline tests."""
 
+import dataclasses
 import itertools
 import math
 
@@ -57,8 +58,9 @@ def test_preamble_noiseless_exact(plan):
     rng = np.random.default_rng(0)
     pkt = _packet(rng, t0_s=0.8e-3)
     x = _shaped_packet(pkt, plan)
-    sync = dc.preamble_search(x, RATE, second_preamble_offset_s=LAYOUT.epc_start_s)
+    sync = dc.preamble_search(x, RATE)
     assert abs(sync.t0_hat_s - pkt.t0_s) * RATE < 0.1
+    assert abs(sync.epc_t0_hat_s - (pkt.t0_s + LAYOUT.epc_start_s)) * RATE < 0.1
     assert abs(sync.alpha0_hat_hz) < 0.0005 * BLF
     assert sync.correlation_peak > 0.7
 
@@ -68,7 +70,7 @@ def test_preamble_injected_offsets(plan):
     t0 = 100 / RATE
     pkt = _packet(rng, t0_s=t0, alpha0_hz=0.02 * BLF)
     x = _shaped_packet(pkt, plan, noise_snr_db=20.0, rng=rng)
-    sync = dc.preamble_search(x, RATE, second_preamble_offset_s=LAYOUT.epc_start_s)
+    sync = dc.preamble_search(x, RATE)
     assert abs(sync.t0_hat_s - t0) * RATE <= 1.0
     assert abs(sync.alpha0_hat_hz - pkt.alpha0_hz) <= 0.0025 * BLF
 
@@ -191,8 +193,7 @@ def test_full_chain_residual_timing_under_five_percent(plan):
     drift = wf.random_walk_drift(190, rng)
     pkt = _packet(rng, t0_s=0.8e-3, alpha0_hz=-0.05 * BLF, drift_alpha_hz=drift)
     x = _shaped_packet(pkt, plan, noise_snr_db=22.0, rng=rng, tail_s=1.2e-3)
-    sync = dc.preamble_search(x, RATE, alpha_span_frac=0.125,
-                              second_preamble_offset_s=LAYOUT.epc_start_s)
+    sync = dc.preamble_search(x, RATE)
     track = dc.track_packet_clock(x, RATE, sync, LAYOUT)
     e = np.arange(0, LAYOUT.total_s * 1.08, 4 / RATE)
     est_map = wf.clock_map(e, sync.alpha0_hat_hz, track.alpha_t_hz)
@@ -202,6 +203,24 @@ def test_full_chain_residual_timing_under_five_percent(plan):
     resid -= resid[0]
     # residual timing error below 5% of a subcarrier period throughout
     assert np.max(np.abs(resid[inside])) < 0.05 / BLF
+
+
+def test_track_packet_clock_nominal_epc_fallback(plan):
+    # without a measured EPC preamble time the second reply starts at the
+    # nominal spacing stretched by alpha0
+    rng = np.random.default_rng(9)
+    pkt = _packet(rng, t0_s=0.8e-3, alpha0_hz=0.04 * BLF)
+    x = _shaped_packet(pkt, plan, noise_snr_db=22.0, rng=rng, tail_s=1.2e-3)
+    sync = dataclasses.replace(dc.preamble_search(x, RATE), epc_t0_hat_s=None)
+    track = dc.track_packet_clock(x, RATE, sync, LAYOUT)
+    n_total = math.ceil(LAYOUT.total_s * wf.CLOCK_STRETCH / wf.SYMBOL_S) + 2
+    assert track.alpha_t_hz.shape == (n_total,)
+    e = np.arange(0, LAYOUT.total_s * 1.08, 4 / RATE)
+    est_map = wf.clock_map(e, sync.alpha0_hat_hz, track.alpha_t_hz)
+    true_map = wf.clock_warp(e + (sync.t0_hat_s - pkt.t0_s), pkt)
+    inside = true_map <= LAYOUT.total_s
+    resid = est_map - true_map
+    assert np.max(np.abs(resid[inside] - resid[0])) < 0.05 / BLF
 
 
 # --- combining ---------------------------------------------------------------
