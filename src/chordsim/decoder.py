@@ -84,7 +84,6 @@ class DecodedPacket:
     channel: ChannelMatrix
     sync: SyncEstimate
     track: ClockTrack
-    snr_db: np.ndarray
 
 
 def _preamble_template(subcarrier_hz: float, rate_hz: float) -> np.ndarray:
@@ -609,5 +608,4 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
 
     channel = _packet_estimate(comp_rows, rn16, epc, rate, plan, geom)
     return DecodedPacket(rn16_bits=tuple(rn16), epc_bits=tuple(epc), crc_ok=crc_ok,
-                         channel=channel, sync=sync, track=track,
-                         snr_db=channel.quality)
+                         channel=channel, sync=sync, track=track)

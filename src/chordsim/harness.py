@@ -195,6 +195,8 @@ class TagResult:
     error_m: float | None
     decoded: bool
     crc_ok: bool | None = None
+    # DecodeError.stage, or "model_error"; None when the tag was localized
+    failure_stage: str | None = None
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,7 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
             estimate = None
             decoded = False
             crc_ok = None
+            failure_stage = None
             try:
                 if cfg.mode == "channel":
                     h_full = synth_channel(spec.scene, cfg.geom, cfg.plan, ti)
@@ -278,15 +281,18 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
                     ch = packet.channel
                 estimate = localize(ch, cfg.grid, geom, plan, cfg.prior, policy)
                 busy_s += time.perf_counter() - t_start
-            except (DecodeError, ModelError):
-                pass
+            except DecodeError as exc:
+                failure_stage = exc.stage
+            except ModelError:
+                failure_stage = "model_error"
             error = None
             if estimate is not None:
                 error = float(np.hypot(estimate.position_m[0] - tag.position_m[0],
                                        estimate.position_m[1] - tag.position_m[1]))
             results.append(TagResult(scene_index=si, tag_index=ti,
                                      true_position_m=tag.position_m, estimate=estimate,
-                                     error_m=error, decoded=decoded, crc_ok=crc_ok))
+                                     error_m=error, decoded=decoded, crc_ok=crc_ok,
+                                     failure_stage=failure_stage))
     errors = [r.error_m for r in results if r.error_m is not None]
     n_failed = sum(1 for r in results if r.error_m is None)
     if not errors:
@@ -500,7 +506,6 @@ def channel_to_snapshots(ch: ChannelMatrix, epc_bits, timestamp_s: float) -> lis
     for k in range(ch.shape[0]):
         for l in range(ch.shape[1]):
             v = ch.h[k, l]
-            q = float(ch.quality[k, l]) if ch.quality is not None else 0.0
             recs.append(SnapshotRecord(
                 epc=epc, timestamp_s=timestamp_s, antenna_id=k,
                 carrier_hz=ch.carriers_hz[l], phase_rad=float(np.angle(v)),

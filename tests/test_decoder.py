@@ -510,7 +510,7 @@ def test_pipeline_end_to_end_clean(plan, geom):
     assert packet.crc_ok
     assert packet.epc_bits == tag.epc_bits
     assert packet.rn16_bits == pkt.rn16_bits
-    assert packet.snr_db.shape == (8, 16)
+    assert packet.channel.quality.shape == (8, 16)
 
 
 def test_pipeline_no_tag_raises_no_packet(plan, geom):

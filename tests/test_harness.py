@@ -121,6 +121,19 @@ def test_run_batch_deterministic(plan, geom, grid):
     assert a.p99_m == b.p99_m
 
 
+def test_run_batch_records_the_failure_stage(plan, geom, grid):
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(25)))
+    scenes = [SceneSpec(scene=Scene(tags=(tag,)), snr_db=snr) for snr in (20.0, -20.0)]
+    rep = run_batch(scenes, BatchConfig(plan=plan, geom=geom, grid=grid, mode="waveform",
+                                        seed=7))
+    good, bad = rep.results
+    assert good.decoded and good.failure_stage is None
+    assert not bad.decoded and bad.error_m is None
+    assert bad.failure_stage in {"preamble_search", "compensate_clock", "msnr_combine",
+                                 "viterbi"}
+    assert rep.n_failed == 1
+
+
 def test_ablation_unknown_axis(plan, geom, grid):
     corpus = harness.desk_multipath_corpus(n_scenes=2, seed=1)
     cfg = BatchConfig(plan=plan, geom=geom, grid=grid)
