@@ -31,6 +31,11 @@ ALPHA_STEP_FRAC = 0.0025
 DETECTION_THRESHOLD = 0.3
 METRIC_THRESHOLD = 0.1
 TRACK_LIMIT_FRAC = 0.03
+# A reply starts after silence (the Gen2 turnaround): a sync candidate is kept
+# only when the window before it holds under half the energy of the window
+# after it, which rejects preamble look-alikes inside a reply.
+ONSET_WINDOW_S = 64e-6
+ONSET_ENERGY_RATIO = 0.5
 # Nominal RN16-to-EPC preamble spacing (RN16 frame + gap; the EPC length does
 # not enter it).
 EPC_SPACING_S = packet_layout(0).epc_start_s
@@ -106,14 +111,15 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
 
     Both uplink replies open with the same preamble, so a lone correlation
     cannot tell them apart: each candidate start is scored by its own peak
-    plus the best peak near the EPC preamble one nominal spacing later.  The
-    t0 axis is searched on the sample grid and refined by parabolic
-    interpolation; the alpha0 axis spans the protocol envelope plus drift on a
-    grid of ALPHA_STEP_FRAC * BLF and is refined by bounded scalar
-    minimization.  alpha0 is then re-estimated from the measured
-    preamble-to-preamble time baseline, which is far more sensitive than the
-    preamble-length correlation itself, and the measured EPC preamble time is
-    returned as ``epc_t0_hat_s``.
+    plus the best peak near the EPC preamble one nominal spacing later.  Only
+    candidates that follow silence score, since the EPC reply itself can hold
+    the preamble pattern.  The t0 axis is searched on the sample grid and
+    refined by parabolic interpolation; the alpha0 axis spans the protocol
+    envelope plus drift on a grid of ALPHA_STEP_FRAC * BLF and is refined by
+    bounded scalar minimization.  alpha0 is then re-estimated from the
+    measured preamble-to-preamble time baseline, which is far more sensitive
+    than the preamble-length correlation itself, and the measured EPC
+    preamble time is returned as ``epc_t0_hat_s``.
     """
     x = np.asarray(stream, dtype=complex)
     if rate_hz < 4 * BLF_HZ:
@@ -127,6 +133,11 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     # covers the coarse alpha0 of a preamble-length correlation, which sets
     # the expected lag.
     pair_win = int(0.04 * EPC_SPACING_S * rate_hz) + 8
+    idx = np.arange(n)
+    w_on = int(ONSET_WINDOW_S * rate_hz)
+    before = energy[idx] - energy[np.maximum(idx - w_on, 0)]
+    after = energy[np.minimum(idx + w_on, n)] - energy[idx]
+    onset = before < ONSET_ENERGY_RATIO * after
 
     alphas = np.arange(-ALPHA_SEARCH_FRAC, ALPHA_SEARCH_FRAC + 1e-12, ALPHA_STEP_FRAC) * BLF_HZ
     step = ALPHA_STEP_FRAC * BLF_HZ
@@ -160,7 +171,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
         shifted = np.zeros(n)
         if d < n:
             shifted[:n - d] = paired[d:]
-        p = int(np.argmax((rho + shifted)[:n - 1]))
+        p = int(np.argmax(np.where(onset, rho + shifted, 0.0)[:n - 1]))
         return float(rho[p]), p, corr
 
     best = max((peak_for(a) + (a,) for a in alphas), key=lambda r: r[0])

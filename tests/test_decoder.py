@@ -548,6 +548,19 @@ def test_pipeline_deterministic(plan, geom):
     assert np.array_equal(a.channel.h, b.channel.h)
 
 
+def test_pipeline_epc_with_preamble_look_alikes(plan, geom):
+    # this EPC holds the preamble pattern at bits 20 and 56, one look-alike
+    # pair about the RN16-to-EPC spacing apart; a reply starts after silence
+    tag = single_path_tag((0.4, 3.0, 1.11), random_epc(np.random.default_rng(0)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=10.0, leak_db=20.0,
+                     alpha0_frac=0.05, drift_frac=0.025)
+    for s in range(20):
+        banks, pkt, _ = simulate_capture(spec, plan, geom, seed=977 * s + 13, fast_path=True)
+        packet = dc.decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom)
+        assert packet.crc_ok and packet.epc_bits == tag.epc_bits
+        assert packet.rn16_bits == pkt.rn16_bits
+
+
 # --- degenerate inputs -------------------------------------------------------
 
 def test_pipeline_all_zero_banks_raise_no_packet(plan, geom):
