@@ -339,8 +339,8 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     n1 = tr1.alpha_t_hz.size
     alpha[:n1] = tr1.alpha_t_hz
     s_e2 = max(int(e2 / t_sym), n1)
-    # Solve the constant gap alpha so that the integrated clock maps the
-    # measured second-preamble time onto the nominal EPC frame start.
+    # Solve the constant gap alpha so that the integrated clock maps t2 onto
+    # the nominal EPC frame start.
     alpha2 = tr2.alpha_t_hz
     slot_start = s_e2 * t_sym
     # nominal time wanted at the start of the slot containing e2:

@@ -549,8 +549,9 @@ def test_pipeline_deterministic(plan, geom):
 
 
 def test_pipeline_epc_with_preamble_look_alikes(plan, geom):
-    # this EPC holds the preamble pattern at bits 20 and 56, one look-alike
-    # pair about the RN16-to-EPC spacing apart; a reply starts after silence
+    # this EPC's 128-bit reply holds the preamble pattern at bits 20 and 56,
+    # a look-alike pair about one RN16-to-EPC spacing apart; only the real
+    # RN16 preamble follows silence
     tag = single_path_tag((0.4, 3.0, 1.11), random_epc(np.random.default_rng(0)))
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=10.0, leak_db=20.0,
                      alpha0_frac=0.05, drift_frac=0.025)
