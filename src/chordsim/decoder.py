@@ -31,14 +31,17 @@ ALPHA_STEP_FRAC = 0.0025
 DETECTION_THRESHOLD = 0.3
 METRIC_THRESHOLD = 0.1
 TRACK_LIMIT_FRAC = 0.03
-# A reply starts after silence (the Gen2 turnaround): a sync candidate is kept
-# only when the window before it holds under half the energy of the window
-# after it, which rejects preamble look-alikes inside a reply.
-ONSET_WINDOW_S = 64e-6
-ONSET_ENERGY_RATIO = 0.5
+# A reply's data can hold the preamble pattern, so a look-alike pair can score
+# as high as the real one; the RN16 preamble is the earliest candidate whose
+# own peak and paired peak both reach this fraction of the best pair's.
+EARLIEST_PAIR_FRAC = 0.8
 # Nominal RN16-to-EPC preamble spacing (RN16 frame + gap; the EPC length does
 # not enter it).
 EPC_SPACING_S = packet_layout(0).epc_start_s
+# Half-width of the window the EPC preamble is looked for in: drift can move
+# it by up to 2.5% of the spacing; the rest covers the coarse alpha0 of a
+# preamble-length correlation, which sets the expected lag.
+PAIR_WINDOW_S = 0.04 * EPC_SPACING_S
 # Costas loop noise bandwidth (fraction of BLF) and damping factor.
 LOOP_BW_FRAC = 0.04
 LOOP_DAMPING = 0.707
@@ -66,7 +69,7 @@ class SyncEstimate:
     t0_hat_s: float
     alpha0_hat_hz: float
     correlation_peak: float
-    epc_t0_hat_s: float | None = None
+    epc_t0_hat_s: float
 
     def __post_init__(self):
         if not 0.0 <= self.correlation_peak <= 1.0 + 1e-9:
@@ -111,15 +114,18 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
 
     Both uplink replies open with the same preamble, so a lone correlation
     cannot tell them apart: each candidate start is scored by its own peak
-    plus the best peak near the EPC preamble one nominal spacing later.  Only
-    candidates that follow silence score, since the EPC reply itself can hold
-    the preamble pattern.  The t0 axis is searched on the sample grid and
-    refined by parabolic interpolation; the alpha0 axis spans the protocol
-    envelope plus drift on a grid of ALPHA_STEP_FRAC * BLF and is refined by
-    bounded scalar minimization.  alpha0 is then re-estimated from the
-    measured preamble-to-preamble time baseline, which is far more sensitive
-    than the preamble-length correlation itself, and the measured EPC
-    preamble time is returned as ``epc_t0_hat_s``.
+    plus the best peak near the EPC preamble one nominal spacing later.  The
+    EPC reply can hold the preamble pattern, so a look-alike pair inside it
+    can outscore the real pair; the start is the earliest candidate whose own
+    and paired peaks both reach EARLIEST_PAIR_FRAC of the best pair's, each
+    start scored at its best grid clock.  The t0 axis is searched on the
+    sample grid and refined by parabolic interpolation; the alpha0 axis spans
+    the protocol envelope plus drift on a grid of ALPHA_STEP_FRAC * BLF and is
+    refined, within one preamble length of that start, by bounded scalar
+    minimization.  alpha0 is then re-estimated from the measured
+    preamble-to-preamble time baseline, which is far more sensitive than the
+    preamble-length correlation itself, and the measured EPC preamble time is
+    returned as ``epc_t0_hat_s``.
     """
     x = np.asarray(stream, dtype=complex)
     if rate_hz < 4 * BLF_HZ:
@@ -129,16 +135,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     nfft = int(2 ** np.ceil(np.log2(n + max_tmpl + 1)))
     xf = np.fft.fft(x, nfft)
     energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
-    # Drift can move the EPC preamble by up to 2.5% of the spacing; the rest
-    # covers the coarse alpha0 of a preamble-length correlation, which sets
-    # the expected lag.
-    pair_win = int(0.04 * EPC_SPACING_S * rate_hz) + 8
-    idx = np.arange(n)
-    w_on = int(ONSET_WINDOW_S * rate_hz)
-    before = energy[idx] - energy[np.maximum(idx - w_on, 0)]
-    after = energy[np.minimum(idx + w_on, n)] - energy[idx]
-    onset = before < ONSET_ENERGY_RATIO * after
-
+    pair_win = int(PAIR_WINDOW_S * rate_hz) + 8
     alphas = np.arange(-ALPHA_SEARCH_FRAC, ALPHA_SEARCH_FRAC + 1e-12, ALPHA_STEP_FRAC) * BLF_HZ
     step = ALPHA_STEP_FRAC * BLF_HZ
     # the refinement reaches one step past the grid's slowest clock
@@ -164,25 +161,42 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     def epc_lag(alpha_hz: float) -> int:
         return int(round(EPC_SPACING_S * BLF_HZ / (BLF_HZ - alpha_hz) * rate_hz))
 
-    def peak_for(alpha_hz: float):
+    def paired(alpha_hz: float):
         rho, corr = correlate(alpha_hz)
         d = epc_lag(alpha_hz)
-        paired = ndimage.maximum_filter1d(rho, size=2 * pair_win + 1, mode="nearest")
+        near = ndimage.maximum_filter1d(rho, size=2 * pair_win + 1, mode="nearest")
         shifted = np.zeros(n)
         if d < n:
-            shifted[:n - d] = paired[d:]
-        p = int(np.argmax(np.where(onset, rho + shifted, 0.0)[:n - 1]))
+            shifted[:n - d] = near[d:]
+        return rho[:n - 1], rho[:n - 1] + shifted[:n - 1], corr
+
+    # Each start keeps its best grid clock; the earliest strong pair bounds
+    # the lobe the clock is then fitted in.
+    rho_g, score_g = (np.stack(v) for v in zip(*(paired(a)[:2] for a in alphas)))
+    k_t = np.argmax(score_g, axis=0)[None]
+    rho_t = np.take_along_axis(rho_g, k_t, 0)[0]
+    pair_t = np.take_along_axis(score_g, k_t, 0)[0] - rho_t
+    b = int(np.argmax(rho_t + pair_t))
+    p0 = int(np.argmax((rho_t >= EARLIEST_PAIR_FRAC * rho_t[b]) &
+                       (pair_t >= EARLIEST_PAIR_FRAC * pair_t[b])))
+    lobe = slice(p0, p0 + longest)
+
+    def peak_for(alpha_hz: float):
+        rho, score, corr = paired(alpha_hz)
+        p = p0 + int(np.argmax(score[lobe]))
         return float(rho[p]), p, corr
 
-    best = max((peak_for(a) + (a,) for a in alphas), key=lambda r: r[0])
-    _, _, _, alpha_best = best
+    p_k = p0 + np.argmax(score_g[:, lobe], axis=1)
+    peaks = np.take_along_axis(rho_g, p_k[:, None], 1)[:, 0]
+    k = int(np.argmax(peaks))
+    alpha_best = float(alphas[k])
 
     res = sopt.minimize_scalar(
         lambda a: -peak_for(a)[0],
         bounds=(alpha_best - step, alpha_best + step), method="bounded",
         options={"xatol": step / 50},
     )
-    if -res.fun > best[0]:
+    if -res.fun > peaks[k]:
         alpha_best = float(res.x)
     rho_best, p_best, corr = peak_for(alpha_best)
 
@@ -190,15 +204,14 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
         raise NoPacketError()
 
     t0 = (p_best + _parabolic_refine(corr, p_best)) / rate_hz
-    alpha_hat = float(alpha_best)
-    t2 = None
     d = epc_lag(alpha_best)
     w_lo = max(p_best + d - pair_win, 0)
     w_hi = min(p_best + d + pair_win + 1, n)
-    if w_hi > w_lo:
-        p2 = w_lo + int(np.argmax(corr[w_lo:w_hi]))
-        t2 = (p2 + _parabolic_refine(corr, p2)) / rate_hz
-        alpha_hat = BLF_HZ * (1.0 - EPC_SPACING_S / (t2 - t0))
+    if w_hi <= w_lo:
+        raise DecodeError("preamble_search", "EPC preamble outside the stream")
+    p2 = w_lo + int(np.argmax(corr[w_lo:w_hi]))
+    t2 = (p2 + _parabolic_refine(corr, p2)) / rate_hz
+    alpha_hat = BLF_HZ * (1.0 - EPC_SPACING_S / (t2 - t0))
     # the initial offset itself is bounded by the +/-10% protocol envelope
     limit = ALPHA0_LIMIT_FRAC * BLF_HZ
     alpha_hat = float(np.clip(alpha_hat, -limit, limit))
@@ -314,11 +327,12 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
                        layout) -> ClockTrack:
     """Clock track over a whole two-reply packet.
 
-    One Costas pass per reply, each seeded from its own pilot and both at the
-    sync's alpha0.  The second pass starts at the EPC preamble time the
-    preamble search measured (``sync.epc_t0_hat_s``), or, when it has none, at
-    the nominal spacing stretched by alpha0.  The inter-reply gap is pinned so
-    the integrated clock lands exactly on that start.  Tracking each reply
+    One Costas pass per reply, each seeded from its own pilot.  The second
+    pass starts at the EPC preamble, re-measured on this stream within the
+    pairing window around the time the preamble search found
+    (``sync.epc_t0_hat_s``) and over the track limit around alpha0, and runs
+    at the clock measured there.  The inter-reply gap is pinned so the
+    integrated clock lands exactly on that start.  Tracking each reply
     separately keeps the loop's phase-slip exposure to a single reply span and
     lets the second reply re-anchor after the signal-free gap.
     """
@@ -328,10 +342,29 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     n2_span = int(math.ceil(layout.epc_frame_symbols * CLOCK_STRETCH)) + 2
     tr1 = pll_track(stream, rate_hz, sync, n_symbols=n1_span)
 
-    t2 = sync.epc_t0_hat_s
-    if t2 is None:
-        t2 = sync.t0_hat_s + layout.epc_start_s * BLF_HZ / (BLF_HZ - sync.alpha0_hat_hz)
-    tr2 = pll_track(stream, rate_hz, replace(sync, t0_hat_s=t2), n_symbols=n2_span)
+    # Re-measure the EPC preamble on this stream (antenna-combined in the
+    # pipeline): its time within the pairing window around the search's, its
+    # clock within the track limit of alpha0, since drift moves it.
+    w = int(PAIR_WINDOW_S * rate_hz) + 8
+    lo = max(int(round(sync.epc_t0_hat_s * rate_hz)) - w, 0)
+    seg = np.asarray(stream, dtype=complex)[lo:]
+
+    def epc_corr(alpha_hz: float) -> np.ndarray:
+        tmpl = _preamble_template(BLF_HZ - alpha_hz, rate_hz)
+        if seg.size < tmpl.size:
+            raise DecodeError("compensate_clock", "EPC preamble outside the stream")
+        return np.abs(np.correlate(seg[:2 * w + tmpl.size], tmpl, "valid")) / np.linalg.norm(tmpl)
+
+    alphas = sync.alpha0_hat_hz + \
+        np.arange(-TRACK_LIMIT_FRAC, TRACK_LIMIT_FRAC + 1e-12, ALPHA_STEP_FRAC) * BLF_HZ
+    peaks = np.array([epc_corr(a).max() for a in alphas])
+    k = int(np.argmax(peaks))
+    alpha_epc = float(alphas[k]) + _parabolic_refine(peaks, k) * ALPHA_STEP_FRAC * BLF_HZ
+    corr = epc_corr(alpha_epc)
+    p2 = int(np.argmax(corr))
+    t2 = (lo + p2 + _parabolic_refine(corr, p2)) / rate_hz
+    tr2 = pll_track(stream, rate_hz, replace(sync, t0_hat_s=t2, alpha0_hat_hz=alpha_epc),
+                    n_symbols=n2_span)
 
     e2 = t2 - sync.t0_hat_s
     n_total = int(math.ceil(layout.total_s * CLOCK_STRETCH / t_sym)) + 2
@@ -341,7 +374,7 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     s_e2 = max(int(e2 / t_sym), n1)
     # Solve the constant gap alpha so that the integrated clock maps t2 onto
     # the nominal EPC frame start.
-    alpha2 = tr2.alpha_t_hz
+    alpha2 = alpha_epc - sync.alpha0_hat_hz + tr2.alpha_t_hz
     slot_start = s_e2 * t_sym
     # nominal time wanted at the start of the slot containing e2:
     n_at_slot = layout.epc_start_s - (e2 - slot_start) * \

@@ -1,6 +1,5 @@
 """Synchronization, clock tracking, combining, Viterbi and pipeline tests."""
 
-import dataclasses
 import itertools
 import math
 
@@ -52,6 +51,12 @@ def _packet(rng, **kw):
                         epc_bits=tuple(rng.integers(0, 2, 96)), **kw)
 
 
+def _true_sync(pkt, alpha0_hat_hz):
+    # sync at the packet's true start; the EPC preamble time is nominal
+    return dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=alpha0_hat_hz, correlation_peak=1.0,
+                           epc_t0_hat_s=pkt.t0_s + LAYOUT.epc_start_s)
+
+
 # --- preamble search ---------------------------------------------------------
 
 def test_preamble_noiseless_exact(plan):
@@ -100,7 +105,7 @@ def test_pll_static_clock(plan):
     rng = np.random.default_rng(3)
     pkt = _packet(rng, t0_s=0.5e-3)
     x = _shaped_packet(pkt, plan, noise_snr_db=25.0, rng=rng)
-    sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=0.0, correlation_peak=1.0)
+    sync = _true_sync(pkt, 0.0)
     track = dc.pll_track(x, RATE, sync, n_symbols=LAYOUT.rn16_frame_symbols)
     assert track.lock_flag
     assert np.max(np.abs(track.alpha_t_hz[2:])) < 0.0005 * BLF * 2.5
@@ -119,7 +124,7 @@ def test_pll_linear_drift_tracked(plan):
     pad = np.concatenate([warped.samples, np.zeros(int(0.5e-3 * plan.capture_rate_hz))])
     x = chz.processed_tag_baseband(
         wf.BasebandWave(samples=pad, rate_hz=plan.capture_rate_hz), plan).samples
-    sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=0.0, correlation_peak=1.0)
+    sync = _true_sync(pkt, 0.0)
     track = dc.pll_track(x, RATE, sync, n_symbols=n_sym)
     # injected-trajectory oracle: the tracked curve follows within 0.3% of BLF
     err = np.abs(track.alpha_t_hz[5:n_sym - 5] - np.asarray(drift)[5:n_sym - 5])
@@ -133,7 +138,7 @@ def test_pll_slew_beyond_bandwidth_drops_lock(plan):
     drift = tuple(0.02 * BLF * (1 - 2 * ((np.arange(n_sym) // 2) % 2)))
     pkt = _packet(rng, t0_s=0.5e-3, drift_alpha_hz=drift)
     x = _shaped_packet(pkt, plan, tail_s=1.5e-3)
-    sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=0.0, correlation_peak=1.0)
+    sync = _true_sync(pkt, 0.0)
     track = dc.pll_track(x, RATE, sync, n_symbols=n_sym)
     assert not track.lock_flag
 
@@ -144,7 +149,7 @@ def test_compensate_identity(plan):
     rng = np.random.default_rng(6)
     pkt = _packet(rng, t0_s=0.5e-3)
     x = _shaped_packet(pkt, plan)
-    sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=0.0, correlation_peak=1.0)
+    sync = _true_sync(pkt, 0.0)
     track = dc.ClockTrack(alpha_t_hz=np.zeros(170), lock_flag=True)
     comp = dc.compensate_clock(x, RATE, sync, track, duration_s=LAYOUT.total_s)
     i0 = int(round(pkt.t0_s * RATE))
@@ -157,8 +162,7 @@ def test_compensate_constant_offset_correlation(plan):
     rng = np.random.default_rng(7)
     pkt = _packet(rng, t0_s=0.5e-3, alpha0_hz=0.025 * BLF)
     x = _shaped_packet(pkt, plan)
-    sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=pkt.alpha0_hz,
-                           correlation_peak=1.0)
+    sync = _true_sync(pkt, pkt.alpha0_hz)
     track = dc.ClockTrack(alpha_t_hz=np.zeros(190), lock_flag=True)
     comp = dc.compensate_clock(x, RATE, sync, track, duration_s=LAYOUT.total_s)
     tmpl = chz.apply_shaping(wf.packet_template(pkt, RATE), RATE).samples.real
@@ -173,7 +177,7 @@ def test_compensate_residual_matches_trajectory_difference(plan):
     rng = np.random.default_rng(8)
     drift = wf.random_walk_drift(170, rng)
     pkt = _packet(rng, t0_s=0.5e-3, drift_alpha_hz=drift)
-    sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=0.0, correlation_peak=1.0)
+    sync = _true_sync(pkt, 0.0)
     tracked = np.asarray(drift) + rng.normal(0, 50.0, len(drift))
     track = dc.ClockTrack(alpha_t_hz=tracked, lock_flag=True)
     probe = np.linspace(0, 150 * wf.SYMBOL_S, 23)
@@ -203,24 +207,6 @@ def test_full_chain_residual_timing_under_five_percent(plan):
     resid -= resid[0]
     # residual timing error below 5% of a subcarrier period throughout
     assert np.max(np.abs(resid[inside])) < 0.05 / BLF
-
-
-def test_track_packet_clock_nominal_epc_fallback(plan):
-    # without a measured EPC preamble time the second reply starts at the
-    # nominal spacing stretched by alpha0
-    rng = np.random.default_rng(9)
-    pkt = _packet(rng, t0_s=0.8e-3, alpha0_hz=0.04 * BLF)
-    x = _shaped_packet(pkt, plan, noise_snr_db=22.0, rng=rng, tail_s=1.2e-3)
-    sync = dataclasses.replace(dc.preamble_search(x, RATE), epc_t0_hat_s=None)
-    track = dc.track_packet_clock(x, RATE, sync, LAYOUT)
-    n_total = math.ceil(LAYOUT.total_s * wf.CLOCK_STRETCH / wf.SYMBOL_S) + 2
-    assert track.alpha_t_hz.shape == (n_total,)
-    e = np.arange(0, LAYOUT.total_s * 1.08, 4 / RATE)
-    est_map = wf.clock_map(e, sync.alpha0_hat_hz, track.alpha_t_hz)
-    true_map = wf.clock_warp(e + (sync.t0_hat_s - pkt.t0_s), pkt)
-    inside = true_map <= LAYOUT.total_s
-    resid = est_map - true_map
-    assert np.max(np.abs(resid[inside] - resid[0])) < 0.05 / BLF
 
 
 # --- combining ---------------------------------------------------------------
@@ -435,7 +421,7 @@ def test_full_packet_estimate_noiseless_phase(plan, geom):
     spec = SceneSpec(scene=scene, snr_db=60.0, leak_db=None, t0_s=0.8e-3)
     banks, pkt, h = simulate_capture(spec, plan, geom, seed=21, fast_path=True)
     banks = [chz.notch_dc(b) for b in banks]
-    sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=0.0, correlation_peak=1.0)
+    sync = _true_sync(pkt, 0.0)
     track = dc.ClockTrack(alpha_t_hz=np.zeros(200), lock_flag=True)
     est = dc.full_packet_channel_estimate(banks, pkt.rn16_bits, pkt.epc_bits,
                                           sync, track, plan, geom)
@@ -550,8 +536,8 @@ def test_pipeline_deterministic(plan, geom):
 
 def test_pipeline_epc_with_preamble_look_alikes(plan, geom):
     # this EPC's 128-bit reply holds the preamble pattern at bits 20 and 56,
-    # a look-alike pair about one RN16-to-EPC spacing apart; only the real
-    # RN16 preamble follows silence
+    # a look-alike pair about one RN16-to-EPC spacing apart; the real RN16
+    # preamble is the earliest of the strong pairs
     tag = single_path_tag((0.4, 3.0, 1.11), random_epc(np.random.default_rng(0)))
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=10.0, leak_db=20.0,
                      alpha0_frac=0.05, drift_frac=0.025)

@@ -67,6 +67,19 @@ def test_low_snr_decode_mostly_fails(plan, geom):
     assert failures / 6 > 0.5
 
 
+def test_decode_holds_above_the_waterfall(plan, geom):
+    # 4 dB above the fast path's waterfall (half the packets decode near
+    # -14 dB); sync must keep the preamble correlation's processing gain here
+    rng = np.random.default_rng(1)
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(rng))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=-10.0)
+    for seed in range(1000, 1006):
+        banks, pkt, _ = simulate_capture(spec, plan, geom, seed=seed, fast_path=True)
+        packet = decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom)
+        assert packet.crc_ok and packet.epc_bits == tag.epc_bits
+        assert packet.rn16_bits == pkt.rn16_bits
+
+
 def test_fast_path_matches_full_path_channel(plan, geom):
     rng = np.random.default_rng(2)
     tag = multipath_tag((0.4, 3.0, 1.11), random_epc(rng), (1.2, 4.0, 1.11), 0.5)
