@@ -209,6 +209,23 @@ def test_full_chain_residual_timing_under_five_percent(plan):
     assert np.max(np.abs(resid[inside])) < 0.05 / BLF
 
 
+def test_epc_preamble_past_the_stream_end_raises(plan):
+    rng = np.random.default_rng(9)
+    pkt = _packet(rng, t0_s=0.8e-3)
+    x = _shaped_packet(pkt, plan, noise_snr_db=22.0, rng=rng, tail_s=1.2e-3)
+    i0 = int(round(pkt.t0_s * RATE))
+    i2 = int(round((pkt.t0_s + LAYOUT.epc_start_s) * RATE))
+    # the stream ends inside the RN16 reply: no EPC window to pair with
+    with pytest.raises(dc.DecodeError, match="EPC preamble outside the stream"):
+        dc.preamble_search(x[i0 - 100:i0 + 800], RATE)
+    # the stream ends inside the EPC preamble: the search pairs it, but its
+    # re-measure has no room for the template
+    cut = x[:i2 + 250]
+    sync = dc.preamble_search(cut, RATE)
+    with pytest.raises(dc.DecodeError, match="compensate_clock: EPC preamble outside"):
+        dc.track_packet_clock(cut, RATE, sync, LAYOUT)
+
+
 # --- combining ---------------------------------------------------------------
 
 def test_msnr_single_antenna_identity():
