@@ -73,7 +73,7 @@ def test_decode_holds_above_the_waterfall(plan, geom):
     rng = np.random.default_rng(1)
     tag = single_path_tag((0.3, 2.5, 1.11), random_epc(rng))
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=-10.0)
-    for seed in range(1000, 1006):
+    for seed in range(1000, 1004):
         banks, pkt, _ = simulate_capture(spec, plan, geom, seed=seed, fast_path=True)
         packet = decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom)
         assert packet.crc_ok and packet.epc_bits == tag.epc_bits
