@@ -7,12 +7,22 @@ and the anti-alias filter at the capture rate, the shaping filter at the
 channel rate.  All channels share the chain, so their group delay is
 identical; streams are delay-compensated onto the capture time axis and the
 transient span is reported for downstream correlators to skip.
+
+The channel bank takes one FFT per capture (an overlap-save style multiband
+bank, after Borgerding, IEEE SP Magazine 2006).  Tone offsets must lie on
+the rate / lcm(D, TONE_GRID_BINS) grid, D the decimation, so on a zero-padded
+FFT whose length is a multiple of that grid, mixing a tone to DC is a
+rotation of the capture spectrum, the anti-alias filter is a product with
+its zero-phase response, and decimation is the mean of the D spectral
+replicas.  The padding holds the filter's tail, so the circular convolution
+equals the linear one; the decimated streams are then shaped as before.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,7 +30,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .model import CarrierPlan, ModelError, TAG_BANDWIDTH_HZ
-from .waveform import BLF_HZ, BasebandWave, load_wave, save_wave, tone_table
+from .waveform import BLF_HZ, BasebandWave, load_wave, save_wave
 
 STOPBAND_ATTEN_DB = 80.0
 # Channel shaping filter (at the decimated rate): passes the +/-BLF subcarrier
@@ -40,6 +50,10 @@ TAG_STOP_HZ = 380e3
 
 # Half-width of the DC notch: well inside the +/-BLF subcarrier offset.
 NOTCH_HZ = 10e3
+
+# Every tone offset of the desk and the physical plan is a multiple of
+# rate / TONE_GRID_BINS (3.75 kHz and 60 kHz).
+TONE_GRID_BINS = 4096
 
 
 @functools.lru_cache(maxsize=16)
@@ -74,10 +88,38 @@ def _filter_aligned(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return sps.fftconvolve(x, taps[(None,) * (x.ndim - 1)], mode="same", axes=-1)
 
 
-def _channel_filter(x: np.ndarray, plan: CarrierPlan) -> np.ndarray:
-    """Anti-alias, decimate and shape one capture-rate baseband."""
-    rate, out_rate = plan.capture_rate_hz, plan.channel_out_rate_hz
-    low = _filter_aligned(x, _antialias_taps(rate, out_rate))[::plan.decimation]
+@functools.lru_cache(maxsize=4)
+def _antialias_response(rate_hz: float, out_rate_hz: float, nfft: int) -> np.ndarray:
+    """DFT of the circularly centred anti-alias taps on nfft bins (cached,
+    read-only); real because the taps are symmetric."""
+    taps = _antialias_taps(rate_hz, out_rate_hz)
+    resp = np.fft.fft(np.roll(np.pad(taps, (0, nfft - taps.size)), -(taps.size // 2))).real
+    resp.flags.writeable = False
+    return resp
+
+
+def _fft_bank(x: np.ndarray, plan: CarrierPlan, offsets_hz) -> np.ndarray:
+    """Mix x down by each offset, anti-alias filter, decimate and shape.
+
+    Row l equals the linear, delay-compensated chain run on
+    x * exp(-j 2 pi offsets_hz[l] k / rate), transients included: the FFT
+    leaves room for the anti-alias tail, so its circular convolution is the
+    linear one.
+    """
+    rate, out_rate, d = plan.capture_rate_hz, plan.channel_out_rate_hz, plan.decimation
+    # the FFT length is a multiple of grid, so a tone on the grid is on a bin
+    grid = math.lcm(d, TONE_GRID_BINS)
+    grid_bins = np.asarray(offsets_hz, dtype=float) * grid / rate
+    if np.any(np.abs(grid_bins - np.round(grid_bins)) > 1e-6):
+        raise ModelError(f"channelize: tone offsets must be multiples of rate / {grid}")
+    nfft = grid * -(-(x.size + _antialias_taps(rate, out_rate).size) // grid)
+    aa_resp = _antialias_response(rate, out_rate, nfft)
+    # wrapped[b:b + nfft] is the spectrum of x * exp(-j 2 pi b k / nfft)
+    wrapped = np.tile(np.fft.fft(x, nfft), 2)
+    folded = np.empty((grid_bins.size, nfft // d), dtype=complex)
+    for row, b in zip(folded, np.round(grid_bins).astype(int) * (nfft // grid) % nfft):
+        np.sum((wrapped[b:b + nfft] * aa_resp).reshape(d, -1), axis=0, out=row)
+    low = np.fft.ifft(folded / d, axis=1)[:, :-(-x.size // d)]
     return _filter_aligned(low, _shaping_taps(out_rate))
 
 
@@ -152,8 +194,9 @@ def compression_report(plan: CarrierPlan, tag_bandwidth_hz: float = TAG_BANDWIDT
 def channelize(capture: WidebandCapture, plan: CarrierPlan) -> ChannelBank:
     """Mix each tone offset to DC, low-pass, decimate to the channel rate.
 
-    The per-tone phase of the plan is removed during mixing, so a tag response
-    h*tone*B comes out as h*B directly.
+    One FFT of the capture serves every carrier (see the module docstring).
+    The per-tone phase of the plan and the tone phase at ``start_s`` are
+    removed, so a tag response h*tone*B comes out as h*B directly.
     """
     if abs(capture.rate_hz - plan.capture_rate_hz) > 1e-6:
         raise ModelError("capture rate does not match the plan")
@@ -162,8 +205,8 @@ def channelize(capture: WidebandCapture, plan: CarrierPlan) -> ChannelBank:
     if np.any(np.abs(offsets) + ANTIALIAS_PASS_HZ > 0.49 * rate):
         raise ModelError("carrier too close to the capture Nyquist edge")
 
-    tones = tone_table(plan, capture.samples.size, capture.start_s)
-    streams = [_channel_filter(capture.samples * np.conj(row), plan) for row in tones]
+    start_phase = 2 * np.pi * offsets * capture.start_s + np.asarray(plan.tone_phases_rad)
+    streams = _fft_bank(capture.samples, plan, offsets) * np.exp(-1j * start_phase)[:, None]
     return ChannelBank(
         streams=streams, rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz,
         antenna_id=capture.antenna_id, start_s=capture.start_s,
@@ -200,8 +243,8 @@ def processed_tag_baseband(tag_capture_rate: BasebandWave, plan: CarrierPlan) ->
     if abs(tag_capture_rate.rate_hz - rate) > 1e-6:
         raise ModelError("tag waveform must be at the capture rate")
     x = _filter_aligned(tag_capture_rate.samples, _tag_taps(rate))
-    return BasebandWave(samples=_channel_filter(x, plan), rate_hz=plan.channel_out_rate_hz,
-                        start_s=tag_capture_rate.start_s)
+    return BasebandWave(samples=_fft_bank(x, plan, (0.0,))[0],
+                        rate_hz=plan.channel_out_rate_hz, start_s=tag_capture_rate.start_s)
 
 
 def shaped_noise(rng: np.random.Generator, shape: tuple[int, int], noise_var: float,

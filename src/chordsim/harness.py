@@ -195,7 +195,7 @@ class TagResult:
     error_m: float | None
     decoded: bool
     crc_ok: bool | None = None
-    # DecodeError.stage, or "model_error"; None when the tag was localized
+    # DecodeError.stage, "crc" or "model_error"; None when the tag was localized
     failure_stage: str | None = None
 
 
@@ -279,7 +279,10 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
                     decoded = True
                     crc_ok = packet.crc_ok
                     ch = packet.channel
-                estimate = localize(ch, cfg.grid, geom, plan, cfg.prior, policy)
+                if crc_ok is False:
+                    failure_stage = "crc"
+                else:
+                    estimate = localize(ch, cfg.grid, geom, plan, cfg.prior, policy)
                 busy_s += time.perf_counter() - t_start
             except DecodeError as exc:
                 failure_stage = exc.stage

@@ -75,10 +75,10 @@ def tone_table(plan: CarrierPlan, n: int, start_s: float) -> np.ndarray:
     """Tone phasors of the plan's multisine, one row per carrier (read-only):
     row l is exp(j(2 pi f_l t + phi_l)) at t = start_s + arange(n) / rate.
 
-    The excitation, the tag reply at each antenna, the leak and the
-    channelizer's mixers all use these rows; a simulated capture and its
-    channelization share the one cached table.  ``start_s`` has no default
-    because the cache keys on the call form.
+    The excitation, the tag reply at each antenna and the leak use these
+    rows, so one simulated capture builds one cached table.  The channelizer
+    does not: it mixes by rotating the capture spectrum.  ``start_s`` has no
+    default because the cache keys on the call form.
     """
     t = start_s + np.arange(n) / plan.capture_rate_hz
     offsets = np.asarray(plan.tone_offsets_hz, dtype=float)

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 import chordsim as cs
 from chordsim import channelizer as chz
 from chordsim import waveform as wf
-from chordsim.model import ModelError, Scene, default_array_geometry, default_carrier_plan
+from chordsim.model import (ModelError, Scene, default_array_geometry, default_carrier_plan,
+                            uniform_carrier_plan)
 from chordsim.harness import multipath_tag, random_epc
 
 
@@ -44,6 +46,33 @@ def test_single_tone_steering(plan):
     assert f_est == pytest.approx(50e3, rel=1e-3)
     others = powers[np.arange(16) != 3]
     assert 10 * np.log10(others.max() / powers[3]) < -60.0
+
+
+def _linear_chain(x, plan, start_s):
+    """Reference bank: mix by each tone-table row, anti-alias, decimate, shape."""
+    aa = chz._antialias_taps(plan.capture_rate_hz, plan.channel_out_rate_hz)
+    sh = chz._shaping_taps(plan.channel_out_rate_hz)
+    rows = []
+    for tone in wf.tone_table(plan, x.size, start_s):
+        low = fftconvolve(x * np.conj(tone), aa, mode="same")[::plan.decimation]
+        rows.append(fftconvolve(low, sh, mode="same"))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("desk_scale", [True, False])
+def test_channelize_matches_the_linear_chain(desk_scale):
+    # whole stream, transients included; the length is not a multiple of the
+    # decimation (6 desk, 96 physical)
+    rng = np.random.default_rng(8)
+    plan = default_carrier_plan(desk_scale=desk_scale, tone_phases_rad=rng.uniform(0, 6, 16))
+    n, start_s = 40001, 3.7e-4
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cap = chz.WidebandCapture(samples=x, rate_hz=plan.capture_rate_hz,
+                              center_hz=plan.capture_center_hz, start_s=start_s)
+    ref = _linear_chain(x, plan, start_s)
+    streams = chz.channelize(cap, plan).streams
+    assert streams.shape == ref.shape == (16, -(-n // plan.decimation))
+    assert np.max(np.abs(streams - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_compression_report_full_rates():
@@ -121,6 +150,15 @@ def test_nyquist_edge_rejected(plan):
     cap = _capture(np.zeros(4096, dtype=complex), bad)
     with pytest.raises(ModelError):
         chz.channelize(cap, bad)
+
+
+def test_off_grid_plan_rejected():
+    # 4 tones over 61 MHz: the inner offsets, +/-635 416.7 Hz at desk scale,
+    # are not multiples of rate / 12 288 (1250 Hz)
+    plan = uniform_carrier_plan(4, span_hz=61e6)
+    cap = _capture(np.zeros(4096, dtype=complex), plan)
+    with pytest.raises(ModelError, match="channelize"):
+        chz.channelize(cap, plan)
 
 
 # --- notch -------------------------------------------------------------------

@@ -147,6 +147,20 @@ def test_run_batch_records_the_failure_stage(plan, geom, grid):
     assert rep.n_failed == 1
 
 
+def test_run_batch_does_not_localize_a_failed_crc(plan, geom, grid):
+    # fast path near the decode waterfall: some packets decode with a bad CRC
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(1)))
+    scenes = [SceneSpec(scene=Scene(tags=(tag,)), snr_db=-16.0)] * 4
+    rep = run_batch(scenes, BatchConfig(plan=plan, geom=geom, grid=grid, mode="waveform",
+                                        seed=2))
+    bad_crc = [r for r in rep.results if r.crc_ok is False]
+    assert bad_crc
+    for r in bad_crc:
+        assert r.decoded and r.failure_stage == "crc"
+        assert r.estimate is None and r.error_m is None
+    assert rep.n_failed == sum(r.failure_stage is not None for r in rep.results)
+
+
 def test_ablation_unknown_axis(plan, geom, grid):
     corpus = harness.desk_multipath_corpus(n_scenes=2, seed=1)
     cfg = BatchConfig(plan=plan, geom=geom, grid=grid)

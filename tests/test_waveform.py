@@ -81,7 +81,7 @@ def test_tone_table_rows_are_the_per_tone_phasors(plan):
     assert table.shape == (tuned.n_carriers, n)
     for row, off, phi in zip(table, tuned.tone_offsets_hz, tuned.tone_phases_rad):
         assert np.array_equal(row, np.exp(1j * (2 * np.pi * off * t + phi)))
-        # the channelizer's mixer
+        # the mixer of the linear reference chain in test_channelizer.py
         assert np.array_equal(np.conj(row), np.exp(-1j * (2 * np.pi * off * t + phi)))
 
 
