@@ -11,13 +11,13 @@ function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
 from scipy import ndimage
-from scipy import optimize as sopt
 
 from .model import ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError
 from .channelizer import ChannelBank, apply_shaping
@@ -28,6 +28,12 @@ from .waveform import (ALPHA0_LIMIT_FRAC, BLF_HZ, CLOCK_STRETCH, DRIFT_LIMIT_FRA
 # The sync grid spans the initial offset envelope plus the drift on top of it.
 ALPHA_SEARCH_FRAC = ALPHA0_LIMIT_FRAC + DRIFT_LIMIT_FRAC
 ALPHA_STEP_FRAC = 0.0025
+# The sync grid, symmetric about an exact alpha0 = 0 (its middle row).
+_SYNC_HALF_STEPS = round(ALPHA_SEARCH_FRAC / ALPHA_STEP_FRAC)
+_SYNC_ALPHAS_HZ = np.arange(-_SYNC_HALF_STEPS, _SYNC_HALF_STEPS + 1) * ALPHA_STEP_FRAC * BLF_HZ
+_SYNC_ALPHAS_HZ.flags.writeable = False
+# Grid rows correlated per batched IFFT.
+SYNC_CHUNK_ROWS = 16
 DETECTION_THRESHOLD = 0.3
 METRIC_THRESHOLD = 0.1
 TRACK_LIMIT_FRAC = 0.03
@@ -98,6 +104,47 @@ def _preamble_template(subcarrier_hz: float, rate_hz: float) -> np.ndarray:
     return np.real(miller_encode(PREAMBLE_BITS, subcarrier_hz, rate_hz, preamble=False).samples)
 
 
+@functools.lru_cache(maxsize=4)
+def _sync_templates(rate_hz: float) -> tuple[np.ndarray, ...]:
+    """Preamble template at every clock of the sync grid (cached, read-only)."""
+    tmpls = tuple(_preamble_template(BLF_HZ - a, rate_hz) for a in _SYNC_ALPHAS_HZ)
+    for t in tmpls:
+        t.flags.writeable = False
+    return tmpls
+
+
+def _template_bank(tmpls, nfft: int):
+    """Conjugate nfft-point spectra of templates, with their lengths and norms."""
+    return (np.stack([np.conj(np.fft.fft(t, nfft)) for t in tmpls]),
+            np.array([t.size for t in tmpls]),
+            np.array([math.sqrt(float(np.sum(t ** 2))) for t in tmpls]))
+
+
+@functools.lru_cache(maxsize=2)
+def _sync_bank(rate_hz: float, nfft: int):
+    """The sync grid's template bank (cached, read-only)."""
+    bank = _template_bank(_sync_templates(rate_hz), nfft)
+    for a in bank:
+        a.flags.writeable = False
+    return bank
+
+
+def _correlate(xf: np.ndarray, energy: np.ndarray, n: int, spectra: np.ndarray,
+               lengths: np.ndarray, norms: np.ndarray):
+    """Raw and normalized |correlation| of a stream (spectrum xf, cumulative
+    energy) with template rows, at every start sample; one batched IFFT."""
+    corr = np.abs(np.fft.ifft(xf * spectra, axis=1)[:, :n])
+    i = np.arange(n)
+    lt = lengths[:, None]
+    window_energy = energy[np.minimum(i + lt, n)] - energy[i]
+    # windows holding only numerical residue would normalize to spurious
+    # perfect correlations
+    floor = 1e-9 * window_energy.max(axis=1, keepdims=True) + 1e-30
+    full = (i <= n - lt) & (window_energy > 100 * floor)
+    seg = np.sqrt(np.maximum(window_energy, floor))
+    return np.where(full, corr / (norms[:, None] * seg), 0.0), corr
+
+
 def _parabolic_refine(values: np.ndarray, p: int) -> float:
     if not 0 < p < values.size - 1:
         return 0.0
@@ -118,14 +165,17 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     EPC reply can hold the preamble pattern, so a look-alike pair inside it
     can outscore the real pair; the start is the earliest candidate whose own
     and paired peaks both reach EARLIEST_PAIR_FRAC of the best pair's, each
-    start scored at its best grid clock.  The t0 axis is searched on the
-    sample grid and refined by parabolic interpolation; the alpha0 axis spans
-    the protocol envelope plus drift on a grid of ALPHA_STEP_FRAC * BLF and is
-    refined, within one preamble length of that start, by bounded scalar
-    minimization.  alpha0 is then re-estimated from the measured
-    preamble-to-preamble time baseline, which is far more sensitive than the
-    preamble-length correlation itself, and the measured EPC preamble time is
-    returned as ``epc_t0_hat_s``.
+    start scored at its best grid clock.  The alpha0 grid spans the protocol
+    envelope plus drift in steps of ALPHA_STEP_FRAC * BLF; its templates'
+    spectra are built once per (rate, FFT length) and cached, and the grid is
+    correlated SYNC_CHUNK_ROWS rows per batched IFFT.  The t0 axis is searched
+    on the sample grid and refined by parabolic interpolation; alpha0 is
+    refined by parabolic interpolation across the grid of each clock's best
+    peak within one preamble length of that start, and one more correlation
+    at the refined clock gives the peak.  alpha0 is then re-estimated from the
+    measured preamble-to-preamble time baseline, which is far more sensitive
+    than the preamble-length correlation itself, and the measured EPC
+    preamble time is returned as ``epc_t0_hat_s``.
     """
     x = np.asarray(stream, dtype=complex)
     if rate_hz < 4 * BLF_HZ:
@@ -133,46 +183,38 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     n = x.size
     max_tmpl = int(2 * len(PREAMBLE_BITS) * MILLER_M / BLF_HZ * rate_hz)
     nfft = int(2 ** np.ceil(np.log2(n + max_tmpl + 1)))
-    xf = np.fft.fft(x, nfft)
-    energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
     pair_win = int(PAIR_WINDOW_S * rate_hz) + 8
-    alphas = np.arange(-ALPHA_SEARCH_FRAC, ALPHA_SEARCH_FRAC + 1e-12, ALPHA_STEP_FRAC) * BLF_HZ
+    alphas = _SYNC_ALPHAS_HZ
     step = ALPHA_STEP_FRAC * BLF_HZ
-    # the refinement reaches one step past the grid's slowest clock
+    # bounds the refined clock's template: at most half a step past the
+    # grid's slowest clock
     longest = _preamble_template(BLF_HZ - alphas.max() - step, rate_hz).size
     if n < longest:
         raise DecodeError("preamble_search", f"stream shorter than the {longest}-sample preamble")
+    xf = np.fft.fft(x, nfft)
+    energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
 
-    def correlate(alpha_hz: float):
-        tmpl = _preamble_template(BLF_HZ - alpha_hz, rate_hz)
-        lt = tmpl.size
-        corr = np.abs(np.fft.ifft(xf * np.conj(np.fft.fft(tmpl, nfft)))[:n])
-        t_norm = math.sqrt(float(np.sum(tmpl ** 2)))
-        window_energy = energy[lt:] - energy[:-lt]
-        # windows holding only numerical residue would normalize to spurious
-        # perfect correlations
-        floor = 1e-9 * float(window_energy.max()) + 1e-30
-        seg = np.sqrt(np.maximum(window_energy, floor))
-        rho = np.zeros(n)
-        m = seg.size
-        rho[:m] = np.where(window_energy > 100 * floor, corr[:m] / (t_norm * seg), 0.0)
-        return rho, corr
+    def epc_lag(alpha_hz):
+        return np.round(EPC_SPACING_S * BLF_HZ / (BLF_HZ - alpha_hz) * rate_hz).astype(int)
 
-    def epc_lag(alpha_hz: float) -> int:
-        return int(round(EPC_SPACING_S * BLF_HZ / (BLF_HZ - alpha_hz) * rate_hz))
-
-    def paired(alpha_hz: float):
-        rho, corr = correlate(alpha_hz)
-        d = epc_lag(alpha_hz)
-        near = ndimage.maximum_filter1d(rho, size=2 * pair_win + 1, mode="nearest")
-        shifted = np.zeros(n)
-        if d < n:
-            shifted[:n - d] = near[d:]
-        return rho[:n - 1], rho[:n - 1] + shifted[:n - 1], corr
+    def pair_score(rho: np.ndarray, lags) -> np.ndarray:
+        score = rho.copy()
+        near = ndimage.maximum_filter1d(rho, size=2 * pair_win + 1, axis=1, mode="nearest")
+        for row, near_row, d in zip(score, near, lags):
+            if d < n:
+                row[:n - d] += near_row[d:]
+        return score
 
     # Each start keeps its best grid clock; the earliest strong pair bounds
     # the lobe the clock is then fitted in.
-    rho_g, score_g = (np.stack(v) for v in zip(*(paired(a)[:2] for a in alphas)))
+    spectra, lengths, norms = _sync_bank(rate_hz, nfft)
+    lags = epc_lag(alphas)
+    rho_g = np.empty((alphas.size, n))
+    score_g = np.empty((alphas.size, n))
+    for c in range(0, alphas.size, SYNC_CHUNK_ROWS):
+        rows = slice(c, c + SYNC_CHUNK_ROWS)
+        rho_g[rows] = _correlate(xf, energy, n, spectra[rows], lengths[rows], norms[rows])[0]
+        score_g[rows] = pair_score(rho_g[rows], lags[rows])
     k_t = np.argmax(score_g, axis=0)[None]
     rho_t = np.take_along_axis(rho_g, k_t, 0)[0]
     pair_t = np.take_along_axis(score_g, k_t, 0)[0] - rho_t
@@ -181,30 +223,21 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
                        (pair_t >= EARLIEST_PAIR_FRAC * pair_t[b])))
     lobe = slice(p0, p0 + longest)
 
-    def peak_for(alpha_hz: float):
-        rho, score, corr = paired(alpha_hz)
-        p = p0 + int(np.argmax(score[lobe]))
-        return float(rho[p]), p, corr
-
     p_k = p0 + np.argmax(score_g[:, lobe], axis=1)
     peaks = np.take_along_axis(rho_g, p_k[:, None], 1)[:, 0]
     k = int(np.argmax(peaks))
-    alpha_best = float(alphas[k])
-
-    res = sopt.minimize_scalar(
-        lambda a: -peak_for(a)[0],
-        bounds=(alpha_best - step, alpha_best + step), method="bounded",
-        options={"xatol": step / 50},
-    )
-    if -res.fun > peaks[k]:
-        alpha_best = float(res.x)
-    rho_best, p_best, corr = peak_for(alpha_best)
+    alpha_best = float(alphas[k]) + _parabolic_refine(peaks, k) * step
+    rho, corr = _correlate(xf, energy, n, *_template_bank(
+        [_preamble_template(BLF_HZ - alpha_best, rate_hz)], nfft))
+    d = int(epc_lag(alpha_best))
+    p_best = p0 + int(np.argmax(pair_score(rho, [d])[0, lobe]))
+    rho_best = float(rho[0, p_best])
+    corr = corr[0]
 
     if rho_best < DETECTION_THRESHOLD:
         raise NoPacketError()
 
     t0 = (p_best + _parabolic_refine(corr, p_best)) / rate_hz
-    d = epc_lag(alpha_best)
     w_lo = max(p_best + d - pair_win, 0)
     w_hi = min(p_best + d + pair_win + 1, n)
     if w_hi <= w_lo:
@@ -216,7 +249,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     limit = ALPHA0_LIMIT_FRAC * BLF_HZ
     alpha_hat = float(np.clip(alpha_hat, -limit, limit))
     return SyncEstimate(t0_hat_s=t0, alpha0_hat_hz=alpha_hat,
-                        correlation_peak=min(float(rho_best), 1.0), epc_t0_hat_s=t2)
+                        correlation_peak=min(rho_best, 1.0), epc_t0_hat_s=t2)
 
 
 def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
@@ -620,7 +653,7 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
                                  layout.total_s)
     comp = comp_rows.reshape(k_n, l_n, n_nom)
 
-    pre_tmpl = _preamble_template(BLF_HZ, rate)
+    pre_tmpl = _sync_templates(rate)[_SYNC_HALF_STEPS]        # alpha0 = 0
     lp = pre_tmpl.size
     pre_energy = float(np.sum(pre_tmpl ** 2))
 

@@ -12,10 +12,11 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import fft as sfft
 
 from . import model
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
@@ -87,6 +88,13 @@ def _make_packet(spec: SceneSpec, tag: TagDef, rng) -> TagPacket:
                      alpha0_hz=spec.alpha0_frac * BLF_HZ, drift_alpha_hz=drift)
 
 
+def _fast_capture_length(n: int, plan: CarrierPlan) -> int:
+    """Shortest capture of at least n samples whose bank (one stream sample
+    per decimation D) has a length that FFTs fast."""
+    d = plan.decimation
+    return d * sfft.next_fast_len(-(-n // d))
+
+
 def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
                      seed: int, tag_index: int = 0, fast_path: bool = False):
     """Simulate one tag reply at every antenna.
@@ -94,7 +102,9 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     Returns (captures-or-banks, packet, channel).  The full path emits
     WidebandCapture objects for the channelizer; the fast path applies the
     channelizer's own filter chain to the tag baseband directly and emits
-    per-antenna ChannelBank objects, bypassing the wideband mixing.
+    per-antenna ChannelBank objects, bypassing the wideband mixing.  Either
+    way the banks come out at a length that FFTs fast (the notch and the
+    preamble search transform every stream).
     """
     rng = np.random.default_rng(seed)
     pkt = _make_packet(spec, spec.scene.tags[tag_index], rng)
@@ -111,7 +121,11 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
         leak_amp = mean_h * 10 ** (spec.leak_db / 20)
 
     if fast_path:
-        base = processed_tag_baseband(tag_wave, plan)
+        # the warped wave is zero after the packet, so padding it only
+        # lengthens the bank
+        n_wave = tag_wave.samples.size
+        padded = np.pad(tag_wave.samples, (0, _fast_capture_length(n_wave, plan) - n_wave))
+        base = processed_tag_baseband(replace(tag_wave, samples=padded), plan)
         sig_power = float(np.mean(np.abs(base.samples[np.abs(base.samples) > 0.1]) ** 2))
         noise_var_chan = mean_h ** 2 * sig_power / snr_lin
         banks = []
@@ -131,7 +145,7 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     noise_var_wide = mean_h ** 2 * sig_power / snr_lin / chain_noise_gain(plan)
 
     captures = []
-    n = int(round(duration * plan.capture_rate_hz))
+    n = _fast_capture_length(int(round(duration * plan.capture_rate_hz)), plan)
     for k in range(geom.n_antennas):
         rx = backscatter_mix(plan, n, tag_bl, h, k).samples
         if leak_amp > 0:
@@ -250,6 +264,7 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
             decoded = False
             crc_ok = None
             failure_stage = None
+            t_start = None
             try:
                 if cfg.mode == "channel":
                     h_full = synth_channel(spec.scene, cfg.geom, cfg.plan, ti)
@@ -283,11 +298,13 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
                     failure_stage = "crc"
                 else:
                     estimate = localize(ch, cfg.grid, geom, plan, cfg.prior, policy)
-                busy_s += time.perf_counter() - t_start
             except DecodeError as exc:
                 failure_stage = exc.stage
             except ModelError:
                 failure_stage = "model_error"
+            # every item whose timer started is charged, whatever its outcome
+            if t_start is not None:
+                busy_s += time.perf_counter() - t_start
             error = None
             if estimate is not None:
                 error = float(np.hypot(estimate.position_m[0] - tag.position_m[0],

@@ -226,6 +226,31 @@ def test_epc_preamble_past_the_stream_end_raises(plan):
         dc.track_packet_clock(cut, RATE, sync, LAYOUT)
 
 
+def test_sync_bank_alpha0_row_is_the_nominal_template():
+    nfft = 1 << 14
+    spectra, lengths, norms = dc._sync_bank(RATE, nfft)
+    (k,) = np.flatnonzero(dc._SYNC_ALPHAS_HZ == 0.0)
+    tmpl = dc._preamble_template(BLF, RATE)
+    assert np.array_equal(spectra[k], np.conj(np.fft.fft(tmpl, nfft)))
+    assert lengths[k] == tmpl.size and norms[k] == math.sqrt(float(np.sum(tmpl ** 2)))
+
+
+def test_sync_bank_built_once_per_length_and_read_only(plan, geom):
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(26)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=18.0, t0_s=1.0e-3)
+    dc._sync_bank.cache_clear()
+    lengths = set()
+    for seed in range(3):
+        banks, _, _ = simulate_capture(spec, plan, geom, seed=seed, fast_path=True)
+        lengths.add(banks[0].n_samples)
+        dc.decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom)
+    assert len(lengths) == 1
+    assert dc._sync_bank.cache_info().misses == 1
+    for cached in dc._sync_bank(RATE, 1 << 14) + dc._sync_templates(RATE):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0
+
+
 # --- combining ---------------------------------------------------------------
 
 def test_msnr_single_antenna_identity():

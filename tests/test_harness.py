@@ -1,15 +1,18 @@
 """Simulation, batch evaluation, ROI and snapshot interchange tests."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import chordsim as cs
 from chordsim import channelizer as chz
 from chordsim import harness
 from chordsim import locator as loc
+from chordsim import waveform as wf
 from chordsim.decoder import decode_pipeline
 from chordsim.harness import (BatchConfig, HarnessError, SceneSpec, SnapshotRecord,
                               bits_to_hex, channel_to_snapshots, evaluate_roi,
@@ -106,6 +109,36 @@ def test_fast_path_reports_the_channelizer_transient(plan, geom):
     assert fast_banks[0].group_delay_s == chz.channelize(caps[0], plan).group_delay_s
 
 
+def test_banks_come_out_at_fft_fast_lengths(plan, geom):
+    one = cs.model.subset_geometry(geom, 1)
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(4)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), t0_s=1.0e-3)
+    d = plan.decimation
+    caps, pkt, _ = simulate_capture(spec, plan, one, seed=4)
+    duration = 1.0e-3 + wf.packet_layout(96).total_s * harness.CLOCK_STRETCH_MARGIN + 0.3e-3
+    n_bank = next_fast_len(-(-int(round(duration * plan.capture_rate_hz)) // d))
+    assert caps[0].samples.size == d * n_bank
+    assert chz.channelize(caps[0], plan).n_samples == n_bank
+    fast_banks, pkt, _ = simulate_capture(spec, plan, one, seed=4, fast_path=True)
+    n_wave = wf.build_packet_baseband(pkt, plan.capture_rate_hz).samples.size
+    assert fast_banks[0].n_samples == next_fast_len(-(-n_wave // d))
+
+
+@pytest.mark.parametrize("alpha0, drift", [(0.10, 0.025), (-0.10, 0.0)])
+def test_fast_path_padding_keeps_the_tag_baseband(plan, geom, alpha0, drift):
+    # the slowest clock leaves the shortest run of zeros after the packet
+    one = cs.model.subset_geometry(geom, 1)
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(4)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=300.0, leak_db=None,
+                     alpha0_frac=alpha0, drift_frac=drift)
+    banks, pkt, h = simulate_capture(spec, plan, one, seed=0, fast_path=True)
+    ref = chz.processed_tag_baseband(wf.build_packet_baseband(pkt, plan.capture_rate_hz),
+                                     plan).samples
+    got = banks[0].streams[:, :ref.size]
+    assert banks[0].n_samples > ref.size
+    assert np.max(np.abs(got - np.outer(h.h[0], ref))) <= 1e-12 * np.max(np.abs(got))
+
+
 def test_run_batch_noiseless_bound(plan, geom, grid):
     rng = np.random.default_rng(3)
     scenes = []
@@ -145,6 +178,18 @@ def test_run_batch_records_the_failure_stage(plan, geom, grid):
     assert bad.failure_stage in {"preamble_search", "compensate_clock", "msnr_combine",
                                  "viterbi"}
     assert rep.n_failed == 1
+
+
+def test_run_batch_charges_failed_decodes_to_busy_time(plan, geom, grid, monkeypatch):
+    # every perf_counter read advances 1 s, so each timed item costs 1 s
+    ticks = itertools.count()
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(25)))
+    scenes = [SceneSpec(scene=Scene(tags=(tag,)), snr_db=snr) for snr in (20.0, -40.0)]
+    rep = run_batch(scenes, BatchConfig(plan=plan, geom=geom, grid=grid, mode="waveform",
+                                        seed=10))
+    assert [r.failure_stage for r in rep.results] == [None, "preamble_search"]
+    assert rep.throughput_pps == 0.5
 
 
 def test_run_batch_does_not_localize_a_failed_crc(plan, geom, grid):
