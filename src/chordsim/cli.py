@@ -110,6 +110,9 @@ def cmd_decode(args):
     banks.sort(key=lambda b: b.antenna_id)
     try:
         pkt = decode_pipeline(banks, plan, geom)
+        # a reply that fails its CRC is not decoded: no record to localize
+        if not pkt.crc_ok:
+            raise DecodeError("crc", "EPC reply fails its CRC")
     except DecodeError as exc:
         print(json.dumps({"error": str(exc), "stage": exc.stage}))
         return 1

@@ -76,6 +76,7 @@ class SyncEstimate:
     alpha0_hat_hz: float
     correlation_peak: float
     epc_t0_hat_s: float
+    epc_alpha_hat_hz: float
 
     def __post_init__(self):
         if not 0.0 <= self.correlation_peak <= 1.0 + 1e-9:
@@ -172,10 +173,15 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     on the sample grid and refined by parabolic interpolation; alpha0 is
     refined by parabolic interpolation across the grid of each clock's best
     peak within one preamble length of that start, and one more correlation
-    at the refined clock gives the peak.  alpha0 is then re-estimated from the
-    measured preamble-to-preamble time baseline, which is far more sensitive
-    than the preamble-length correlation itself, and the measured EPC
-    preamble time is returned as ``epc_t0_hat_s``.
+    at the refined clock gives the peak.  The EPC preamble is measured the
+    same way, since drift moves its clock: refined across the grid rows within
+    TRACK_LIMIT_FRAC of the RN16's clock from their peaks in the pairing
+    window, then timed by one correlation at that clock; a preamble that does
+    not fit inside the stream at that time raises.  alpha0 is then
+    re-estimated from the measured preamble-to-preamble time baseline, which
+    is far more sensitive than the preamble-length correlation itself, and the
+    EPC preamble's time and clock are returned as ``epc_t0_hat_s`` and
+    ``epc_alpha_hat_hz``.
     """
     x = np.asarray(stream, dtype=complex)
     if rate_hz < 4 * BLF_HZ:
@@ -205,6 +211,15 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
                 row[:n - d] += near_row[d:]
         return score
 
+    def fit_clock(rows: np.ndarray, peaks: np.ndarray) -> float:
+        k = int(np.argmax(peaks))
+        return float(alphas[rows[k]]) + _parabolic_refine(peaks, k) * step
+
+    def correlate_at(alpha_hz: float):
+        tmpl = _preamble_template(BLF_HZ - alpha_hz, rate_hz)
+        rho, corr = _correlate(xf, energy, n, *_template_bank([tmpl], nfft))
+        return rho, corr[0], tmpl.size
+
     # Each start keeps its best grid clock; the earliest strong pair bounds
     # the lobe the clock is then fitted in.
     spectra, lengths, norms = _sync_bank(rate_hz, nfft)
@@ -224,36 +239,36 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     lobe = slice(p0, p0 + longest)
 
     p_k = p0 + np.argmax(score_g[:, lobe], axis=1)
-    peaks = np.take_along_axis(rho_g, p_k[:, None], 1)[:, 0]
-    k = int(np.argmax(peaks))
-    alpha_best = float(alphas[k]) + _parabolic_refine(peaks, k) * step
-    rho, corr = _correlate(xf, energy, n, *_template_bank(
-        [_preamble_template(BLF_HZ - alpha_best, rate_hz)], nfft))
+    alpha_best = fit_clock(np.arange(alphas.size),
+                           np.take_along_axis(rho_g, p_k[:, None], 1)[:, 0])
+    rho, corr, _ = correlate_at(alpha_best)
     d = int(epc_lag(alpha_best))
     p_best = p0 + int(np.argmax(pair_score(rho, [d])[0, lobe]))
     rho_best = float(rho[0, p_best])
-    corr = corr[0]
 
     if rho_best < DETECTION_THRESHOLD:
         raise NoPacketError()
 
     t0 = (p_best + _parabolic_refine(corr, p_best)) / rate_hz
-    w_lo = max(p_best + d - pair_win, 0)
-    w_hi = min(p_best + d + pair_win + 1, n)
-    if w_hi <= w_lo:
+    w_lo, w_hi = p_best + d - pair_win, p_best + d + pair_win + 1
+    near = np.flatnonzero(np.abs(alphas - alpha_best) <= TRACK_LIMIT_FRAC * BLF_HZ)
+    alpha_epc = fit_clock(near, rho_g[near, w_lo:w_hi].max(axis=1, initial=0.0))
+    _, corr, size = correlate_at(alpha_epc)
+    p2 = w_lo + int(np.argmax(corr[w_lo:w_hi])) if w_lo < n else n
+    if p2 + size > n:
         raise DecodeError("preamble_search", "EPC preamble outside the stream")
-    p2 = w_lo + int(np.argmax(corr[w_lo:w_hi]))
     t2 = (p2 + _parabolic_refine(corr, p2)) / rate_hz
     alpha_hat = BLF_HZ * (1.0 - EPC_SPACING_S / (t2 - t0))
     # the initial offset itself is bounded by the +/-10% protocol envelope
     limit = ALPHA0_LIMIT_FRAC * BLF_HZ
     alpha_hat = float(np.clip(alpha_hat, -limit, limit))
     return SyncEstimate(t0_hat_s=t0, alpha0_hat_hz=alpha_hat,
-                        correlation_peak=min(rho_best, 1.0), epc_t0_hat_s=t2)
+                        correlation_peak=min(rho_best, 1.0), epc_t0_hat_s=t2,
+                        epc_alpha_hat_hz=alpha_epc)
 
 
 def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
-              n_symbols: int = 160) -> ClockTrack:
+              n_symbols: int) -> ClockTrack:
     """Second-order Costas loop on the Miller subcarrier.
 
     Tracks the residual fluctuation left after removing the estimated initial
@@ -345,59 +360,26 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     return ClockTrack(alpha_t_hz=alpha_t, lock_flag=lock)
 
 
-def _warp_gather(n_vals: np.ndarray, rate_hz: float, n_out: int):
-    """Interpolation indices/weights mapping nominal sample times into the
-    warped source axis."""
-    target = np.arange(n_out) / rate_hz
-    if n_vals[-1] < target[-1]:
-        raise DecodeError("compensate_clock", "stream too short for the packet span")
-    j = np.clip(np.searchsorted(n_vals, target) - 1, 0, n_vals.size - 2)
-    w = (target - n_vals[j]) / np.maximum(n_vals[j + 1] - n_vals[j], 1e-30)
-    return j, np.clip(w, 0.0, 1.0)
-
-
 def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
                        layout) -> ClockTrack:
     """Clock track over a whole two-reply packet.
 
     One Costas pass per reply, each seeded from its own pilot.  The second
-    pass starts at the EPC preamble, re-measured on this stream within the
-    pairing window around the time the preamble search found
-    (``sync.epc_t0_hat_s``) and over the track limit around alpha0, and runs
-    at the clock measured there.  The inter-reply gap is pinned so the
-    integrated clock lands exactly on that start.  Tracking each reply
-    separately keeps the loop's phase-slip exposure to a single reply span and
-    lets the second reply re-anchor after the signal-free gap.
+    pass starts at the EPC preamble time and clock the preamble search
+    measured (``sync.epc_t0_hat_s``, ``sync.epc_alpha_hat_hz``).  The
+    inter-reply gap is pinned so the integrated clock lands exactly on that
+    start.  Tracking each reply separately keeps the loop's phase-slip
+    exposure to a single reply span and lets the second reply re-anchor after
+    the signal-free gap.
     """
     t_sym = layout.symbol_s
     # track spans are in received time: a slow clock stretches each frame
     n1_span = int(math.ceil(layout.rn16_frame_symbols * CLOCK_STRETCH)) + 1
     n2_span = int(math.ceil(layout.epc_frame_symbols * CLOCK_STRETCH)) + 2
-    tr1 = pll_track(stream, rate_hz, sync, n_symbols=n1_span)
-
-    # Re-measure the EPC preamble on this stream (antenna-combined in the
-    # pipeline): its time within the pairing window around the search's, its
-    # clock within the track limit of alpha0, since drift moves it.
-    w = int(PAIR_WINDOW_S * rate_hz) + 8
-    lo = max(int(round(sync.epc_t0_hat_s * rate_hz)) - w, 0)
-    seg = np.asarray(stream, dtype=complex)[lo:]
-
-    def epc_corr(alpha_hz: float) -> np.ndarray:
-        tmpl = _preamble_template(BLF_HZ - alpha_hz, rate_hz)
-        if seg.size < tmpl.size:
-            raise DecodeError("compensate_clock", "EPC preamble outside the stream")
-        return np.abs(np.correlate(seg[:2 * w + tmpl.size], tmpl, "valid")) / np.linalg.norm(tmpl)
-
-    alphas = sync.alpha0_hat_hz + \
-        np.arange(-TRACK_LIMIT_FRAC, TRACK_LIMIT_FRAC + 1e-12, ALPHA_STEP_FRAC) * BLF_HZ
-    peaks = np.array([epc_corr(a).max() for a in alphas])
-    k = int(np.argmax(peaks))
-    alpha_epc = float(alphas[k]) + _parabolic_refine(peaks, k) * ALPHA_STEP_FRAC * BLF_HZ
-    corr = epc_corr(alpha_epc)
-    p2 = int(np.argmax(corr))
-    t2 = (lo + p2 + _parabolic_refine(corr, p2)) / rate_hz
+    tr1 = pll_track(stream, rate_hz, sync, n1_span)
+    t2, alpha_epc = sync.epc_t0_hat_s, sync.epc_alpha_hat_hz
     tr2 = pll_track(stream, rate_hz, replace(sync, t0_hat_s=t2, alpha0_hat_hz=alpha_epc),
-                    n_symbols=n2_span)
+                    n2_span)
 
     e2 = t2 - sync.t0_hat_s
     n_total = int(math.ceil(layout.total_s * CLOCK_STRETCH / t_sym)) + 2
@@ -427,32 +409,27 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     return ClockTrack(alpha_t_hz=alpha, lock_flag=tr1.lock_flag and tr2.lock_flag)
 
 
-def _compensate_rows(rows: np.ndarray, rate_hz: float, sync: SyncEstimate,
-                     track: ClockTrack, duration_s: float | None) -> np.ndarray:
-    """Warp one or more parallel streams onto the nominal clock (shared map)."""
-    x = np.atleast_2d(np.asarray(rows, dtype=complex))
-    i0 = max(int(math.ceil(sync.t0_hat_s * rate_hz)) - 1, 0)
-    src = x[:, i0:]
-    # elapsed may start a fraction of a sample negative; the clock map is
-    # monotone there, which keeps the interpolation exact at integer t0
-    elapsed = (i0 + np.arange(src.shape[1])) / rate_hz - sync.t0_hat_s
-    n_vals = clock_map(elapsed, sync.alpha0_hat_hz, track.alpha_t_hz)
-    if duration_s is None:
-        duration_s = float(n_vals[-1])
-    n_out = int(round(duration_s * rate_hz))
-    j, w = _warp_gather(n_vals, rate_hz, n_out)
-    return src[:, j] * (1.0 - w) + src[:, j + 1] * w
-
-
-def compensate_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
-                     track: ClockTrack, duration_s: float | None = None) -> np.ndarray:
-    """Resample a stream onto the nominal tag clock.
+def compensate_clock(streams: np.ndarray, rate_hz: float, sync: SyncEstimate,
+                     track: ClockTrack, duration_s: float) -> np.ndarray:
+    """Resample streams onto the nominal tag clock, along the last axis.
 
     Output sample m sits at nominal packet time m/rate after the estimated
     start of frame; t0, the initial offset and the tracked fluctuation are all
-    removed.
+    removed.  Every stream shares the one clock map.
     """
-    return _compensate_rows(stream, rate_hz, sync, track, duration_s)[0]
+    x = np.asarray(streams, dtype=complex)
+    i0 = max(int(math.ceil(sync.t0_hat_s * rate_hz)) - 1, 0)
+    src = x[..., i0:]
+    # elapsed may start a fraction of a sample negative; the clock map is
+    # monotone there, which keeps the interpolation exact at integer t0
+    elapsed = (i0 + np.arange(src.shape[-1])) / rate_hz - sync.t0_hat_s
+    n_vals = clock_map(elapsed, sync.alpha0_hat_hz, track.alpha_t_hz)
+    target = np.arange(int(round(duration_s * rate_hz))) / rate_hz
+    if n_vals[-1] < target[-1]:
+        raise DecodeError("compensate_clock", "stream too short for the packet span")
+    j = np.clip(np.searchsorted(n_vals, target) - 1, 0, n_vals.size - 2)
+    w = np.clip((target - n_vals[j]) / np.maximum(n_vals[j + 1] - n_vals[j], 1e-30), 0.0, 1.0)
+    return src[..., j] * (1.0 - w) + src[..., j + 1] * w
 
 
 def msnr_combine(streams: np.ndarray, noise_cov: np.ndarray):
@@ -589,7 +566,7 @@ def full_packet_channel_estimate(banks: list[ChannelBank], rn16_bits, epc_bits,
         if bank.n_samples < n_t:
             raise ModelError("stream shorter than the template")
     flat = np.stack([b.streams for b in banks]).reshape(len(banks) * plan.n_carriers, -1)
-    comp = _compensate_rows(flat, rate, sync, track, span_s)
+    comp = compensate_clock(flat, rate, sync, track, span_s)
     return _packet_estimate(comp, rn16_bits, epc_bits, rate, plan, geom)
 
 
@@ -631,16 +608,14 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     k_best, l_best = np.unravel_index(int(np.argmax(energies)), energies.shape)
 
     sync = preamble_search(stack[k_best, l_best], rate)
-    # Clock tracking runs on the best carrier combined across antennas
-    # (preamble-matched gains); the array gain keeps the loop's timing jitter
-    # well under a quarter subcarrier period at threshold SNR.
-    pre_sync = _preamble_template(BLF_HZ - sync.alpha0_hat_hz, rate)
-    i_sync = max(int(round(sync.t0_hat_s * rate)), 0)
-    pre_win = stack[:, l_best, i_sync:i_sync + pre_sync.size]
-    g_track = pre_win @ pre_sync[:pre_win.shape[1]]
-    denom = float(np.sum(np.abs(g_track))) or 1.0
-    track_stream = (np.conj(g_track) @ stack[:, l_best, :]) / denom
-    track = track_packet_clock(track_stream, rate, sync, layout)
+    # Clock tracking runs on the best carrier combined across antennas; the
+    # array gain keeps the loop's timing jitter well under a quarter
+    # subcarrier period at threshold SNR.  Under spatially white noise the
+    # dominant eigenvector of the carrier's covariance points along the tag's
+    # channel at any SNR, so the combining needs no sync first.
+    best = stack[:, l_best, :]
+    w_track = np.linalg.eigh(best @ best.conj().T)[1][:, -1]
+    track = track_packet_clock(w_track.conj() @ best, rate, sync, layout)
 
     # Noise covariance per carrier from the signal-free pre-SOF window.
     pre_hi = max(int(sync.t0_hat_s * rate) - 2, 2)
@@ -648,10 +623,8 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     if pre_hi - pre_lo < 8 * k_n:
         raise DecodeError("msnr_combine", "pre-SOF window too short for a covariance")
 
-    n_nom = int(round(layout.total_s * rate))
-    comp_rows = _compensate_rows(stack.reshape(k_n * l_n, -1), rate, sync, track,
-                                 layout.total_s)
-    comp = comp_rows.reshape(k_n, l_n, n_nom)
+    comp = compensate_clock(stack, rate, sync, track, layout.total_s)    # [K, L, N']
+    n_nom = comp.shape[2]
 
     pre_tmpl = _sync_templates(rate)[_SYNC_HALF_STEPS]        # alpha0 = 0
     lp = pre_tmpl.size
@@ -683,6 +656,6 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     if len(epc) != epc_len:
         raise DecodeError("viterbi", "decoded EPC has the wrong length")
 
-    channel = _packet_estimate(comp_rows, rn16, epc, rate, plan, geom)
+    channel = _packet_estimate(comp.reshape(k_n * l_n, n_nom), rn16, epc, rate, plan, geom)
     return DecodedPacket(rn16_bits=tuple(rn16), epc_bits=tuple(epc), crc_ok=crc_ok,
                          channel=channel, sync=sync, track=track)

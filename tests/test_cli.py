@@ -1,6 +1,7 @@
 """End-to-end command-line interface tests."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_simulate_channelize_decode_localize_evaluate(tmp_path):
                              "likelihood": 1.0, "enhancement_applied": False,
                              "roi": "outside"}) + "\n")
     assert run(["evaluate", results, labels]) == 0
+
+
+def test_decode_with_a_failed_crc_writes_no_record(tmp_path, monkeypatch, capsys):
+    geom = model.default_array_geometry()
+    carriers = model.default_carrier_plan(desk_scale=True).carriers_hz
+    channel = model.ChannelMatrix(h=np.ones((geom.n_antennas, len(carriers))),
+                                  carriers_hz=carriers, geometry=geom)
+    packet = SimpleNamespace(epc_bits=(0,) * 96, crc_ok=False, channel=channel,
+                             sync=SimpleNamespace(t0_hat_s=1e-3, alpha0_hat_hz=0.0))
+    monkeypatch.setattr(cli, "load_bank", lambda path: SimpleNamespace(antenna_id=0))
+    monkeypatch.setattr(cli, "decode_pipeline", lambda banks, plan, geom: packet)
+    packets = tmp_path / "packets.jsonl"
+    assert run(["decode", tmp_path / "bank", "--out", packets]) == 1
+    assert not packets.exists()
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert doc["stage"] == "crc" and "error" in doc
 
 
 def test_channelize_command(tmp_path):

@@ -54,7 +54,8 @@ def _packet(rng, **kw):
 def _true_sync(pkt, alpha0_hat_hz):
     # sync at the packet's true start; the EPC preamble time is nominal
     return dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=alpha0_hat_hz, correlation_peak=1.0,
-                           epc_t0_hat_s=pkt.t0_s + LAYOUT.epc_start_s)
+                           epc_t0_hat_s=pkt.t0_s + LAYOUT.epc_start_s,
+                           epc_alpha_hat_hz=alpha0_hat_hz)
 
 
 # --- preamble search ---------------------------------------------------------
@@ -67,6 +68,7 @@ def test_preamble_noiseless_exact(plan):
     assert abs(sync.t0_hat_s - pkt.t0_s) * RATE < 0.1
     assert abs(sync.epc_t0_hat_s - (pkt.t0_s + LAYOUT.epc_start_s)) * RATE < 0.1
     assert abs(sync.alpha0_hat_hz) < 0.0005 * BLF
+    assert abs(sync.epc_alpha_hat_hz) < 0.0005 * BLF
     assert sync.correlation_peak > 0.7
 
 
@@ -209,6 +211,24 @@ def test_full_chain_residual_timing_under_five_percent(plan):
     assert np.max(np.abs(resid[inside])) < 0.05 / BLF
 
 
+def test_epc_preamble_clock_follows_the_drift(plan):
+    # the EPC preamble's clock is its own: drift moves it away from alpha0
+    pre_s = len(wf.PREAMBLE_BITS) * wf.SYMBOL_S
+    e = np.arange(0, LAYOUT.total_s * 1.2, 0.01 / RATE)
+    for seed in range(9, 29):
+        rng = np.random.default_rng(seed)
+        drift = wf.random_walk_drift(190, rng)
+        alpha0 = (-0.05, 0.0, 0.05)[seed % 3] * BLF
+        pkt = _packet(rng, t0_s=0.8e-3, alpha0_hz=alpha0, drift_alpha_hz=drift)
+        x = _shaped_packet(pkt, plan, noise_snr_db=22.0, rng=rng, tail_s=1.2e-3)
+        sync = dc.preamble_search(x, RATE)
+        # received span of the EPC preamble, from the packet's true clock map
+        e_a, e_b = np.interp([LAYOUT.epc_start_s, LAYOUT.epc_start_s + pre_s],
+                             wf.clock_warp(e, pkt), e)
+        true_alpha = BLF * (1.0 - pre_s / (e_b - e_a))
+        assert abs(sync.epc_alpha_hat_hz - true_alpha) < 0.003 * BLF
+
+
 def test_epc_preamble_past_the_stream_end_raises(plan):
     rng = np.random.default_rng(9)
     pkt = _packet(rng, t0_s=0.8e-3)
@@ -218,12 +238,10 @@ def test_epc_preamble_past_the_stream_end_raises(plan):
     # the stream ends inside the RN16 reply: no EPC window to pair with
     with pytest.raises(dc.DecodeError, match="EPC preamble outside the stream"):
         dc.preamble_search(x[i0 - 100:i0 + 800], RATE)
-    # the stream ends inside the EPC preamble: the search pairs it, but its
-    # re-measure has no room for the template
-    cut = x[:i2 + 250]
-    sync = dc.preamble_search(cut, RATE)
-    with pytest.raises(dc.DecodeError, match="compensate_clock: EPC preamble outside"):
-        dc.track_packet_clock(cut, RATE, sync, LAYOUT)
+    # the stream ends inside the EPC preamble: the preamble found at its
+    # time and clock runs past the stream end
+    with pytest.raises(dc.DecodeError, match="preamble_search: EPC preamble outside"):
+        dc.preamble_search(x[:i2 + 250], RATE)
 
 
 def test_sync_bank_alpha0_row_is_the_nominal_template():
