@@ -17,9 +17,8 @@ from .waveform import (BasebandWave, MultisineSpec, TagPacket,
 from .channelizer import (ChannelBank, WidebandCapture, channelize,
                           dynamic_range_required, notch_dc)
 from .decoder import (ClockTrack, DecodedPacket, DecodeError, NoPacketError,
-                      SyncEstimate, compensate_clock, decode_pipeline,
-                      full_packet_channel_estimate, mrc_combine, msnr_combine,
-                      pll_track, preamble_search, viterbi_decode)
+                      SyncEstimate, compensate_clock, decode_pipeline, mrc_combine,
+                      msnr_combine, pll_track, preamble_search, viterbi_decode)
 from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI, TofProfile,
                       aoa_spectrum, basic_hologram, classify_roi, enhance_direct_path,
                       identify_direct_path, localize, peak_find_2d, summation_layer,

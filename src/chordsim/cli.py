@@ -13,7 +13,7 @@ import numpy as np
 from . import harness, model
 from .channelizer import channelize, load_bank, notch_dc, save_bank, WidebandCapture
 from .decoder import DecodeError, decode_pipeline
-from .harness import (BatchConfig, SceneSpec, ablation_sweep, evaluate_roi,
+from .harness import (BatchConfig, HarnessError, SceneSpec, ablation_sweep, evaluate_roi,
                       packet_record, record_to_channel, run_batch, simulate_capture,
                       sweep_rows_to_csv)
 from .locator import GridSpec, LocalizePolicy, PriorROI, classify_roi, localize
@@ -133,8 +133,13 @@ def cmd_localize(args):
     for i, line in enumerate(Path(args.packets).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        doc = json.loads(line)
-        ch = record_to_channel(doc, geom, plan)
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict) or "epc" not in doc:
+                raise HarnessError("record has no epc")
+            ch = record_to_channel(doc, geom, plan)
+        except ValueError as exc:
+            raise HarnessError(f"line {i}: {exc}") from exc
         est = localize(ch, grid, geom, plan, prior, keep_heatmap=bool(args.heatmap_dir))
         roi = classify_roi(est, prior, geom) if prior else None
         out_lines.append(json.dumps({

@@ -98,7 +98,7 @@ class DecodedPacket:
     crc_ok: bool
     channel: ChannelMatrix
     sync: SyncEstimate
-    track: ClockTrack
+    tracks: tuple[ClockTrack, ClockTrack]
 
 
 def _preamble_template(subcarrier_hz: float, rate_hz: float) -> np.ndarray:
@@ -360,53 +360,28 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     return ClockTrack(alpha_t_hz=alpha_t, lock_flag=lock)
 
 
-def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
-                       layout) -> ClockTrack:
-    """Clock track over a whole two-reply packet.
+def _epc_anchor(sync: SyncEstimate) -> SyncEstimate:
+    """The EPC reply's own anchor: its preamble's measured time and clock."""
+    return replace(sync, t0_hat_s=sync.epc_t0_hat_s, alpha0_hat_hz=sync.epc_alpha_hat_hz)
 
-    One Costas pass per reply, each seeded from its own pilot.  The second
-    pass starts at the EPC preamble time and clock the preamble search
-    measured (``sync.epc_t0_hat_s``, ``sync.epc_alpha_hat_hz``).  The
-    inter-reply gap is pinned so the integrated clock lands exactly on that
-    start.  Tracking each reply separately keeps the loop's phase-slip
-    exposure to a single reply span and lets the second reply re-anchor after
-    the signal-free gap.
+
+def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
+                       layout) -> tuple[ClockTrack, ClockTrack]:
+    """Clock track of each reply of a two-reply packet, (RN16, EPC).
+
+    One Costas pass per reply, each from its own anchor and seeded from its
+    own pilot: the RN16's is the preamble search's t0 and alpha0, the EPC's
+    the EPC preamble time and clock it measured (``sync.epc_t0_hat_s``,
+    ``sync.epc_alpha_hat_hz``).  Each track is relative to its anchor's clock.
+    Tracking each reply separately keeps the loop's phase-slip exposure to a
+    single reply span and lets the second reply re-anchor after the
+    signal-free gap.
     """
-    t_sym = layout.symbol_s
     # track spans are in received time: a slow clock stretches each frame
     n1_span = int(math.ceil(layout.rn16_frame_symbols * CLOCK_STRETCH)) + 1
     n2_span = int(math.ceil(layout.epc_frame_symbols * CLOCK_STRETCH)) + 2
-    tr1 = pll_track(stream, rate_hz, sync, n1_span)
-    t2, alpha_epc = sync.epc_t0_hat_s, sync.epc_alpha_hat_hz
-    tr2 = pll_track(stream, rate_hz, replace(sync, t0_hat_s=t2, alpha0_hat_hz=alpha_epc),
-                    n2_span)
-
-    e2 = t2 - sync.t0_hat_s
-    n_total = int(math.ceil(layout.total_s * CLOCK_STRETCH / t_sym)) + 2
-    alpha = np.zeros(n_total)
-    n1 = tr1.alpha_t_hz.size
-    alpha[:n1] = tr1.alpha_t_hz
-    s_e2 = max(int(e2 / t_sym), n1)
-    # Solve the constant gap alpha so that the integrated clock maps t2 onto
-    # the nominal EPC frame start.
-    alpha2 = alpha_epc - sync.alpha0_hat_hz + tr2.alpha_t_hz
-    slot_start = s_e2 * t_sym
-    # nominal time wanted at the start of the slot containing e2:
-    n_at_slot = layout.epc_start_s - (e2 - slot_start) * \
-        (1.0 - (sync.alpha0_hat_hz + float(alpha2[0])) / BLF_HZ)
-    target_integral = BLF_HZ * (slot_start - n_at_slot) - sync.alpha0_hat_hz * slot_start
-    done = float(np.sum(alpha[:n1])) * t_sym
-    span = slot_start - n1 * t_sym
-    if span > t_sym / 4:
-        gap_alpha = (target_integral - done) / span
-    else:
-        gap_alpha = float(alpha2[0])
-    limit = TRACK_LIMIT_FRAC * BLF_HZ * 2
-    alpha[n1:s_e2] = np.clip(gap_alpha, -limit, limit)
-    for s in range(s_e2, n_total):
-        j = min(max(int((s * t_sym - e2) / t_sym + 0.5), 0), alpha2.size - 1)
-        alpha[s] = alpha2[j]
-    return ClockTrack(alpha_t_hz=alpha, lock_flag=tr1.lock_flag and tr2.lock_flag)
+    return (pll_track(stream, rate_hz, sync, n1_span),
+            pll_track(stream, rate_hz, _epc_anchor(sync), n2_span))
 
 
 def compensate_clock(streams: np.ndarray, rate_hz: float, sync: SyncEstimate,
@@ -419,17 +394,22 @@ def compensate_clock(streams: np.ndarray, rate_hz: float, sync: SyncEstimate,
     """
     x = np.asarray(streams, dtype=complex)
     i0 = max(int(math.ceil(sync.t0_hat_s * rate_hz)) - 1, 0)
-    src = x[..., i0:]
     # elapsed may start a fraction of a sample negative; the clock map is
     # monotone there, which keeps the interpolation exact at integer t0
-    elapsed = (i0 + np.arange(src.shape[-1])) / rate_hz - sync.t0_hat_s
+    elapsed = np.arange(i0, x.shape[-1]) / rate_hz - sync.t0_hat_s
     n_vals = clock_map(elapsed, sync.alpha0_hat_hz, track.alpha_t_hz)
     target = np.arange(int(round(duration_s * rate_hz))) / rate_hz
     if n_vals[-1] < target[-1]:
         raise DecodeError("compensate_clock", "stream too short for the packet span")
     j = np.clip(np.searchsorted(n_vals, target) - 1, 0, n_vals.size - 2)
     w = np.clip((target - n_vals[j]) / np.maximum(n_vals[j + 1] - n_vals[j], 1e-30), 0.0, 1.0)
-    return src[..., j] * (1.0 - w) + src[..., j + 1] * w
+    # interpolate in place on the two gathered copies: the same arithmetic
+    # with fewer packet-sized temporaries
+    out, nxt = np.take(x, i0 + j, axis=-1), np.take(x, i0 + j + 1, axis=-1)
+    out *= 1.0 - w
+    nxt *= w
+    out += nxt
+    return out
 
 
 def msnr_combine(streams: np.ndarray, noise_cov: np.ndarray):
@@ -552,24 +532,6 @@ def _sign_after(bits) -> int:
     return int(miller_symbol_signs(list(bits) + [0])[-1])
 
 
-def full_packet_channel_estimate(banks: list[ChannelBank], rn16_bits, epc_bits,
-                                 sync: SyncEstimate, track: ClockTrack,
-                                 plan: CarrierPlan, geom: ArrayGeometry) -> ChannelMatrix:
-    """Normalized matched-filter channel estimate against the clock-true
-    full-packet template, per antenna and carrier."""
-    rate = banks[0].rate_hz
-    span_s = packet_layout(len(epc_bits)).total_s
-    n_t = int(round(span_s * rate))
-    for bank in banks:
-        if bank.n_channels != plan.n_carriers:
-            raise ModelError("bank carrier count does not match the plan")
-        if bank.n_samples < n_t:
-            raise ModelError("stream shorter than the template")
-    flat = np.stack([b.streams for b in banks]).reshape(len(banks) * plan.n_carriers, -1)
-    comp = compensate_clock(flat, rate, sync, track, span_s)
-    return _packet_estimate(comp, rn16_bits, epc_bits, rate, plan, geom)
-
-
 def _packet_estimate(comp: np.ndarray, rn16_bits, epc_bits, rate_hz: float,
                      plan: CarrierPlan, geom: ArrayGeometry) -> ChannelMatrix:
     """Matched-filter estimate of compensated rows (antenna-major, spanning the
@@ -615,7 +577,7 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     # channel at any SNR, so the combining needs no sync first.
     best = stack[:, l_best, :]
     w_track = np.linalg.eigh(best @ best.conj().T)[1][:, -1]
-    track = track_packet_clock(w_track.conj() @ best, rate, sync, layout)
+    tracks = track_packet_clock(w_track.conj() @ best, rate, sync, layout)
 
     # Noise covariance per carrier from the signal-free pre-SOF window.
     pre_hi = max(int(sync.t0_hat_s * rate) - 2, 2)
@@ -623,8 +585,14 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     if pre_hi - pre_lo < 8 * k_n:
         raise DecodeError("msnr_combine", "pre-SOF window too short for a covariance")
 
-    comp = compensate_clock(stack, rate, sync, track, layout.total_s)    # [K, L, N']
-    n_nom = comp.shape[2]
+    # Each reply is resampled from its own anchor onto its nominal span; the
+    # EPC frame starts at sample i2, where the packet template puts it.
+    i2 = int(round(layout.epc_start_s * rate))
+    n_nom = int(round(layout.total_s * rate))
+    comp = np.concatenate(                                  # [K, L, N']
+        [compensate_clock(stack, rate, sync, tracks[0], i2 / rate),
+         compensate_clock(stack, rate, _epc_anchor(sync), tracks[1], (n_nom - i2) / rate)],
+        axis=2)
 
     pre_tmpl = _sync_templates(rate)[_SYNC_HALF_STEPS]        # alpha0 = 0
     lp = pre_tmpl.size
@@ -658,4 +626,4 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
 
     channel = _packet_estimate(comp.reshape(k_n * l_n, n_nom), rn16, epc, rate, plan, geom)
     return DecodedPacket(rn16_bits=tuple(rn16), epc_bits=tuple(epc), crc_ok=crc_ok,
-                         channel=channel, sync=sync, track=track)
+                         channel=channel, sync=sync, tracks=tracks)

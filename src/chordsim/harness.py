@@ -43,10 +43,6 @@ def bits_to_hex(bits) -> str:
     return "".join(f"{int(''.join(map(str, bits[i:i + 4])), 2):x}" for i in range(0, len(bits), 4))
 
 
-def hex_to_bits(s: str) -> tuple[int, ...]:
-    return tuple(int(b) for ch in s for b in f"{int(ch, 16):04b}")
-
-
 def random_epc(rng, n_bits: int = 96) -> tuple[int, ...]:
     return tuple(int(b) for b in rng.integers(0, 2, size=n_bits))
 
@@ -412,12 +408,25 @@ def multipath_tag(position_m, epc_bits, reflector_m, reflect_gain: float) -> Tag
                          PropagationPath(gain=reflect_gain, reflector_m=tuple(reflector_m))))
 
 
-def desk_multipath_corpus(n_scenes: int = 200, seed: int = 7, snr_db: float = 16.0,
-                          tags_per_scene: tuple[int, int] = (1, 5),
-                          reflectors_per_tag: tuple[int, int] = (1, 2),
-                          gain_range: tuple[float, float] = (0.3, 0.9),
-                          x_range=(-1.4, 1.4), y_range=(1.0, 6.0),
-                          z_m: float = 1.11) -> list[SceneSpec]:
+# Tag height of both corpora.
+CORPUS_Z_M = 1.11
+# Desk multipath corpus (c10): channel SNR, tags per scene and reflectors per
+# tag (inclusive ranges), reflector gains, and the tags' x and y ranges.
+DESK_SNR_DB = 16.0
+DESK_TAGS_PER_SCENE = (1, 5)
+DESK_REFLECTORS_PER_TAG = (1, 2)
+DESK_GAIN_RANGE = (0.3, 0.9)
+DESK_X_RANGE_M = (-1.4, 1.4)
+DESK_Y_RANGE_M = (1.0, 6.0)
+# Gate corpus (c11): channel SNR, the inside and outside tags' y ranges, and
+# the tags' x range.
+GATE_SNR_DB = 20.0
+GATE_INSIDE_Y_M = (0.5, 2.0)
+GATE_OUTSIDE_Y_M = (3.0, 6.0)
+GATE_X_RANGE_M = (-1.2, 1.2)
+
+
+def desk_multipath_corpus(n_scenes: int = 200, seed: int = 7) -> list[SceneSpec]:
     """Multipath evaluation corpus: reflectors drawn within 2 m of each tag.
 
     Severity (gains up to 0.9, up to two reflectors, 16 dB channels) is tuned
@@ -427,46 +436,47 @@ def desk_multipath_corpus(n_scenes: int = 200, seed: int = 7, snr_db: float = 16
     rng = np.random.default_rng(seed)
     scenes = []
     for _ in range(n_scenes):
-        n_tags = int(rng.integers(tags_per_scene[0], tags_per_scene[1] + 1))
+        n_tags = int(rng.integers(DESK_TAGS_PER_SCENE[0], DESK_TAGS_PER_SCENE[1] + 1))
         tags = []
         for _ in range(n_tags):
-            pos = (float(rng.uniform(*x_range)), float(rng.uniform(*y_range)), z_m)
+            pos = (float(rng.uniform(*DESK_X_RANGE_M)), float(rng.uniform(*DESK_Y_RANGE_M)),
+                   CORPUS_Z_M)
             paths = [PropagationPath(gain=1.0, direct=True)]
-            n_refl = int(rng.integers(reflectors_per_tag[0], reflectors_per_tag[1] + 1))
+            n_refl = int(rng.integers(DESK_REFLECTORS_PER_TAG[0],
+                                      DESK_REFLECTORS_PER_TAG[1] + 1))
             for _ in range(n_refl):
                 ang = rng.uniform(0, 2 * math.pi)
                 dist = rng.uniform(0.5, 2.0)
                 refl = (pos[0] + dist * math.cos(ang),
-                        max(pos[1] + dist * math.sin(ang), 0.3), z_m)
-                paths.append(PropagationPath(gain=float(rng.uniform(*gain_range)),
+                        max(pos[1] + dist * math.sin(ang), 0.3), CORPUS_Z_M)
+                paths.append(PropagationPath(gain=float(rng.uniform(*DESK_GAIN_RANGE)),
                                              reflector_m=refl))
             tags.append(TagDef(epc_bits=random_epc(rng), position_m=pos,
                                paths=tuple(paths)))
         scenes.append(SceneSpec(scene=Scene(tags=tuple(tags), seed=int(rng.integers(2 ** 31))),
-                                snr_db=snr_db))
+                                snr_db=DESK_SNR_DB))
     return scenes
 
 
-def gate_corpus(n_inside: int = 100, n_outside: int = 100, seed: int = 11,
-                snr_db: float = 20.0, inside_y=(0.5, 2.0), outside_y=(3.0, 6.0),
-                x_range=(-1.2, 1.2), z_m: float = 1.11):
+def gate_corpus(n_inside: int = 100, n_outside: int = 100, seed: int = 11):
     """Gate-reading corpus: labeled inside/outside tags, multipath on.
 
     Returns (scenes, labels) with one tag per scene.
     """
     rng = np.random.default_rng(seed)
     scenes, labels = [], []
-    for label, y_range, count in (("inside", inside_y, n_inside),
-                                  ("outside", outside_y, n_outside)):
+    for label, y_range, count in (("inside", GATE_INSIDE_Y_M, n_inside),
+                                  ("outside", GATE_OUTSIDE_Y_M, n_outside)):
         for _ in range(count):
-            pos = (float(rng.uniform(*x_range)), float(rng.uniform(*y_range)), z_m)
+            pos = (float(rng.uniform(*GATE_X_RANGE_M)), float(rng.uniform(*y_range)),
+                   CORPUS_Z_M)
             ang = rng.uniform(0, 2 * math.pi)
             dist = rng.uniform(0.5, 2.0)
             refl = (pos[0] + dist * math.cos(ang),
-                    max(pos[1] + dist * math.sin(ang), 0.3), z_m)
+                    max(pos[1] + dist * math.sin(ang), 0.3), CORPUS_Z_M)
             tag = multipath_tag(pos, random_epc(rng), refl, float(rng.uniform(0.2, 0.6)))
             scenes.append(SceneSpec(scene=Scene(tags=(tag,), seed=int(rng.integers(2 ** 31))),
-                                    snr_db=snr_db))
+                                    snr_db=GATE_SNR_DB))
             labels.append(label)
     return scenes, labels
 
@@ -551,11 +561,14 @@ def _entry_index(antenna_id: int, carrier_hz: float, n_antennas: int,
     return antenna_id, l
 
 
-def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan,
-                     window_s: float = 10e-3):
+# Snapshot records of one EPC this close in time belong to one reply.
+SNAPSHOT_WINDOW_S = 10e-3
+
+
+def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan):
     """Group snapshot lines into per-reply channel matrices.
 
-    Records sharing an EPC within ``window_s`` form one reply; carriers or
+    Records sharing an EPC within SNAPSHOT_WINDOW_S form one reply; carriers or
     antennas never observed stay masked.  Malformed lines (a missing field,
     ``re`` without ``im`` or the reverse, a non-finite number), and lines
     naming an antenna or carrier outside the geometry or plan, raise with
@@ -579,7 +592,7 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan,
     for rec in records:
         epc_groups = by_epc.setdefault(rec.epc, [])
         for g in epc_groups:
-            if abs(rec.timestamp_s - g[1]) <= window_s:
+            if abs(rec.timestamp_s - g[1]) <= SNAPSHOT_WINDOW_S:
                 g[2].append(rec)
                 break
         else:

@@ -408,12 +408,15 @@ def localize(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry, plan: Carri
                             d0_rough_m=d0, enhancement_applied=True)
 
 
-def aoa_spectrum(ch_column, geom: ArrayGeometry, plan: CarrierPlan, carrier: int,
-                 step_deg: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
+AOA_STEP_DEG = 0.25
+
+
+def aoa_spectrum(ch_column, geom: ArrayGeometry, plan: CarrierPlan,
+                 carrier: int) -> tuple[np.ndarray, np.ndarray]:
     """Angle-of-arrival layer at one carrier: S(psi) = sum_k e^{-j phi_k}
-    e^{j 2 pi f x_k sin(psi) / c} over psi in [-90, 90] degrees, using the
-    exact per-element positions (the co-prime gap needs no uniform-spacing
-    idealization).  Returns (psi_deg, S)."""
+    e^{j 2 pi f x_k sin(psi) / c} over psi in [-90, 90] degrees in steps of
+    AOA_STEP_DEG, using the exact per-element positions (the co-prime gap
+    needs no uniform-spacing idealization).  Returns (psi_deg, S)."""
     h = np.asarray(ch_column, dtype=complex).ravel()
     if h.size < 2:
         raise ModelError("angle estimation needs at least two antennas")
@@ -421,10 +424,8 @@ def aoa_spectrum(ch_column, geom: ArrayGeometry, plan: CarrierPlan, carrier: int
         raise ModelError("channel column does not match the geometry")
     if not 0 <= carrier < plan.n_carriers:
         raise ModelError("carrier index out of range")
-    if step_deg <= 0 or step_deg > 0.5:
-        raise ModelError("angle step must be positive and at most 0.5 degrees")
     x_k = geom.rx_array()[:, 0]
-    psi = np.arange(-90.0, 90.0 + step_deg / 2, step_deg)
+    psi = np.arange(-90.0, 90.0 + AOA_STEP_DEG / 2, AOA_STEP_DEG)
     f = plan.carriers_hz[carrier]
     steer = np.exp(1j * (2 * math.pi * f / C_M_PER_S)
                    * np.outer(np.sin(np.deg2rad(psi)), x_k))

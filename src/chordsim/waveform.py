@@ -324,10 +324,6 @@ class PacketLayout:
     gap_s: float
 
     @property
-    def rn16_start_s(self) -> float:
-        return 0.0
-
-    @property
     def rn16_s(self) -> float:
         return self.rn16_frame_symbols * self.symbol_s
 

@@ -105,3 +105,31 @@ def test_sweep_command(tmp_path):
     assert [r["setting"] for r in rows] == ["basic", "enhanced"]
     csv = (out / "sweep_algorithm.csv").read_text().splitlines()
     assert csv[0] == "setting,p50_m,p90_m,p99_m"
+
+
+def _localize_lines(tmp_path, monkeypatch, lines):
+    # localization is not under test here: a call to it fails the test
+    def no_localize(*args, **kwargs):
+        raise AssertionError("a malformed record reached localize")
+
+    monkeypatch.setattr(cli, "localize", no_localize)
+    packets = tmp_path / "packets.jsonl"
+    packets.write_text("".join(line + "\n" for line in lines))
+    return run(["localize", packets])
+
+
+def test_localize_names_the_line_that_is_not_json(tmp_path, monkeypatch):
+    with pytest.raises(harness.HarnessError, match="^line 2: "):
+        _localize_lines(tmp_path, monkeypatch, ["", "{not json"])
+
+
+def test_localize_rejects_a_record_without_epc_before_localizing(tmp_path, monkeypatch):
+    geom = model.default_array_geometry()
+    plan = model.default_carrier_plan(desk_scale=True)
+    h = cs.synth_channel(model.Scene(tags=(harness.single_path_tag((0.1, 2.2, 1.11),
+                                                                   (0, 1) * 48),)),
+                         geom, plan, 0)
+    doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
+    del doc["epc"]
+    with pytest.raises(harness.HarnessError, match="^line 1: record has no epc"):
+        _localize_lines(tmp_path, monkeypatch, [json.dumps(doc)])

@@ -1,5 +1,6 @@
 """Simulation, batch evaluation, ROI and snapshot interchange tests."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from chordsim import waveform as wf
 from chordsim.decoder import decode_pipeline
 from chordsim.harness import (BatchConfig, HarnessError, SceneSpec, SnapshotRecord,
                               bits_to_hex, channel_to_snapshots, evaluate_roi,
-                              export_snapshots, gate_corpus, hex_to_bits,
+                              export_snapshots, gate_corpus,
                               import_snapshots, nearest_rank_percentile,
                               multipath_tag, random_epc, run_batch, simulate_capture,
                               single_path_tag)
@@ -275,9 +276,8 @@ def test_evaluate_roi_label_validation():
 # --- snapshots ---------------------------------------------------------------
 
 def test_hex_round_trip():
-    rng = np.random.default_rng(4)
-    bits = tuple(rng.integers(0, 2, 96))
-    assert hex_to_bits(bits_to_hex(bits)) == bits
+    assert bits_to_hex((1, 0, 1, 0, 1, 1, 1, 1)) == "af"
+    assert bits_to_hex((0, 0, 0, 0) * 3 + (0, 0, 0, 1)) == "0001"
 
 
 def test_snapshot_export_import_bit_identical(tmp_path, plan, geom):
@@ -318,7 +318,8 @@ def test_snapshot_missing_carrier_masked(tmp_path, plan, geom):
 def test_snapshot_grouping_matches_brute_force(tmp_path, plan, geom):
     # interleaved EPCs; "a" repeats within the window (one reply) and twice
     # beyond it (two more replies), the last one just past the window edge
-    window_s = 10e-3
+    window_s = harness.SNAPSHOT_WINDOW_S
+    assert window_s == 10e-3
     rng = np.random.default_rng(8)
     replies = [("a", 0.000), ("b", 0.002), ("c", 0.004), ("a", 0.006),
                ("a", 0.030), ("b", 0.031), ("c", 0.035), ("a", 0.0405)]
@@ -344,7 +345,7 @@ def test_snapshot_grouping_matches_brute_force(tmp_path, plan, geom):
                 break
         else:
             expected.append((rec.epc, rec.timestamp_s, [rec]))
-    got = import_snapshots(path, geom, plan, window_s=window_s)
+    got = import_snapshots(path, geom, plan)
     assert [(epc, ts) for epc, ts, _ in got] == [(epc, ts) for epc, ts, _ in expected]
     assert [epc for epc, _, _ in got] == ["a", "b", "c", "a", "b", "c", "a"]
     for (_, _, ch), (_, _, recs) in zip(got, expected):
@@ -416,6 +417,22 @@ def test_packet_record_round_trip(plan, geom, grid):
                               mask=mask)
     assert np.array_equal(loc.basic_hologram(part, grid, geom, plan).heatmap,
                           loc.basic_hologram(masked, grid, geom, plan).heatmap)
+
+
+def _corpus_digest(scenes, labels=None) -> str:
+    docs = [{"scene": cs.model.scene_to_dict(spec.scene), "snr_db": spec.snr_db}
+            for spec in scenes]
+    for doc, label in zip(docs, labels or ()):
+        doc["label"] = label
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+def test_corpus_builders_are_pinned():
+    # the corpora behind c10 and c11 stay byte-identical across refactors
+    assert _corpus_digest(harness.desk_multipath_corpus(n_scenes=8, seed=7)) == \
+        "8d084317efe940e03b56fc6a27f7b59a7a2fa87ddcac607a16aa7aeba83e4c00"
+    assert _corpus_digest(*gate_corpus(n_inside=5, n_outside=7, seed=3)) == \
+        "08ce099cc1a20cef7c3e51c9086e9a54c1d2bdd5bbdf0296facd3152462831fc"
 
 
 def test_gate_corpus_labels():
