@@ -249,12 +249,18 @@ def processed_tag_baseband(tag_capture_rate: BasebandWave, plan: CarrierPlan) ->
 
 def shaped_noise(rng: np.random.Generator, shape: tuple[int, int], noise_var: float,
                  plan: CarrierPlan) -> np.ndarray:
-    """Complex Gaussian channel-rate noise rows run through the shaping
-    filter, with variance noise_var / decimation per sample."""
-    sh = _shaping_taps(plan.channel_out_rate_hz)
-    white = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return _filter_aligned(white * np.sqrt(noise_var / float(np.sum(sh ** 2))
-                                           / plan.decimation / 2), sh)
+    """Complex Gaussian channel-rate noise rows with the shaping filter's
+    spectrum and variance noise_var / decimation per sample, drawn in the band
+    (DFT bins within SHAPE_STOP_HZ, beyond which the filter is below
+    -STOPBAND_ATTEN_DB), so the rows are stationary to their ends."""
+    rate, n = plan.channel_out_rate_hz, shape[1]
+    band = np.abs(np.fft.fftfreq(n, d=1.0 / rate)) <= SHAPE_STOP_HZ
+    gain = np.abs(np.fft.fft(_shaping_taps(rate), n))[band]
+    # E|g|^2 = 2 per draw, and E|ifft(X)[m]|^2 = sum_k E|X_k|^2 / n^2
+    gain *= n * math.sqrt(noise_var / plan.decimation / 2 / float(np.sum(gain ** 2)))
+    spec = np.zeros(shape, dtype=complex)
+    spec[:, band] = rng.standard_normal((shape[0], 2 * gain.size)).view(complex) * gain
+    return np.fft.ifft(spec, axis=1)
 
 
 def notch_dc(bank: ChannelBank) -> ChannelBank:

@@ -162,9 +162,20 @@ def cmd_localize(args):
 
 
 def cmd_evaluate(args):
-    docs = [json.loads(l) for l in Path(args.results).read_text().splitlines() if l.strip()]
     labels = json.loads(Path(args.labels).read_text())
-    decisions = [{"label": labels[d["epc"]], "classified": d.get("roi")} for d in docs]
+    decisions = []
+    for i, line in enumerate(Path(args.results).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict) or not isinstance(doc.get("epc"), str):
+                raise HarnessError("result has no epc")
+            if doc["epc"] not in labels:
+                raise HarnessError(f"EPC {doc['epc']} has no label in {args.labels}")
+        except ValueError as exc:
+            raise HarnessError(f"{args.results} line {i}: {exc}") from exc
+        decisions.append({"label": labels[doc["epc"]], "classified": doc.get("roi")})
     miss, cross = evaluate_roi(decisions)
     print(json.dumps({"miss_rate": miss, "cross_rate": cross}))
 

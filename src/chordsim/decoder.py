@@ -324,24 +324,22 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
         phase = float(intercept)
     z1 = 0.0 + 0.0j
     z2 = 0.0 + 0.0j
-    freq_log = np.zeros(seg.size)
-    err_log = np.zeros(seg.size)
     warm = min(int(2 * SYMBOL_S * rate_hz), seg.size)
     ref_power = float(np.mean(np.abs(seg[:warm]) ** 2)) + 1e-30
     gate = 0.02 * ref_power
     cos, sin = math.cos, math.sin
-    phase_log = np.zeros(seg.size)
-    for i in range(seg.size):
-        v = seg[i] * base[i] * complex(cos(phase), -sin(phase))
+    phase_log, err_log = [], []
+    # Python complex products round like numpy's scalar ones; seg * base does not
+    for xs, xb in zip(seg.tolist(), base.tolist()):
+        v = xs * xb * complex(cos(phase), -sin(phase))
         z1 += lp * (v - z1)
         z2 += lp * (z1 - z2)
         p = z2.real * z2.real + z2.imag * z2.imag
         err = (z2.real * z2.imag) / p if p > gate else 0.0
         freq += ki * err
         phase += freq + kp * err
-        freq_log[i] = freq
-        phase_log[i] = phase
-        err_log[i] = err
+        phase_log.append(phase)
+        err_log.append(err)
 
     # Per-symbol alpha from NCO phase increments: in lock the phase register
     # carries the exact accumulated clock trajectory (the frequency register
@@ -350,11 +348,11 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     bounds = np.minimum(np.round(np.arange(n_symbols + 1) * SYMBOL_S * rate_hz).astype(int),
                         seg.size - 1)
     spans = np.maximum(bounds[1:] - bounds[:-1], 1)
-    dphase = phase_log[bounds[1:]] - phase_log[bounds[:-1]]
+    dphase = np.diff(np.take(phase_log, bounds))
     delta_f_hz = dphase * rate_hz / (2.0 * math.pi) / spans
     alpha_t = np.clip(-delta_f_hz, -TRACK_LIMIT_FRAC * BLF_HZ, TRACK_LIMIT_FRAC * BLF_HZ)
 
-    late = err_log[seg.size // 2:]
+    late = np.array(err_log[seg.size // 2:])
     late = late[late != 0.0]
     lock = bool(late.size > 32 and np.var(late) < 0.05)
     return ClockTrack(alpha_t_hz=alpha_t, lock_flag=lock)
@@ -384,6 +382,32 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
             pll_track(stream, rate_hz, _epc_anchor(sync), n2_span))
 
 
+def _resample(x: np.ndarray, rate_hz: float, spans) -> np.ndarray:
+    """Resample x onto the nominal tag clock along the last axis, span after
+    span: each (sync, track, duration_s) from its own anchor, one gather."""
+    parts = []
+    for sync, track, duration_s in spans:
+        i0 = max(int(math.ceil(sync.t0_hat_s * rate_hz)) - 1, 0)
+        # elapsed may start a fraction of a sample negative; the clock map is
+        # monotone there, which keeps the interpolation exact at integer t0
+        elapsed = np.arange(i0, x.shape[-1]) / rate_hz - sync.t0_hat_s
+        n_vals = clock_map(elapsed, sync.alpha0_hat_hz, track.alpha_t_hz)
+        target = np.arange(int(round(duration_s * rate_hz))) / rate_hz
+        if n_vals[-1] < target[-1]:
+            raise DecodeError("compensate_clock", "stream too short for the packet span")
+        j = np.clip(np.searchsorted(n_vals, target) - 1, 0, n_vals.size - 2)
+        w = np.clip((target - n_vals[j]) / np.maximum(n_vals[j + 1] - n_vals[j], 1e-30), 0.0, 1.0)
+        parts.append((i0 + j, w))
+    idx, w = map(np.concatenate, zip(*parts))
+    # interpolate in place on the two gathered copies: the same arithmetic
+    # with fewer packet-sized temporaries
+    out, nxt = np.take(x, idx, axis=-1), np.take(x, idx + 1, axis=-1)
+    out *= 1.0 - w
+    nxt *= w
+    out += nxt
+    return out
+
+
 def compensate_clock(streams: np.ndarray, rate_hz: float, sync: SyncEstimate,
                      track: ClockTrack, duration_s: float) -> np.ndarray:
     """Resample streams onto the nominal tag clock, along the last axis.
@@ -392,24 +416,7 @@ def compensate_clock(streams: np.ndarray, rate_hz: float, sync: SyncEstimate,
     start of frame; t0, the initial offset and the tracked fluctuation are all
     removed.  Every stream shares the one clock map.
     """
-    x = np.asarray(streams, dtype=complex)
-    i0 = max(int(math.ceil(sync.t0_hat_s * rate_hz)) - 1, 0)
-    # elapsed may start a fraction of a sample negative; the clock map is
-    # monotone there, which keeps the interpolation exact at integer t0
-    elapsed = np.arange(i0, x.shape[-1]) / rate_hz - sync.t0_hat_s
-    n_vals = clock_map(elapsed, sync.alpha0_hat_hz, track.alpha_t_hz)
-    target = np.arange(int(round(duration_s * rate_hz))) / rate_hz
-    if n_vals[-1] < target[-1]:
-        raise DecodeError("compensate_clock", "stream too short for the packet span")
-    j = np.clip(np.searchsorted(n_vals, target) - 1, 0, n_vals.size - 2)
-    w = np.clip((target - n_vals[j]) / np.maximum(n_vals[j + 1] - n_vals[j], 1e-30), 0.0, 1.0)
-    # interpolate in place on the two gathered copies: the same arithmetic
-    # with fewer packet-sized temporaries
-    out, nxt = np.take(x, i0 + j, axis=-1), np.take(x, i0 + j + 1, axis=-1)
-    out *= 1.0 - w
-    nxt *= w
-    out += nxt
-    return out
+    return _resample(np.asarray(streams, dtype=complex), rate_hz, [(sync, track, duration_s)])
 
 
 def msnr_combine(streams: np.ndarray, noise_cov: np.ndarray):
@@ -542,8 +549,10 @@ def _packet_estimate(comp: np.ndarray, rn16_bits, epc_bits, rate_hz: float,
     active = np.abs(tmpl) > 0.1
     t_energy = float(np.sum(tmpl ** 2))
     h = (comp @ tmpl) / t_energy
-    resid = comp[:, active] - h[:, None] * tmpl[active]
-    noise = np.mean(np.abs(resid) ** 2, axis=1) + 1e-30
+    # an exact residual at every sample (no cancellation at high SNR), no gathers
+    resid = np.multiply.outer(-h, tmpl)
+    resid += comp
+    noise = (resid.real ** 2 + resid.imag ** 2) @ active / np.count_nonzero(active) + 1e-30
     sig = np.abs(h) ** 2 * float(np.mean(tmpl[active] ** 2))
     snr = 10.0 * np.log10(np.maximum(sig / noise, 1e-30))
     return ChannelMatrix(h=h.reshape(-1, plan.n_carriers), carriers_hz=plan.carriers_hz,
@@ -589,10 +598,8 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     # EPC frame starts at sample i2, where the packet template puts it.
     i2 = int(round(layout.epc_start_s * rate))
     n_nom = int(round(layout.total_s * rate))
-    comp = np.concatenate(                                  # [K, L, N']
-        [compensate_clock(stack, rate, sync, tracks[0], i2 / rate),
-         compensate_clock(stack, rate, _epc_anchor(sync), tracks[1], (n_nom - i2) / rate)],
-        axis=2)
+    comp = _resample(stack, rate, [(sync, tracks[0], i2 / rate),        # [K, L, N']
+                                   (_epc_anchor(sync), tracks[1], (n_nom - i2) / rate)])
 
     pre_tmpl = _sync_templates(rate)[_SYNC_HALF_STEPS]        # alpha0 = 0
     lp = pre_tmpl.size

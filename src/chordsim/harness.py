@@ -98,8 +98,9 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     Returns (captures-or-banks, packet, channel).  The full path emits
     WidebandCapture objects for the channelizer; the fast path applies the
     channelizer's own filter chain to the tag baseband directly and emits
-    per-antenna ChannelBank objects, bypassing the wideband mixing.  Either
-    way the banks come out at a length that FFTs fast (the notch and the
+    per-antenna ChannelBank objects, bypassing the wideband mixing; its noise
+    is drawn in the shaping band, stationary to the bank edges.  Either way
+    the banks come out at a length that FFTs fast (the notch and the
     preamble search transform every stream).
     """
     rng = np.random.default_rng(seed)

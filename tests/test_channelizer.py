@@ -261,3 +261,20 @@ def test_load_bank_rejects_non_finite_sample(tmp_path, plan):
     raw.tofile(tmp_path / "ant0" / "ch_03.cf32")
     with pytest.raises(ModelError, match="ch_03.cf32"):
         chz.load_bank(manifest)
+
+
+def test_shaped_noise_follows_the_shaping_filter():
+    plan = default_carrier_plan(desk_scale=True)
+    rate, shape, var = plan.channel_out_rate_hz, (64, 10752), 3.0
+    x = chz.shaped_noise(np.random.default_rng(5), shape, var, plan)
+    assert np.array_equal(x, chz.shaped_noise(np.random.default_rng(5), shape, var, plan))
+    assert np.mean(np.abs(x) ** 2) == pytest.approx(var / plan.decimation, rel=0.02)
+    freqs = np.abs(np.fft.fftfreq(shape[1], d=1.0 / rate))
+    psd = np.mean(np.abs(np.fft.fft(x, axis=1)) ** 2, axis=0)
+    # nothing beyond the stop edge but the FFT round trip's residue
+    assert np.max(psd[freqs > chz.SHAPE_STOP_HZ]) < 1e-20 * np.max(psd)
+    passband = freqs <= chz.SHAPE_PASS_HZ
+    ratio = psd[passband] / np.abs(np.fft.fft(chz._shaping_taps(rate), shape[1]))[passband] ** 2
+    # blocks of 64 bins x 64 rows: ~1.6% standard error each
+    blocks = ratio[:ratio.size // 64 * 64].reshape(-1, 64).mean(axis=1)
+    assert np.max(np.abs(blocks / np.mean(ratio) - 1.0)) < 0.1

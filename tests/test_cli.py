@@ -1,6 +1,7 @@
 """End-to-end command-line interface tests."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -133,3 +134,20 @@ def test_localize_rejects_a_record_without_epc_before_localizing(tmp_path, monke
     del doc["epc"]
     with pytest.raises(harness.HarnessError, match="^line 1: record has no epc"):
         _localize_lines(tmp_path, monkeypatch, [json.dumps(doc)])
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{not json", "Expecting property name"),
+    ("[1, 2]", "result has no epc"),
+    ('{"roi": "inside"}', "result has no epc"),
+    ('{"epc": ["bb"]}', "result has no epc"),
+    ('{"epc": "bb", "roi": "outside"}', "EPC bb has no label"),
+])
+def test_evaluate_names_the_file_and_line_of_a_bad_result(tmp_path, line, message):
+    results = tmp_path / "results.jsonl"
+    results.write_text('{"epc": "aa", "roi": "inside"}\n\n' + line + "\n")
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"aa": "inside"}))
+    prefix = re.escape(f"{results} line 3: ")
+    with pytest.raises(harness.HarnessError, match=f"^{prefix}{message}"):
+        run(["evaluate", results, labels])

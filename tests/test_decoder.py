@@ -1,5 +1,6 @@
 """Synchronization, clock tracking, combining, Viterbi and pipeline tests."""
 
+import hashlib
 import itertools
 import math
 
@@ -143,6 +144,27 @@ def test_pll_slew_beyond_bandwidth_drops_lock(plan):
     sync = _true_sync(pkt, 0.0)
     track = dc.pll_track(x, RATE, sync, n_symbols=n_sym)
     assert not track.lock_flag
+
+
+@pytest.mark.parametrize("snr_db, digest", [(10.0, "e32f0d4c59d042ba"),
+                                              (-5.0, "14502b634fff16e4"),
+                                              (30.0, "5ed010df39683011")])
+def test_pll_known_answer(plan, snr_db, digest):
+    # both replies of a drifting packet; alpha is rounded to 1 uHz, so a
+    # last-place change in a BLAS or FFT build does not move the digest
+    rng = np.random.default_rng(41)
+    drift = np.linspace(0, 0.015 * BLF, 200)
+    pkt = _packet(rng, t0_s=0.5e-3, alpha0_hz=-0.04 * BLF, drift_alpha_hz=tuple(drift))
+    x = _shaped_packet(pkt, plan, noise_snr_db=snr_db, rng=rng)
+    # each reply anchored at its true start and clock
+    elapsed = np.linspace(0.0, 1e-3, 100001)
+    epc_s = np.interp(LAYOUT.epc_start_s, wf.clock_map(elapsed, pkt.alpha0_hz, drift), elapsed)
+    sync = dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=pkt.alpha0_hz, correlation_peak=1.0,
+                           epc_t0_hat_s=pkt.t0_s + epc_s,
+                           epc_alpha_hat_hz=pkt.alpha0_hz + drift[int(epc_s / wf.SYMBOL_S)])
+    tracks = dc.track_packet_clock(x, RATE, sync, LAYOUT)
+    text = repr([(np.round(t.alpha_t_hz, 6).tolist(), t.lock_flag) for t in tracks])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 # --- clock compensation ------------------------------------------------------
@@ -498,6 +520,27 @@ def test_full_packet_estimate_noiseless_phase(plan, geom):
             theta = cs.theoretical_phase(tag.position_m, k, l, geom, plan)
             assert np.angle(est.h[k, l]) == pytest.approx(
                 float(cs.model.wrap_phase(-theta)), abs=2e-3)
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 300.0])
+def test_packet_estimate_matches_the_gathered_residual(plan, geom, snr_db):
+    rng = np.random.default_rng(19)
+    pkt = _packet(rng)
+    tmpl = chz.apply_shaping(wf.packet_template(pkt, RATE), RATE).samples.real
+    k = geom.n_antennas * plan.n_carriers
+    h = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    comp = np.outer(h, tmpl) + (rng.standard_normal((k, tmpl.size)) + 1j * rng.standard_normal(
+        (k, tmpl.size))) * math.sqrt(10 ** (-snr_db / 10) / 2)
+    est = dc._packet_estimate(comp, pkt.rn16_bits, pkt.epc_bits, RATE, plan, geom)
+    # reference: the residual gathered over the active samples
+    active = np.abs(tmpl) > 0.1
+    h_ref = (comp @ tmpl) / float(np.sum(tmpl ** 2))
+    resid = comp[:, active] - h_ref[:, None] * tmpl[active]
+    snr_ref = 10 * np.log10(np.abs(h_ref) ** 2 * float(np.mean(tmpl[active] ** 2))
+                            / (np.mean(np.abs(resid) ** 2, axis=1) + 1e-30))
+    assert np.array_equal(est.h.ravel(), h_ref)
+    assert np.max(np.abs(est.quality.ravel() - snr_ref)) < 1e-12
+    assert np.median(snr_ref) > snr_db - 6
 
 
 def test_integration_gain_template_length_scaling(plan, geom):
