@@ -16,9 +16,9 @@ from .waveform import (BasebandWave, MultisineSpec, TagPacket,
                        optimize_tone_phases, papr_db, synth_multisine)
 from .channelizer import (ChannelBank, WidebandCapture, channelize,
                           dynamic_range_required, notch_dc)
-from .decoder import (ClockTrack, DecodedPacket, DecodeError, NoPacketError,
-                      SyncEstimate, compensate_clock, decode_pipeline, mrc_combine,
-                      msnr_combine, pll_track, preamble_search, viterbi_decode)
+from .decoder import (DecodedPacket, DecodeError, NoPacketError, SyncEstimate,
+                      compensate_clock, decode_pipeline, mrc_combine, msnr_combine,
+                      pll_track, preamble_search, viterbi_decode)
 from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI, TofProfile,
                       aoa_spectrum, basic_hologram, classify_roi, enhance_direct_path,
                       identify_direct_path, localize, peak_find_2d, summation_layer,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -84,34 +84,18 @@ class SyncEstimate:
 
 
 @dataclass(frozen=True, eq=False)
-class ClockTrack:
-    """Per-symbol estimate of the residual clock fluctuation alpha(t)."""
-
-    alpha_t_hz: np.ndarray
-    lock_flag: bool
-
-
-@dataclass(frozen=True, eq=False)
 class DecodedPacket:
     rn16_bits: tuple[int, ...]
     epc_bits: tuple[int, ...]
     crc_ok: bool
     channel: ChannelMatrix
     sync: SyncEstimate
-    tracks: tuple[ClockTrack, ClockTrack]
+    # per-symbol alpha(t) of each reply, (RN16, EPC), relative to its anchor
+    tracks: tuple[np.ndarray, np.ndarray]
 
 
 def _preamble_template(subcarrier_hz: float, rate_hz: float) -> np.ndarray:
     return np.real(miller_encode(PREAMBLE_BITS, subcarrier_hz, rate_hz, preamble=False).samples)
-
-
-@functools.lru_cache(maxsize=4)
-def _sync_templates(rate_hz: float) -> tuple[np.ndarray, ...]:
-    """Preamble template at every clock of the sync grid (cached, read-only)."""
-    tmpls = tuple(_preamble_template(BLF_HZ - a, rate_hz) for a in _SYNC_ALPHAS_HZ)
-    for t in tmpls:
-        t.flags.writeable = False
-    return tmpls
 
 
 def _template_bank(tmpls, nfft: int):
@@ -123,8 +107,10 @@ def _template_bank(tmpls, nfft: int):
 
 @functools.lru_cache(maxsize=2)
 def _sync_bank(rate_hz: float, nfft: int):
-    """The sync grid's template bank (cached, read-only)."""
-    bank = _template_bank(_sync_templates(rate_hz), nfft)
+    """Template bank of the preamble at every clock of the sync grid (cached,
+    read-only)."""
+    bank = _template_bank([_preamble_template(BLF_HZ - a, rate_hz) for a in _SYNC_ALPHAS_HZ],
+                          nfft)
     for a in bank:
         a.flags.writeable = False
     return bank
@@ -267,17 +253,18 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
                         epc_alpha_hat_hz=alpha_epc)
 
 
-def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
-              n_symbols: int) -> ClockTrack:
-    """Second-order Costas loop on the Miller subcarrier.
+def pll_track(stream: np.ndarray, rate_hz: float, t0_s: float, alpha0_hz: float,
+              n_symbols: int) -> np.ndarray:
+    """Second-order Costas loop on the Miller subcarrier of the reply anchored
+    at time t0_s with initial clock offset alpha0_hz.
 
-    Tracks the residual fluctuation left after removing the estimated initial
-    offset; the per-symbol frequency register is reported as alpha(t).  The
-    loop freezes when the subcarrier envelope drops (inter-reply gap).
+    Tracks the residual fluctuation left after removing that offset and
+    returns it per symbol as alpha(t).  The loop freezes when the subcarrier
+    envelope drops (inter-reply gap).
     """
     x = np.asarray(stream, dtype=complex)
-    f_sub = BLF_HZ - sync.alpha0_hat_hz
-    i0 = max(int(round(sync.t0_hat_s * rate_hz)), 0)
+    f_sub = BLF_HZ - alpha0_hz
+    i0 = max(int(round(t0_s * rate_hz)), 0)
     n_span = int(round(n_symbols * SYMBOL_S * rate_hz * CLOCK_STRETCH))
     seg = x[i0:i0 + n_span]
     if seg.size < int(4 * SYMBOL_S * rate_hz):
@@ -290,7 +277,7 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     ki = 4.0 * theta_n ** 2 / denom
     lp = 1.0 - math.exp(-2.0 * math.pi * (BLF_HZ / 2.0) / rate_hz)
 
-    t = (i0 + np.arange(seg.size)) / rate_hz - sync.t0_hat_s
+    t = (i0 + np.arange(seg.size)) / rate_hz - t0_s
     base = np.exp(-2j * math.pi * f_sub * t)
 
     # Seed the loop phase and frequency from the pilot symbols (known baseband
@@ -328,7 +315,7 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     ref_power = float(np.mean(np.abs(seg[:warm]) ** 2)) + 1e-30
     gate = 0.02 * ref_power
     cos, sin = math.cos, math.sin
-    phase_log, err_log = [], []
+    phase_log = []
     # Python complex products round like numpy's scalar ones; seg * base does not
     for xs, xb in zip(seg.tolist(), base.tolist()):
         v = xs * xb * complex(cos(phase), -sin(phase))
@@ -339,7 +326,6 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
         freq += ki * err
         phase += freq + kp * err
         phase_log.append(phase)
-        err_log.append(err)
 
     # Per-symbol alpha from NCO phase increments: in lock the phase register
     # carries the exact accumulated clock trajectory (the frequency register
@@ -350,21 +336,11 @@ def pll_track(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     spans = np.maximum(bounds[1:] - bounds[:-1], 1)
     dphase = np.diff(np.take(phase_log, bounds))
     delta_f_hz = dphase * rate_hz / (2.0 * math.pi) / spans
-    alpha_t = np.clip(-delta_f_hz, -TRACK_LIMIT_FRAC * BLF_HZ, TRACK_LIMIT_FRAC * BLF_HZ)
-
-    late = np.array(err_log[seg.size // 2:])
-    late = late[late != 0.0]
-    lock = bool(late.size > 32 and np.var(late) < 0.05)
-    return ClockTrack(alpha_t_hz=alpha_t, lock_flag=lock)
-
-
-def _epc_anchor(sync: SyncEstimate) -> SyncEstimate:
-    """The EPC reply's own anchor: its preamble's measured time and clock."""
-    return replace(sync, t0_hat_s=sync.epc_t0_hat_s, alpha0_hat_hz=sync.epc_alpha_hat_hz)
+    return np.clip(-delta_f_hz, -TRACK_LIMIT_FRAC * BLF_HZ, TRACK_LIMIT_FRAC * BLF_HZ)
 
 
 def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
-                       layout) -> tuple[ClockTrack, ClockTrack]:
+                       layout) -> tuple[np.ndarray, np.ndarray]:
     """Clock track of each reply of a two-reply packet, (RN16, EPC).
 
     One Costas pass per reply, each from its own anchor and seeded from its
@@ -378,20 +354,27 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
     # track spans are in received time: a slow clock stretches each frame
     n1_span = int(math.ceil(layout.rn16_frame_symbols * CLOCK_STRETCH)) + 1
     n2_span = int(math.ceil(layout.epc_frame_symbols * CLOCK_STRETCH)) + 2
-    return (pll_track(stream, rate_hz, sync, n1_span),
-            pll_track(stream, rate_hz, _epc_anchor(sync), n2_span))
+    return (pll_track(stream, rate_hz, sync.t0_hat_s, sync.alpha0_hat_hz, n1_span),
+            pll_track(stream, rate_hz, sync.epc_t0_hat_s, sync.epc_alpha_hat_hz, n2_span))
 
 
-def _resample(x: np.ndarray, rate_hz: float, spans) -> np.ndarray:
-    """Resample x onto the nominal tag clock along the last axis, span after
-    span: each (sync, track, duration_s) from its own anchor, one gather."""
+def compensate_clock(streams: np.ndarray, rate_hz: float, spans) -> np.ndarray:
+    """Resample streams onto the nominal tag clock, along the last axis.
+
+    Each span (t0_s, alpha0_hz, alpha_t_hz, duration_s) is one reply, mapped
+    from its own anchor: output sample m of the span sits at nominal time
+    m/rate after t0_s, with the initial offset and the tracked fluctuation
+    removed.  The spans' outputs follow one another, taken by one gather, and
+    every stream shares the one clock map.
+    """
+    x = np.asarray(streams, dtype=complex)
     parts = []
-    for sync, track, duration_s in spans:
-        i0 = max(int(math.ceil(sync.t0_hat_s * rate_hz)) - 1, 0)
+    for t0_s, alpha0_hz, alpha_t_hz, duration_s in spans:
+        i0 = max(int(math.ceil(t0_s * rate_hz)) - 1, 0)
         # elapsed may start a fraction of a sample negative; the clock map is
         # monotone there, which keeps the interpolation exact at integer t0
-        elapsed = np.arange(i0, x.shape[-1]) / rate_hz - sync.t0_hat_s
-        n_vals = clock_map(elapsed, sync.alpha0_hat_hz, track.alpha_t_hz)
+        elapsed = np.arange(i0, x.shape[-1]) / rate_hz - t0_s
+        n_vals = clock_map(elapsed, alpha0_hz, alpha_t_hz)
         target = np.arange(int(round(duration_s * rate_hz))) / rate_hz
         if n_vals[-1] < target[-1]:
             raise DecodeError("compensate_clock", "stream too short for the packet span")
@@ -406,17 +389,6 @@ def _resample(x: np.ndarray, rate_hz: float, spans) -> np.ndarray:
     nxt *= w
     out += nxt
     return out
-
-
-def compensate_clock(streams: np.ndarray, rate_hz: float, sync: SyncEstimate,
-                     track: ClockTrack, duration_s: float) -> np.ndarray:
-    """Resample streams onto the nominal tag clock, along the last axis.
-
-    Output sample m sits at nominal packet time m/rate after the estimated
-    start of frame; t0, the initial offset and the tracked fluctuation are all
-    removed.  Every stream shares the one clock map.
-    """
-    return _resample(np.asarray(streams, dtype=complex), rate_hz, [(sync, track, duration_s)])
 
 
 def msnr_combine(streams: np.ndarray, noise_cov: np.ndarray):
@@ -564,7 +536,9 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     """One-shot decode of a tag reply from per-antenna channel banks.
 
     Banks are expected to be time-aligned to a common capture clock and
-    DC-notched.  Raises DecodeError/NoPacketError with stage attribution.
+    DC-notched, of one length, and hold the plan's carriers at its channel
+    rate (ModelError otherwise).  Raises DecodeError/NoPacketError with stage
+    attribution.
     """
     if not banks:
         raise ModelError("need at least one channel bank")
@@ -572,6 +546,13 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     k_n, l_n = len(banks), plan.n_carriers
     if geom.n_antennas != k_n:
         raise ModelError("bank count does not match the geometry")
+    for i, b in enumerate(banks):
+        if b.n_samples != banks[0].n_samples:
+            raise ModelError(f"decode_pipeline: bank {i} length differs from bank 0's")
+        if abs(b.rate_hz - plan.channel_out_rate_hz) > 1e-6:
+            raise ModelError(f"decode_pipeline: bank {i} rate does not match the plan")
+        if not np.array_equal(b.carriers_hz, plan.carriers_hz):
+            raise ModelError(f"decode_pipeline: bank {i} carriers do not match the plan")
     layout = packet_layout(epc_len)
 
     stack = np.stack([b.streams for b in banks])        # [K, L, N]
@@ -598,10 +579,12 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     # EPC frame starts at sample i2, where the packet template puts it.
     i2 = int(round(layout.epc_start_s * rate))
     n_nom = int(round(layout.total_s * rate))
-    comp = _resample(stack, rate, [(sync, tracks[0], i2 / rate),        # [K, L, N']
-                                   (_epc_anchor(sync), tracks[1], (n_nom - i2) / rate)])
+    comp = compensate_clock(stack, rate,                                 # [K, L, N']
+                            [(sync.t0_hat_s, sync.alpha0_hat_hz, tracks[0], i2 / rate),
+                             (sync.epc_t0_hat_s, sync.epc_alpha_hat_hz, tracks[1],
+                              (n_nom - i2) / rate)])
 
-    pre_tmpl = _sync_templates(rate)[_SYNC_HALF_STEPS]        # alpha0 = 0
+    pre_tmpl = _preamble_template(BLF_HZ, rate)        # the grid's alpha0 = 0 row
     lp = pre_tmpl.size
     pre_energy = float(np.sum(pre_tmpl ** 2))
 

@@ -8,7 +8,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -185,17 +184,6 @@ class BatchConfig:
     fast_path: bool = True
     seed: int = 0
 
-    def digest(self) -> str:
-        doc = {
-            "carriers": list(self.plan.carriers_hz),
-            "rx": [list(p) for p in self.geom.rx_positions_m],
-            "grid": [self.grid.x_extent_m, self.grid.y_extent_m, self.grid.cell_m],
-            "mode": self.mode,
-            "policy": self.policy.mode,
-            "seed": self.seed,
-        }
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class TagResult:
@@ -219,7 +207,6 @@ class RunReport:
     n_tags: int
     n_failed: int
     throughput_pps: float
-    config_digest: str
 
 
 def nearest_rank_percentile(values, pct: float) -> float:
@@ -236,8 +223,7 @@ def _scene_seed(base: int, scene_idx: int, tag_idx: int) -> int:
 
 
 def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
-              carrier_idx=None, antenna_idx=None,
-              policy: LocalizePolicy | None = None) -> RunReport:
+              carrier_idx=None, antenna_idx=None) -> RunReport:
     """Decode (or channel-surrogate) and localize every tag of every scene.
 
     ``carrier_idx``/``antenna_idx`` subset the full plan/geometry while the
@@ -247,7 +233,6 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
     """
     if not scenes:
         raise HarnessError("empty scene list")
-    policy = policy or cfg.policy
     plan = cfg.plan if carrier_idx is None else subset_plan(cfg.plan, carrier_idx)
     geom = cfg.geom if antenna_idx is None else subset_geometry(cfg.geom, len(antenna_idx))
 
@@ -294,7 +279,7 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
                 if crc_ok is False:
                     failure_stage = "crc"
                 else:
-                    estimate = localize(ch, cfg.grid, geom, plan, cfg.prior, policy)
+                    estimate = localize(ch, cfg.grid, geom, plan, cfg.prior, cfg.policy)
             except DecodeError as exc:
                 failure_stage = exc.stage
             except ModelError:
@@ -321,7 +306,7 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
         p90_m=nearest_rank_percentile(errors, 90),
         p99_m=nearest_rank_percentile(errors, 99),
         n_tags=len(results), n_failed=n_failed,
-        throughput_pps=throughput, config_digest=cfg.digest(),
+        throughput_pps=throughput,
     )
 
 
@@ -361,7 +346,7 @@ def ablation_sweep(corpus: list[SceneSpec], axis: str, cfg: BatchConfig,
                 policy = LocalizePolicy(mode="conditional")
             else:
                 raise HarnessError(f"unknown algorithm setting {name!r}")
-            rep = run_batch(corpus, cfg, policy=policy)
+            rep = run_batch(corpus, replace(cfg, policy=policy))
             rows.append({"setting": name, "p50_m": rep.p50_m,
                          "p90_m": rep.p90_m, "p99_m": rep.p99_m})
     else:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from chordsim import locator as loc
 from chordsim import waveform as wf
 from chordsim.harness import SceneSpec, simulate_capture, single_path_tag, random_epc
 from chordsim.model import (ModelError, Scene, default_array_geometry, default_carrier_plan,
-                            subset_geometry)
+                            subset_geometry, subset_plan)
 
 RATE = 2.56e6
 BLF = 250e3
@@ -50,13 +51,6 @@ def _shaped_packet(pkt, plan, noise_snr_db=None, rng=None, tail_s=0.5e-3):
 def _packet(rng, **kw):
     return wf.TagPacket(rn16_bits=tuple(rng.integers(0, 2, 16)),
                         epc_bits=tuple(rng.integers(0, 2, 96)), **kw)
-
-
-def _true_sync(pkt, alpha0_hat_hz):
-    # sync at the packet's true start; the EPC preamble time is nominal
-    return dc.SyncEstimate(t0_hat_s=pkt.t0_s, alpha0_hat_hz=alpha0_hat_hz, correlation_peak=1.0,
-                           epc_t0_hat_s=pkt.t0_s + LAYOUT.epc_start_s,
-                           epc_alpha_hat_hz=alpha0_hat_hz)
 
 
 # --- preamble search ---------------------------------------------------------
@@ -108,10 +102,8 @@ def test_pll_static_clock(plan):
     rng = np.random.default_rng(3)
     pkt = _packet(rng, t0_s=0.5e-3)
     x = _shaped_packet(pkt, plan, noise_snr_db=25.0, rng=rng)
-    sync = _true_sync(pkt, 0.0)
-    track = dc.pll_track(x, RATE, sync, n_symbols=LAYOUT.rn16_frame_symbols)
-    assert track.lock_flag
-    assert np.max(np.abs(track.alpha_t_hz[2:])) < 0.0005 * BLF * 2.5
+    track = dc.pll_track(x, RATE, pkt.t0_s, 0.0, n_symbols=LAYOUT.rn16_frame_symbols)
+    assert np.max(np.abs(track[2:])) < 0.0005 * BLF * 2.5
 
 
 def test_pll_linear_drift_tracked(plan):
@@ -127,28 +119,15 @@ def test_pll_linear_drift_tracked(plan):
     pad = np.concatenate([warped.samples, np.zeros(int(0.5e-3 * plan.capture_rate_hz))])
     x = chz.processed_tag_baseband(
         wf.BasebandWave(samples=pad, rate_hz=plan.capture_rate_hz), plan).samples
-    sync = _true_sync(pkt, 0.0)
-    track = dc.pll_track(x, RATE, sync, n_symbols=n_sym)
+    track = dc.pll_track(x, RATE, pkt.t0_s, 0.0, n_symbols=n_sym)
     # injected-trajectory oracle: the tracked curve follows within 0.3% of BLF
-    err = np.abs(track.alpha_t_hz[5:n_sym - 5] - np.asarray(drift)[5:n_sym - 5])
+    err = np.abs(track[5:n_sym - 5] - np.asarray(drift)[5:n_sym - 5])
     assert np.max(err) < 0.003 * BLF
 
 
-def test_pll_slew_beyond_bandwidth_drops_lock(plan):
-    rng = np.random.default_rng(5)
-    n_sym = 150
-    # square-wave drift toggling every two symbols, far above the loop rate
-    drift = tuple(0.02 * BLF * (1 - 2 * ((np.arange(n_sym) // 2) % 2)))
-    pkt = _packet(rng, t0_s=0.5e-3, drift_alpha_hz=drift)
-    x = _shaped_packet(pkt, plan, tail_s=1.5e-3)
-    sync = _true_sync(pkt, 0.0)
-    track = dc.pll_track(x, RATE, sync, n_symbols=n_sym)
-    assert not track.lock_flag
-
-
-@pytest.mark.parametrize("snr_db, digest", [(10.0, "e32f0d4c59d042ba"),
-                                              (-5.0, "14502b634fff16e4"),
-                                              (30.0, "5ed010df39683011")])
+@pytest.mark.parametrize("snr_db, digest", [(10.0, "735d1380208137be"),
+                                              (-5.0, "ccfe7ba5afba9aff"),
+                                              (30.0, "2771ba33beb227c5")])
 def test_pll_known_answer(plan, snr_db, digest):
     # both replies of a drifting packet; alpha is rounded to 1 uHz, so a
     # last-place change in a BLAS or FFT build does not move the digest
@@ -163,7 +142,7 @@ def test_pll_known_answer(plan, snr_db, digest):
                            epc_t0_hat_s=pkt.t0_s + epc_s,
                            epc_alpha_hat_hz=pkt.alpha0_hz + drift[int(epc_s / wf.SYMBOL_S)])
     tracks = dc.track_packet_clock(x, RATE, sync, LAYOUT)
-    text = repr([(np.round(t.alpha_t_hz, 6).tolist(), t.lock_flag) for t in tracks])
+    text = repr([np.round(t, 6).tolist() for t in tracks])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -173,9 +152,7 @@ def test_compensate_identity(plan):
     rng = np.random.default_rng(6)
     pkt = _packet(rng, t0_s=0.5e-3)
     x = _shaped_packet(pkt, plan)
-    sync = _true_sync(pkt, 0.0)
-    track = dc.ClockTrack(alpha_t_hz=np.zeros(170), lock_flag=True)
-    comp = dc.compensate_clock(x, RATE, sync, track, duration_s=LAYOUT.total_s)
+    comp = dc.compensate_clock(x, RATE, [(pkt.t0_s, 0.0, np.zeros(170), LAYOUT.total_s)])
     i0 = int(round(pkt.t0_s * RATE))
     direct = x[i0:i0 + comp.size]
     err = np.sum(np.abs(comp - direct) ** 2) / np.sum(np.abs(direct) ** 2)
@@ -186,13 +163,30 @@ def test_compensate_constant_offset_correlation(plan):
     rng = np.random.default_rng(7)
     pkt = _packet(rng, t0_s=0.5e-3, alpha0_hz=0.025 * BLF)
     x = _shaped_packet(pkt, plan)
-    sync = _true_sync(pkt, pkt.alpha0_hz)
-    track = dc.ClockTrack(alpha_t_hz=np.zeros(190), lock_flag=True)
-    comp = dc.compensate_clock(x, RATE, sync, track, duration_s=LAYOUT.total_s)
+    comp = dc.compensate_clock(x, RATE, [(pkt.t0_s, pkt.alpha0_hz, np.zeros(190),
+                                          LAYOUT.total_s)])
     tmpl = chz.apply_shaping(wf.packet_template(pkt, RATE), RATE).samples.real
     n = min(comp.size, tmpl.size)
     rho = abs(np.vdot(tmpl[:n], comp[:n])) / (np.linalg.norm(comp[:n]) * np.linalg.norm(tmpl[:n]))
     assert rho >= 0.99
+
+
+def test_compensate_two_spans_equal_their_parts(plan):
+    # one call over both replies' spans is each reply resampled from its own
+    # anchor, the outputs joined along the last axis
+    rng = np.random.default_rng(27)
+    drift = wf.random_walk_drift(190, rng)
+    pkt = _packet(rng, t0_s=0.8e-3, alpha0_hz=0.05 * BLF, drift_alpha_hz=drift)
+    x = _shaped_packet(pkt, plan, noise_snr_db=22.0, rng=rng, tail_s=1.2e-3)
+    sync = dc.preamble_search(x, RATE)
+    tr1, tr2 = dc.track_packet_clock(x, RATE, sync, LAYOUT)
+    streams = np.stack([x, 0.5j * x, x[::-1]])
+    spans = [(sync.t0_hat_s, sync.alpha0_hat_hz, tr1, LAYOUT.epc_start_s),
+             (sync.epc_t0_hat_s, sync.epc_alpha_hat_hz, tr2, LAYOUT.total_s - LAYOUT.epc_start_s)]
+    both = dc.compensate_clock(streams, RATE, spans)
+    parts = [dc.compensate_clock(streams, RATE, [span]) for span in spans]
+    assert both.shape[:-1] == streams.shape[:-1]
+    assert np.array_equal(both, np.concatenate(parts, axis=-1))
 
 
 def test_compensate_residual_matches_trajectory_difference(plan):
@@ -201,11 +195,9 @@ def test_compensate_residual_matches_trajectory_difference(plan):
     rng = np.random.default_rng(8)
     drift = wf.random_walk_drift(170, rng)
     pkt = _packet(rng, t0_s=0.5e-3, drift_alpha_hz=drift)
-    sync = _true_sync(pkt, 0.0)
     tracked = np.asarray(drift) + rng.normal(0, 50.0, len(drift))
-    track = dc.ClockTrack(alpha_t_hz=tracked, lock_flag=True)
     probe = np.linspace(0, 150 * wf.SYMBOL_S, 23)
-    est_map = wf.clock_map(probe, sync.alpha0_hat_hz, track.alpha_t_hz)
+    est_map = wf.clock_map(probe, 0.0, tracked)
     true_map = wf.clock_warp(probe, pkt)
     resid = est_map - true_map
     t_fine = np.linspace(0, probe[-1], 200001)
@@ -230,7 +222,7 @@ def test_full_chain_residual_timing_under_five_percent(plan):
                 LAYOUT.total_s))
     offset = None
     for t_anchor, alpha_anchor, track, nom_lo, nom_hi in replies:
-        est_map = nom_lo + wf.clock_map(e, alpha_anchor, track.alpha_t_hz)
+        est_map = nom_lo + wf.clock_map(e, alpha_anchor, track)
         true_map = wf.clock_warp(e + (t_anchor - pkt.t0_s), pkt)
         inside = (true_map >= nom_lo) & (true_map <= nom_hi)
         resid = est_map - true_map
@@ -295,7 +287,7 @@ def test_sync_bank_built_once_per_length_and_read_only(plan, geom):
         dc.decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom)
     assert len(lengths) == 1
     assert dc._sync_bank.cache_info().misses == 1
-    for cached in dc._sync_bank(RATE, 1 << 14) + dc._sync_templates(RATE):
+    for cached in dc._sync_bank(RATE, 1 << 14):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0
 
@@ -652,6 +644,24 @@ def test_pipeline_all_zero_banks_raise_no_packet(plan, geom):
              for k in range(geom.n_antennas)]
     with pytest.raises(dc.NoPacketError):
         dc.decode_pipeline(banks, plan, geom)
+
+
+def test_pipeline_rejects_banks_that_do_not_match_the_plan(plan, geom):
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(28)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=18.0, leak_db=20.0)
+    banks, _, _ = simulate_capture(spec, plan, geom, seed=8, fast_path=True)
+    banks = [chz.notch_dc(b) for b in banks]
+    shifted = tuple(f + 5e6 for f in plan.carriers_hz)
+    # a 5 MHz carrier offset, a bank at twice the rate, a short bank, and a
+    # plan of half the banks' carriers
+    cases = [([replace(b, carriers_hz=shifted) for b in banks], plan, "carriers"),
+             ([replace(banks[0], rate_hz=2 * banks[0].rate_hz)] + banks[1:], plan, "rate"),
+             (banks[:-1] + [replace(banks[-1], streams=banks[-1].streams[:, :-100])], plan,
+              "length"),
+             (banks, subset_plan(plan, range(8)), "carriers")]
+    for case_banks, case_plan, what in cases:
+        with pytest.raises(ModelError, match=f"decode_pipeline: bank .* {what}"):
+            dc.decode_pipeline(case_banks, case_plan, geom)
 
 
 def _decode_fast(plan, geom, tag, seed, **kw):
