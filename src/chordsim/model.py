@@ -338,6 +338,13 @@ class ChannelMatrix:
             raise ModelError("channel matrix dimensions inconsistent with geometry/plan")
         if not np.all(np.isfinite(h)):
             raise ModelError("channel entries must be finite")
+        if self.quality is not None and np.shape(self.quality) != h.shape:
+            raise ModelError("channel quality must be K x L")
+        if self.mask is not None:
+            mask = np.asarray(self.mask, dtype=bool)
+            object.__setattr__(self, "mask", mask)
+            if mask.shape != h.shape:
+                raise ModelError("channel mask must be K x L")
 
     @property
     def shape(self) -> tuple[int, int]:

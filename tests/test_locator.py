@@ -211,6 +211,60 @@ def test_all_masked_channel_raises_at_the_hologram(geom, plan):
         loc.summation_layer(np.angle(ch.h), GRID, geom, plan, mask=ch.mask)
 
 
+def test_summation_layer_rejects_a_mis_shaped_mask(geom, plan):
+    phases = np.angle(_random_phase_channel(geom, plan, 15).h)
+    for shape in [(16, 8), (8,), (8, 15)]:
+        with pytest.raises(ModelError, match="hologram: mask"):
+            loc.summation_layer(phases, GRID, geom, plan, mask=np.ones(shape, dtype=bool))
+
+
+def _rows(geom, plan):
+    """The cached steering rows of every (antenna, carrier), antenna-major."""
+    tx = loc._point_key(geom.tx_wideband_position_m)
+    return [[loc._steering_row(GRID, tx, loc._point_key(rx), float(f))
+             for f in plan.carriers_hz] for rx in geom.rx_positions_m]
+
+
+def test_hologram_equals_a_plain_numpy_sum(geom, plan):
+    ch = _random_phase_channel(geom, plan, 16)
+    mask = np.ones(ch.shape, dtype=bool)
+    mask[2, 4] = False
+    mask[:, 11] = False
+    masked = cs.ChannelMatrix(h=ch.h, carriers_hz=ch.carriers_hz, geometry=geom, mask=mask)
+    carriers = harness.bandwidth_carrier_indices(plan, harness.BANDWIDTH_SETTINGS_HZ[1])
+    antennas = cs.model.antenna_subset_indices(geom, harness.ANTENNA_SETTINGS[1])
+    sub_plan = subset_plan(plan, carriers)
+    sub_geom = cs.model.subset_geometry(geom, len(antennas))
+    sub = cs.ChannelMatrix(h=ch.h[np.ix_(antennas, carriers)],
+                           carriers_hz=sub_plan.carriers_hz, geometry=sub_geom)
+    for c, g, p in [(ch, geom, plan), (masked, geom, plan), (sub, sub_geom, sub_plan)]:
+        rows = _rows(g, p)
+        seen = np.ones(c.shape, dtype=bool) if c.mask is None else c.mask
+        ref = np.abs(sum(np.exp(1j * np.angle(c.h[k, l])) * rows[k][l]
+                         for k in range(c.shape[0]) for l in range(c.shape[1])
+                         if seen[k, l])).reshape(GRID.ny, GRID.nx)
+        res = loc.basic_hologram(c, GRID, g, p)
+        assert res.heatmap.shape == (GRID.ny, GRID.nx) == (120, 64)
+        assert np.max(np.abs(res.heatmap - ref)) <= 1e-12
+        assert (res.argmax_iy, res.argmax_ix) == np.unravel_index(np.argmax(ref), ref.shape)
+
+
+def test_hologram_leaves_cached_rows_untouched(geom, plan):
+    ch = _random_phase_channel(geom, plan, 17)
+    rows = [row for per_antenna in _rows(geom, plan) for row in per_antenna]
+    before = [row.copy() for row in rows]
+    mask = np.ones(ch.shape, dtype=bool)
+    mask[5, 2] = False
+    mask[:, 7] = False
+    loc.basic_hologram(ch, GRID, geom, plan)
+    loc.summation_layer(np.angle(ch.h), GRID, geom, plan, mask=mask)
+    after = [row for per_antenna in _rows(geom, plan) for row in per_antenna]
+    assert all(a is b for a, b in zip(after, rows))
+    for row, copy in zip(rows, before):
+        assert np.array_equal(row, copy)
+        assert not row.flags.writeable
+
+
 def test_cache_within_bound_after_sweep(geom, plan):
     ch = _random_phase_channel(geom, plan, 13)
     loc._steering_row.cache_clear()

@@ -180,6 +180,24 @@ def test_synth_channel_errors(geom, plan):
         TagDef(epc_bits=(0,) * 96, position_m=(0, 1, 1), paths=())
 
 
+@pytest.mark.parametrize("field,shape", [("mask", (16, 8)), ("mask", (16,)),
+                                         ("quality", (16, 8)), ("quality", (5,))])
+def test_channel_matrix_rejects_mis_shaped_mask_and_quality(geom, plan, field, shape):
+    h = np.ones((geom.n_antennas, plan.n_carriers), dtype=complex)
+    with pytest.raises(ModelError, match=f"{field} must be K x L"):
+        cs.ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom,
+                         **{field: np.ones(shape)})
+
+
+def test_channel_matrix_mask_is_bool(geom, plan):
+    h = np.ones((geom.n_antennas, plan.n_carriers), dtype=complex)
+    mask = np.ones(h.shape, dtype=int)
+    mask[2, 3] = 0
+    ch = cs.ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom, mask=mask)
+    assert ch.mask.dtype == bool
+    assert np.array_equal(~ch.mask, mask == 0)
+
+
 # --- analytic formulas -------------------------------------------------------
 
 def test_thermal_noise_reference_values():
