@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,7 @@ def _load_setup(args):
         extra = doc
     if plan is None:
         plan = default_carrier_plan(desk_scale=True)
-        plan = model.CarrierPlan(**{**model.plan_to_dict(plan),
-                                    "tone_phases_rad": optimize_tone_phases(plan.tone_offsets_hz)})
+        plan = replace(plan, tone_phases_rad=optimize_tone_phases(plan.tone_offsets_hz))
     if geom is None:
         geom = default_array_geometry()
     return plan, geom, extra

@@ -562,46 +562,41 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan):
     """
     n_antennas = geom.n_antennas
     carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
-    records = []
+    entries = []
     for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = parse_snapshot_line(line)
-            _entry_index(rec.antenna_id, rec.carrier_hz, n_antennas, carrier_index)
+            k, l = _entry_index(rec.antenna_id, rec.carrier_hz, n_antennas, carrier_index)
         except Exception as exc:
             raise HarnessError(f"line {i}: {exc}") from exc
-        records.append(rec)
-    records.sort(key=lambda r: (r.timestamp_s, r.epc, r.antenna_id, r.carrier_hz))
-    groups: list[tuple[str, float, list[SnapshotRecord]]] = []
-    by_epc: dict[str, list[tuple[str, float, list[SnapshotRecord]]]] = {}
-    for rec in records:
-        epc_groups = by_epc.setdefault(rec.epc, [])
-        for g in epc_groups:
-            if abs(rec.timestamp_s - g[1]) <= SNAPSHOT_WINDOW_S:
-                g[2].append(rec)
-                break
+        if rec.re is not None:
+            value = rec.re + 1j * rec.im
         else:
-            g = (rec.epc, rec.timestamp_s, [rec])
-            epc_groups.append(g)
+            value = 10 ** (rec.rssi_db / 20) * np.exp(1j * rec.phase_rad)
+        entries.append((rec.timestamp_s, rec.epc, k, l, i, value, rec.rssi_db))
+    # by time, EPC, antenna and carrier (l follows carrier_hz, as the plan's
+    # carriers strictly increase); the line number keeps repeats in file order
+    entries.sort()
+    # In time order a record can only join its EPC's latest reply: an earlier
+    # one opened more than a window before that reply did.
+    groups = []
+    latest: dict[str, tuple] = {}
+    for ts, epc, k, l, _, value, rssi_db in entries:
+        g = latest.get(epc)
+        if g is None or ts - g[1] > SNAPSHOT_WINDOW_S:
+            shape = (n_antennas, plan.n_carriers)
+            g = latest[epc] = (epc, ts, np.zeros(shape, dtype=complex),
+                               np.zeros(shape, dtype=bool), np.full(shape, -np.inf))
             groups.append(g)
-    out = []
-    for epc, ts, recs in groups:
-        h = np.zeros((n_antennas, plan.n_carriers), dtype=complex)
-        mask = np.zeros(h.shape, dtype=bool)
-        quality = np.full(h.shape, -np.inf)
-        for rec in recs:
-            # checked line by line above, so the lookup cannot fail here
-            kl = _entry_index(rec.antenna_id, rec.carrier_hz, n_antennas, carrier_index)
-            if rec.re is not None:
-                h[kl] = rec.re + 1j * rec.im
-            else:
-                h[kl] = 10 ** (rec.rssi_db / 20) * np.exp(1j * rec.phase_rad)
-            mask[kl] = True
-            quality[kl] = rec.rssi_db
-        out.append((epc, ts, ChannelMatrix(h=h, carriers_hz=plan.carriers_hz,
-                                           geometry=geom, quality=quality, mask=mask)))
-    return out
+        _, _, h, mask, quality = g
+        h[k, l] = value
+        mask[k, l] = True
+        quality[k, l] = rssi_db
+    return [(epc, ts, ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom,
+                                    quality=quality, mask=mask))
+            for epc, ts, h, mask, quality in groups]
 
 
 # ---------------------------------------------------------------------------

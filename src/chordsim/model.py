@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -185,6 +185,9 @@ class ArrayGeometry:
     tx_ism_position_m: tuple[float, float, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "rx_positions_m", tuple(tuple(p) for p in self.rx_positions_m))
+        for name in ("tx_wideband_position_m", "tx_ism_position_m"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.rx_positions_m) < 1:
             raise ModelError("need at least one rx antenna")
         coords = np.asarray(self.rx_positions_m, dtype=float)
@@ -257,6 +260,8 @@ class PropagationPath:
     phase_rad: float = 0.0
 
     def __post_init__(self):
+        if self.reflector_m is not None:
+            object.__setattr__(self, "reflector_m", tuple(self.reflector_m))
         if not 0.0 < self.gain <= 1.0:
             raise ModelError("path gain must be in (0, 1]")
         forms = int(self.direct) + int(self.reflector_m is not None) + int(self.total_length_m is not None)
@@ -271,6 +276,8 @@ class TagDef:
     paths: tuple[PropagationPath, ...]
 
     def __post_init__(self):
+        for name in ("epc_bits", "position_m"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if sum(1 for p in self.paths if p.direct) != 1:
             raise ModelError("tag needs exactly one direct path")
         if any(b not in (0, 1) for b in self.epc_bits):
@@ -436,118 +443,45 @@ def validate_emission(plan: CarrierPlan,
 
 
 # ---------------------------------------------------------------------------
-# JSON configuration round trip
+# JSON configuration: the "plan", "geometry" and "scene" sections hold exactly
+# the fields of CarrierPlan, ArrayGeometry and Scene (tags and paths nested as
+# objects); any other top-level key is passed through untouched.
 
-
-def plan_to_dict(plan: CarrierPlan) -> dict:
-    return {
-        "carriers_hz": list(plan.carriers_hz),
-        "tone_phases_rad": list(plan.tone_phases_rad),
-        "per_tone_power_dbm": plan.per_tone_power_dbm,
-        "capture_rate_hz": plan.capture_rate_hz,
-        "channel_out_rate_hz": plan.channel_out_rate_hz,
-        "capture_center_hz": plan.capture_center_hz,
-        "tone_offsets_hz": list(plan.tone_offsets_hz),
-    }
-
-
-def plan_from_dict(d: dict) -> CarrierPlan:
-    return CarrierPlan(
-        carriers_hz=tuple(d["carriers_hz"]),
-        tone_phases_rad=tuple(d["tone_phases_rad"]),
-        per_tone_power_dbm=float(d["per_tone_power_dbm"]),
-        capture_rate_hz=float(d["capture_rate_hz"]),
-        channel_out_rate_hz=float(d["channel_out_rate_hz"]),
-        capture_center_hz=float(d["capture_center_hz"]),
-        tone_offsets_hz=tuple(d["tone_offsets_hz"]),
-    )
-
-
-def geometry_to_dict(geom: ArrayGeometry) -> dict:
-    return {
-        "rx_positions_m": [list(p) for p in geom.rx_positions_m],
-        "tx_wideband_position_m": list(geom.tx_wideband_position_m),
-        "tx_ism_position_m": list(geom.tx_ism_position_m),
-    }
-
-
-def geometry_from_dict(d: dict) -> ArrayGeometry:
-    return ArrayGeometry(
-        rx_positions_m=tuple(tuple(p) for p in d["rx_positions_m"]),
-        tx_wideband_position_m=tuple(d["tx_wideband_position_m"]),
-        tx_ism_position_m=tuple(d["tx_ism_position_m"]),
-    )
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "ambient_noise_dbm_per_hz": scene.ambient_noise_dbm_per_hz,
-        "seed": scene.seed,
-        "tags": [
-            {
-                "epc_bits": list(t.epc_bits),
-                "position_m": list(t.position_m),
-                "paths": [
-                    {
-                        "gain": p.gain,
-                        "direct": p.direct,
-                        "reflector_m": list(p.reflector_m) if p.reflector_m is not None else None,
-                        "total_length_m": p.total_length_m,
-                        "phase_rad": p.phase_rad,
-                    }
-                    for p in t.paths
-                ],
-            }
-            for t in scene.tags
-        ],
-    }
-
-
-def scene_from_dict(d: dict) -> Scene:
-    tags = tuple(
-        TagDef(
-            epc_bits=tuple(int(b) for b in t["epc_bits"]),
-            position_m=tuple(t["position_m"]),
-            paths=tuple(
-                PropagationPath(
-                    gain=float(p["gain"]),
-                    direct=bool(p["direct"]),
-                    reflector_m=tuple(p["reflector_m"]) if p.get("reflector_m") else None,
-                    total_length_m=p.get("total_length_m"),
-                    phase_rad=float(p.get("phase_rad", 0.0)),
-                )
-                for p in t["paths"]
-            ),
-        )
-        for t in d["tags"]
-    )
-    return Scene(tags=tags,
-                 ambient_noise_dbm_per_hz=float(d["ambient_noise_dbm_per_hz"]),
-                 seed=int(d["seed"]))
+_SECTIONS = {
+    "plan": lambda d: CarrierPlan(**d),
+    "geometry": lambda d: ArrayGeometry(**d),
+    "scene": lambda d: Scene(**{**d, "tags": tuple(
+        TagDef(**{**t, "paths": tuple(PropagationPath(**p) for p in t["paths"])})
+        for t in d["tags"])}),
+}
 
 
 def save_config(path, plan: CarrierPlan | None = None,
                 geom: ArrayGeometry | None = None,
                 scene: Scene | None = None, extra: dict | None = None) -> None:
     doc: dict = dict(extra or {})
-    if plan is not None:
-        doc["plan"] = plan_to_dict(plan)
-    if geom is not None:
-        doc["geometry"] = geometry_to_dict(geom)
-    if scene is not None:
-        doc["scene"] = scene_to_dict(scene)
+    for name, value in (("plan", plan), ("geometry", geom), ("scene", scene)):
+        if value is not None:
+            doc[name] = asdict(value)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
 
 
 def load_config(path) -> dict:
+    """Read a config written by save_config.  A file or section that is not an
+    object, or a section that misses a field or has an unknown one, raises a
+    ModelError naming the file and the section."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path}: config must be a JSON object")
     out = dict(doc)
-    if "plan" in doc:
-        out["plan"] = plan_from_dict(doc["plan"])
-    if "geometry" in doc:
-        out["geometry"] = geometry_from_dict(doc["geometry"])
-    if "scene" in doc:
-        out["scene"] = scene_from_dict(doc["scene"])
+    for name, build in _SECTIONS.items():
+        if name in doc:
+            try:
+                out[name] = build(doc[name])
+            except KeyError as exc:
+                raise ModelError(f"{path}: {name} section misses field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ModelError(f"{path}: {name} section: {exc}") from exc
     return out

@@ -44,6 +44,11 @@ def test_simulate_channelize_decode_localize_evaluate(tmp_path):
     rec = json.loads(packets.read_text().splitlines()[0])
     assert rec["crc_ok"] is True
     assert len(rec["channels"]) == 8 * 16
+    # the setup simulate wrote gives the same decode as the defaults it holds
+    packets_cfg = tmp_path / "packets_cfg.jsonl"
+    assert run(["--config", sim_dir / "setup.json", "decode", *manifests,
+                "--out", packets_cfg]) == 0
+    assert packets_cfg.read_text() == packets.read_text()
 
     cfg = tmp_path / "cfg.json"
     doc = {

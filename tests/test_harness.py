@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -420,7 +421,7 @@ def test_packet_record_round_trip(plan, geom, grid):
 
 
 def _corpus_digest(scenes, labels=None) -> str:
-    docs = [{"scene": cs.model.scene_to_dict(spec.scene), "snr_db": spec.snr_db}
+    docs = [{"scene": asdict(spec.scene), "snr_db": spec.snr_db}
             for spec in scenes]
     for doc, label in zip(docs, labels or ()):
         doc["label"] = label

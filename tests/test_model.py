@@ -2,17 +2,16 @@
 
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import chordsim as cs
 from chordsim import model
-from chordsim.model import (CarrierPlan, ModelError, PropagationPath, Scene, TagDef,
+from chordsim.model import (ModelError, PropagationPath, Scene, TagDef,
                             default_array_geometry, default_carrier_plan,
-                            path_length_m, plan_from_dict, plan_to_dict,
-                            geometry_from_dict, geometry_to_dict,
-                            scene_from_dict, scene_to_dict, wrap_phase)
+                            path_length_m, wrap_phase)
 
 C = model.C_M_PER_S
 
@@ -61,11 +60,9 @@ def test_plan_invariants_rejected():
         default_carrier_plan(per_tone_power_dbm=-10.0)
     good = default_carrier_plan()
     with pytest.raises(ModelError):
-        CarrierPlan(**{**plan_to_dict(good),
-                       "carriers_hz": tuple(sorted(good.carriers_hz, reverse=True))})
+        replace(good, carriers_hz=tuple(sorted(good.carriers_hz, reverse=True)))
     with pytest.raises(ModelError):
-        CarrierPlan(**{**plan_to_dict(good),
-                       "tone_offsets_hz": tuple(o * 40 for o in good.tone_offsets_hz)})
+        replace(good, tone_offsets_hz=tuple(o * 40 for o in good.tone_offsets_hz))
 
 
 # --- theoretical_phase -------------------------------------------------------
@@ -244,7 +241,7 @@ def test_emission_default_plan_passes(plan):
 
 def test_emission_power_violation_identified():
     plan = default_carrier_plan()
-    hot = CarrierPlan(**{**plan_to_dict(plan), "per_tone_power_dbm": -15.0})
+    hot = replace(plan, per_tone_power_dbm=-15.0)
     report = cs.validate_emission(hot, limit_dbm=-20.0)
     assert not report.passed
     assert all(not t.power_ok for t in report.tones)
@@ -260,9 +257,21 @@ def test_emission_exclusion_band():
 
 # --- serialization -----------------------------------------------------------
 
-def test_config_round_trip_bit_identical(tmp_path, geom, plan):
-    scene = Scene(tags=(_tag((0.3, 3.0, 1.11), (PropagationPath(gain=1.0, direct=True),)),),
-                  ambient_noise_dbm_per_hz=-174.0, seed=42)
+_MULTIPATH_PATHS = (PropagationPath(gain=1.0, direct=True),
+                    PropagationPath(gain=0.5, reflector_m=(1.2, 4.0, 1.11), phase_rad=math.pi),
+                    PropagationPath(gain=0.25, total_length_m=9.5))
+
+
+@pytest.mark.parametrize("plan, scene", [
+    (default_carrier_plan(),
+     Scene(tags=(_tag((0.3, 3.0, 1.11), (PropagationPath(gain=1.0, direct=True),)),),
+           ambient_noise_dbm_per_hz=-174.0, seed=42)),
+    (default_carrier_plan(tone_phases_rad=[0.1 * l for l in range(16)]),
+     Scene(tags=(_tag((0.25, 2.5, 1.11), _MULTIPATH_PATHS),
+                 _tag((-0.6, 4.0, 1.11), (PropagationPath(gain=0.8, direct=True),))),
+           ambient_noise_dbm_per_hz=-170.5, seed=3)),
+], ids=["single_path", "multipath"])
+def test_config_round_trip_bit_identical(tmp_path, geom, plan, scene):
     path = tmp_path / "setup.json"
     model.save_config(path, plan=plan, geom=geom, scene=scene)
     doc = model.load_config(path)
@@ -273,6 +282,60 @@ def test_config_round_trip_bit_identical(tmp_path, geom, plan):
     path2 = tmp_path / "setup2.json"
     model.save_config(path2, plan=doc["plan"], geom=doc["geometry"], scene=doc["scene"])
     assert path.read_bytes() == path2.read_bytes()
+
+
+# a file as earlier releases wrote it: scene keys in the order
+# ambient_noise_dbm_per_hz, seed, tags
+_OLD_LAYOUT = """{"plan": {"carriers_hz": [850000000.0, 870000000.0, 890000000.0],
+ "tone_phases_rad": [0.0, 1.25, -2.5], "per_tone_power_dbm": -15.0,
+ "capture_rate_hz": 15360000.0, "channel_out_rate_hz": 2560000.0,
+ "capture_center_hz": 870000000.0, "tone_offsets_hz": [-1250000.0, 0.0, 1250000.0]},
+ "geometry": {"rx_positions_m": [[-0.15749999999999997, 0.0, 1.11],
+                                 [0.15750000000000008, 0.0, 1.11]],
+              "tx_wideband_position_m": [0.0, 0.0, 0.7100000000000001],
+              "tx_ism_position_m": [-0.25, 0.0, 0.7100000000000001]},
+ "scene": {"ambient_noise_dbm_per_hz": -170.0, "seed": 3, "tags": [
+   {"epc_bits": [1, 0, 1, 0, 1, 0, 1, 0], "position_m": [0.25, 2.5, 1.11], "paths": [
+     {"gain": 1.0, "direct": true, "reflector_m": null, "total_length_m": null,
+      "phase_rad": 0.0},
+     {"gain": 0.5, "direct": false, "reflector_m": [1.2, 4.0, 1.11],
+      "total_length_m": null, "phase_rad": 3.141592653589793},
+     {"gain": 0.25, "direct": false, "reflector_m": null, "total_length_m": 9.5,
+      "phase_rad": 0.0}]}]},
+ "grid": {"cell_m": 0.05}}"""
+
+
+def test_config_in_the_earlier_layout_loads_to_equal_values(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(_OLD_LAYOUT)
+    doc = model.load_config(path)
+    plan = replace(model.uniform_carrier_plan(3, span_hz=40e6, center_hz=870e6),
+                   tone_phases_rad=(0.0, 1.25, -2.5))
+    assert doc["plan"] == plan
+    assert doc["geometry"] == model.subset_geometry(default_array_geometry(), 2)
+    assert doc["scene"] == Scene(tags=(TagDef(epc_bits=(1, 0) * 4, position_m=(0.25, 2.5, 1.11),
+                                              paths=_MULTIPATH_PATHS),),
+                                 ambient_noise_dbm_per_hz=-170.0, seed=3)
+    assert doc["grid"] == {"cell_m": 0.05}
+
+
+_PLAN_DOC = asdict(default_carrier_plan())
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"plan": {k: v for k, v in _PLAN_DOC.items() if k != "capture_rate_hz"}},
+     "plan section: .*'capture_rate_hz'"),
+    ({"plan": {**_PLAN_DOC, "center_hz": 887e6}}, "plan section: .*'center_hz'"),
+    ({"plan": [1, 2]}, "plan section: .*must be a mapping"),
+    ({"scene": {"ambient_noise_dbm_per_hz": -174.0, "seed": 0}},
+     "scene section misses field 'tags'"),
+    ([1, 2], "config must be a JSON object"),
+], ids=["missing_field", "unknown_field", "not_an_object", "missing_tags", "not_a_dict"])
+def test_load_config_names_the_file_and_section(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=f"bad.json: {message}"):
+        model.load_config(path)
 
 
 def test_subset_plan_and_geometry(plan, geom):
