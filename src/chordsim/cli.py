@@ -27,7 +27,8 @@ def _load_setup(args):
     plan = geom = None
     extra = {}
     if args.config:
-        doc = load_config(args.config)
+        doc = load_config(args.config, {"grid": lambda d: GridSpec(**d),
+                                        "prior": lambda d: PriorROI(**d)})
         plan = doc.get("plan")
         geom = doc.get("geometry")
         extra = doc
@@ -37,22 +38,6 @@ def _load_setup(args):
     if geom is None:
         geom = default_array_geometry()
     return plan, geom, extra
-
-
-def _grid_from(doc: dict | None) -> GridSpec:
-    if not doc:
-        return GridSpec()
-    return GridSpec(x_extent_m=tuple(doc["x_extent_m"]), y_extent_m=tuple(doc["y_extent_m"]),
-                    cell_m=float(doc["cell_m"]), z_m=float(doc["z_m"]))
-
-
-def _prior_from(doc: dict | None) -> PriorROI | None:
-    if not doc:
-        return None
-    extra = {"peak_threshold": float(doc["peak_threshold"])} if "peak_threshold" in doc else {}
-    return PriorROI(path_bounds_m=tuple(doc["path_bounds_m"]),
-                    region_xy=tuple(tuple(p) for p in doc["region_xy"]) if doc.get("region_xy") else None,
-                    **extra)
 
 
 def cmd_waveform(args):
@@ -127,8 +112,8 @@ def cmd_decode(args):
 
 def cmd_localize(args):
     plan, geom, extra = _load_setup(args)
-    grid = _grid_from(extra.get("grid"))
-    prior = _prior_from(extra.get("prior"))
+    grid = extra.get("grid", GridSpec())
+    prior = extra.get("prior")
     out_lines = []
     for i, line in enumerate(Path(args.packets).read_text().splitlines(), start=1):
         if not line.strip():
@@ -183,8 +168,8 @@ def cmd_evaluate(args):
 def cmd_sweep(args):
     plan, geom, extra = _load_setup(args)
     corpus = harness.desk_multipath_corpus(n_scenes=args.scenes, seed=args.seed)
-    cfg = BatchConfig(plan=plan, geom=geom, grid=_grid_from(extra.get("grid")),
-                      prior=_prior_from(extra.get("prior")), seed=args.seed)
+    cfg = BatchConfig(plan=plan, geom=geom, grid=extra.get("grid", GridSpec()),
+                      prior=extra.get("prior"), seed=args.seed)
     rows = ablation_sweep(corpus, args.axis, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

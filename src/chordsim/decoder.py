@@ -27,13 +27,12 @@ from .waveform import (ALPHA0_LIMIT_FRAC, BLF_HZ, CLOCK_STRETCH, DRIFT_LIMIT_FRA
 
 # The sync grid spans the initial offset envelope plus the drift on top of it.
 ALPHA_SEARCH_FRAC = ALPHA0_LIMIT_FRAC + DRIFT_LIMIT_FRAC
-ALPHA_STEP_FRAC = 0.0025
-# The sync grid, symmetric about an exact alpha0 = 0 (its middle row).
-_SYNC_HALF_STEPS = round(ALPHA_SEARCH_FRAC / ALPHA_STEP_FRAC)
+ALPHA_STEP_FRAC = 0.01
+# The sync grid, symmetric about an exact alpha0 = 0 (its middle row), covers
+# the whole search span.
+_SYNC_HALF_STEPS = math.ceil(ALPHA_SEARCH_FRAC / ALPHA_STEP_FRAC)
 _SYNC_ALPHAS_HZ = np.arange(-_SYNC_HALF_STEPS, _SYNC_HALF_STEPS + 1) * ALPHA_STEP_FRAC * BLF_HZ
 _SYNC_ALPHAS_HZ.flags.writeable = False
-# Grid rows correlated per batched IFFT.
-SYNC_CHUNK_ROWS = 16
 DETECTION_THRESHOLD = 0.3
 METRIC_THRESHOLD = 0.1
 TRACK_LIMIT_FRAC = 0.03
@@ -152,15 +151,17 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     EPC reply can hold the preamble pattern, so a look-alike pair inside it
     can outscore the real pair; the start is the earliest candidate whose own
     and paired peaks both reach EARLIEST_PAIR_FRAC of the best pair's, each
-    start scored at its best grid clock.  The alpha0 grid spans the protocol
-    envelope plus drift in steps of ALPHA_STEP_FRAC * BLF; its templates'
-    spectra are built once per (rate, FFT length) and cached, and the grid is
-    correlated SYNC_CHUNK_ROWS rows per batched IFFT.  The t0 axis is searched
+    start scored at its best grid clock.  The alpha0 grid covers the protocol
+    envelope plus drift in steps of ALPHA_STEP_FRAC * BLF, rounded out to 27
+    rows (1% steps over +/-13%): the 32-cycle preamble slips half a subcarrier
+    cycle at a 1.6% clock error, so its clock lobe spans several rows.  The
+    templates' spectra are built once per (rate, FFT length) and cached, and
+    the whole grid is correlated in one batched IFFT.  The t0 axis is searched
     on the sample grid and refined by parabolic interpolation; alpha0 is
     refined by parabolic interpolation across the grid of each clock's best
-    peak within one preamble length of that start, and one more correlation
-    at the refined clock gives the peak.  The EPC preamble is measured the
-    same way, since drift moves its clock: refined across the grid rows within
+    peak within one preamble length of that start, and one more correlation at
+    the refined clock gives the peak.  The EPC preamble is measured the same
+    way, since drift moves its clock: refined across the grid rows within
     TRACK_LIMIT_FRAC of the RN16's clock from their peaks in the pairing
     window, then timed by one correlation at that clock; a preamble that does
     not fit inside the stream at that time raises.  alpha0 is then
@@ -209,13 +210,8 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     # Each start keeps its best grid clock; the earliest strong pair bounds
     # the lobe the clock is then fitted in.
     spectra, lengths, norms = _sync_bank(rate_hz, nfft)
-    lags = epc_lag(alphas)
-    rho_g = np.empty((alphas.size, n))
-    score_g = np.empty((alphas.size, n))
-    for c in range(0, alphas.size, SYNC_CHUNK_ROWS):
-        rows = slice(c, c + SYNC_CHUNK_ROWS)
-        rho_g[rows] = _correlate(xf, energy, n, spectra[rows], lengths[rows], norms[rows])[0]
-        score_g[rows] = pair_score(rho_g[rows], lags[rows])
+    rho_g = _correlate(xf, energy, n, spectra, lengths, norms)[0]
+    score_g = pair_score(rho_g, epc_lag(alphas))
     k_t = np.argmax(score_g, axis=0)[None]
     rho_t = np.take_along_axis(rho_g, k_t, 0)[0]
     pair_t = np.take_along_axis(score_g, k_t, 0)[0] - rho_t

@@ -486,6 +486,8 @@ class SnapshotRecord:
 
     def __post_init__(self):
         re, im = self.re, self.im
+        if not isinstance(self.epc, str):
+            raise HarnessError("epc must be a string")
         if (re is None) != (im is None):
             raise HarnessError("re and im must be given together")
         # a non-finite phase fails the range test below
@@ -556,9 +558,9 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan):
 
     Records sharing an EPC within SNAPSHOT_WINDOW_S form one reply; carriers or
     antennas never observed stay masked.  Malformed lines (a missing field,
-    ``re`` without ``im`` or the reverse, a non-finite number), and lines
-    naming an antenna or carrier outside the geometry or plan, raise with
-    their line number.
+    an ``epc`` that is not a string, ``re`` without ``im`` or the reverse, a
+    non-finite number), and lines naming an antenna or carrier outside the
+    geometry or plan, raise with their line number.
     """
     n_antennas = geom.n_antennas
     carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}

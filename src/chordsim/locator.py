@@ -51,6 +51,9 @@ class GridSpec:
     z_m: float = 1.11
 
     def __post_init__(self):
+        # tuples keep the grid hashable, so it can key the steering-row cache
+        for name in ("x_extent_m", "y_extent_m"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.cell_m <= 0:
             raise ModelError("cell size must be positive")
         if self.x_extent_m[1] <= self.x_extent_m[0] or self.y_extent_m[1] <= self.y_extent_m[0]:
@@ -105,6 +108,11 @@ class PriorROI:
     peak_threshold: float = 0.55
 
     def __post_init__(self):
+        object.__setattr__(self, "path_bounds_m", tuple(self.path_bounds_m))
+        if self.region_xy is not None:
+            object.__setattr__(self, "region_xy", tuple(tuple(p) for p in self.region_xy))
+            if len(self.region_xy) < 3:
+                raise ModelError("region polygon needs at least 3 vertices")
         a, b = self.path_bounds_m
         if not 0 <= a < b:
             raise ModelError("path bounds must satisfy 0 <= a < b")

@@ -467,16 +467,18 @@ def save_config(path, plan: CarrierPlan | None = None,
         json.dump(doc, fh, indent=2)
 
 
-def load_config(path) -> dict:
-    """Read a config written by save_config.  A file or section that is not an
-    object, or a section that misses a field or has an unknown one, raises a
-    ModelError naming the file and the section."""
+def load_config(path, sections: dict | None = None) -> dict:
+    """Read a config written by save_config.  ``sections`` maps more section
+    names to their builders, as for plan, geometry and scene.  A file or
+    section that is not an object, or a section that misses a field, has an
+    unknown one or fails its class's checks, raises a ModelError naming the
+    file and the section."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: config must be a JSON object")
     out = dict(doc)
-    for name, build in _SECTIONS.items():
+    for name, build in {**_SECTIONS, **(sections or {})}.items():
         if name in doc:
             try:
                 out[name] = build(doc[name])

@@ -156,3 +156,38 @@ def test_evaluate_names_the_file_and_line_of_a_bad_result(tmp_path, line, messag
     prefix = re.escape(f"{results} line 3: ")
     with pytest.raises(harness.HarnessError, match=f"^{prefix}{message}"):
         run(["evaluate", results, labels])
+
+
+_REGION = [[-1.5, 0.5], [1.5, 0.5], [1.5, 3.6], [-1.5, 3.6]]
+
+
+def test_config_grid_and_prior_sections_are_the_dataclasses_fields(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # a field left out takes the dataclass default, here GridSpec's cell
+    cfg.write_text(json.dumps({
+        "grid": {"x_extent_m": [-1, 1], "y_extent_m": [0.5, 3], "z_m": 1.11},
+        "prior": {"path_bounds_m": [1.5, 14.0], "region_xy": _REGION}}))
+    _, _, extra = cli._load_setup(SimpleNamespace(config=cfg))
+    assert extra["grid"] == GridSpec(x_extent_m=(-1, 1), y_extent_m=(0.5, 3), z_m=1.11)
+    assert extra["prior"] == PriorROI(path_bounds_m=(1.5, 14.0),
+                                      region_xy=tuple(map(tuple, _REGION)))
+    # tuples, so the grid can key the locator's caches
+    hash(extra["grid"])
+    hash(extra["prior"])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"prior": {"region_xy": _REGION}}, "prior section: .*'path_bounds_m'"),
+    ({"grid": {"cell": 0.1}}, "grid section: .*'cell'"),
+    ({"grid": {"cell_m": 0}}, "grid section: cell size must be positive"),
+    ({"grid": [1, 2]}, "grid section: .*must be a mapping"),
+    ({"prior": {"path_bounds_m": [1.5, 14.0], "region_xy": []}},
+     "prior section: region polygon needs at least 3 vertices"),
+], ids=["missing_field", "unknown_field", "bad_value", "not_an_object", "empty_region"])
+def test_config_grid_and_prior_errors_name_the_file_and_section(tmp_path, doc, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    packets = tmp_path / "packets.jsonl"
+    packets.write_text("")
+    with pytest.raises(model.ModelError, match=f"bad.json: {message}"):
+        run(["--config", cfg, "localize", packets])

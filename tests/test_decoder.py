@@ -77,6 +77,31 @@ def test_preamble_injected_offsets(plan):
     assert abs(sync.alpha0_hat_hz - pkt.alpha0_hz) <= 0.0025 * BLF
 
 
+def test_sync_grid_is_symmetric_about_zero_and_covers_the_search_span():
+    alphas = dc._SYNC_ALPHAS_HZ
+    assert np.array_equal(alphas, -alphas[::-1])
+    assert np.count_nonzero(alphas == 0.0) == 1
+    assert alphas[-1] >= dc.ALPHA_SEARCH_FRAC * BLF
+
+
+# clocks halfway between rows of the 1% grid, and the edges of the +/-10%
+# envelope
+@pytest.mark.parametrize("alpha0_frac", [-0.10, -0.045, 0.005, 0.045, 0.10])
+def test_preamble_between_grid_rows(plan, alpha0_frac):
+    rng = np.random.default_rng(31)
+    t0 = (2000 + rng.random()) / RATE                   # sub-sample start
+    alpha0 = alpha0_frac * BLF
+    pkt = _packet(rng, t0_s=t0, alpha0_hz=alpha0)
+    x = _shaped_packet(pkt, plan, noise_snr_db=20.0, rng=rng)
+    sync = dc.preamble_search(x, RATE)
+    # without drift the EPC preamble arrives at the initial clock
+    epc_t0 = t0 + LAYOUT.epc_start_s * BLF / (BLF - alpha0)
+    assert abs(sync.t0_hat_s - t0) * RATE < 0.5
+    assert abs(sync.epc_t0_hat_s - epc_t0) * RATE < 0.5
+    assert abs(sync.alpha0_hat_hz - alpha0) < 0.001 * BLF
+    assert abs(sync.epc_alpha_hat_hz - alpha0) < 0.003 * BLF
+
+
 def test_preamble_pure_noise_no_packet():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(1 << 14) + 1j * rng.standard_normal(1 << 14)

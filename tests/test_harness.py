@@ -380,6 +380,16 @@ def test_snapshot_malformed_line_number(tmp_path, plan, geom, change, match):
         import_snapshots(path, geom, plan)
 
 
+def test_snapshot_numeric_epc_raises_with_line(tmp_path, plan, geom):
+    line = json.loads(SnapshotRecord(epc="aa", timestamp_s=0.0, antenna_id=0,
+                                     carrier_hz=plan.carriers_hz[0], phase_rad=0.0,
+                                     rssi_db=-40.0).to_json())
+    path = tmp_path / "epc.jsonl"
+    path.write_text(f"{json.dumps(line)}\n{json.dumps({**line, 'epc': 5})}\n")
+    with pytest.raises(HarnessError, match="^line 2: epc must be a string"):
+        import_snapshots(path, geom, plan)
+
+
 def test_replay_equivalence(tmp_path, plan, geom, grid):
     # localizing from exported snapshots equals the in-memory run
     rng = np.random.default_rng(7)
