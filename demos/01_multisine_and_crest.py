@@ -18,14 +18,14 @@ print("\nemission check: %s (%d tones at %.1f dBm, ISM band avoided)"
          plan.per_tone_power_dbm))
 
 # aligned phases: every tone peaks together
-wave0 = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=2e-3))
+wave0 = cs.synth_multisine(plan, 2e-3)
 print("\naligned phases: crest factor %.2f (PAPR %.2f dB)"
       % (cs.crest_factor(wave0), cs.papr_db(wave0)))
 
 # tuned phases push the peak down toward the RMS
 phases = cs.optimize_tone_phases(plan.tone_offsets_hz, iterations=200)
 tuned = cs.default_carrier_plan(tone_phases_rad=phases)
-wave1 = cs.synth_multisine(cs.MultisineSpec(plan=tuned, duration_s=2e-3))
+wave1 = cs.synth_multisine(tuned, 2e-3)
 print("optimized phases: crest factor %.2f (PAPR %.2f dB)"
       % (cs.crest_factor(wave1), cs.papr_db(wave1)))
 

@@ -28,7 +28,7 @@ print("injected clock: t0=%.3f ms, alpha0=%+.0f Hz, drift on"
 banks = [chz.notch_dc(chz.channelize(c, plan)) for c in captures]
 print("channelized to %d x %d streams at %.2f MHz (info fraction %.4f)"
       % (len(banks), banks[0].n_channels, banks[0].rate_hz / 1e6,
-         banks[0].compression["information_fraction"]))
+         chz.compression_report(plan)["information_fraction"]))
 
 packet = decode_pipeline(banks, plan, geom)
 print("\ndecoded: crc_ok=%s, epc matches=%s" % (packet.crc_ok,

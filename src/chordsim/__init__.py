@@ -10,10 +10,9 @@ from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     default_array_geometry, default_carrier_plan, uniform_carrier_plan,
                     distance_resolution, fraunhofer_distance, synth_channel,
                     theoretical_phase, thermal_noise_dbm, validate_emission)
-from .waveform import (BasebandWave, MultisineSpec, TagPacket,
-                       apply_clock_offset, backscatter_mix, build_packet_baseband,
-                       crest_factor, miller_encode, optimize_crest_phases,
-                       optimize_tone_phases, papr_db, synth_multisine)
+from .waveform import (BasebandWave, TagPacket, apply_clock_offset, backscatter_mix,
+                       build_packet_baseband, crest_factor, miller_encode,
+                       optimize_crest_phases, optimize_tone_phases, papr_db, synth_multisine)
 from .channelizer import (ChannelBank, WidebandCapture, channelize,
                           dynamic_range_required, notch_dc)
 from .decoder import (DecodedPacket, DecodeError, NoPacketError, SyncEstimate,

@@ -142,7 +142,6 @@ class WidebandCapture:
 
     samples: np.ndarray
     rate_hz: float
-    center_hz: float
     start_s: float = 0.0
     antenna_id: int = 0
 
@@ -166,7 +165,6 @@ class ChannelBank:
     antenna_id: int = 0
     start_s: float = 0.0
     group_delay_s: float = 0.0
-    compression: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "streams", np.asarray(self.streams, dtype=complex))
@@ -182,12 +180,12 @@ class ChannelBank:
         return self.streams.shape[1]
 
 
-def compression_report(plan: CarrierPlan, tag_bandwidth_hz: float = TAG_BANDWIDTH_HZ) -> dict:
+def compression_report(plan: CarrierPlan) -> dict:
     """Data-rate and effective-information compression of the channelized form."""
     l = plan.n_carriers
     return {
         "data_rate_fraction": l * plan.channel_out_rate_hz / plan.capture_rate_hz,
-        "information_fraction": l * tag_bandwidth_hz / plan.span_hz,
+        "information_fraction": l * TAG_BANDWIDTH_HZ / plan.span_hz,
     }
 
 
@@ -210,8 +208,7 @@ def channelize(capture: WidebandCapture, plan: CarrierPlan) -> ChannelBank:
     return ChannelBank(
         streams=streams, rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz,
         antenna_id=capture.antenna_id, start_s=capture.start_s,
-        group_delay_s=chain_transient_s(plan), compression=compression_report(plan),
-    )
+        group_delay_s=chain_transient_s(plan))
 
 
 def apply_shaping(wave: BasebandWave, out_rate_hz: float) -> BasebandWave:
@@ -305,7 +302,6 @@ def save_bank(bank: ChannelBank, directory) -> Path:
         "group_delay_s": bank.group_delay_s,
         "carriers_hz": list(bank.carriers_hz),
         "files": files,
-        "compression": bank.compression,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return directory / "manifest.json"
@@ -323,6 +319,4 @@ def load_bank(manifest_path) -> ChannelBank:
     return ChannelBank(
         streams=np.asarray(streams), rate_hz=float(meta["rate_hz"]),
         carriers_hz=tuple(meta["carriers_hz"]), antenna_id=int(meta["antenna_id"]),
-        start_s=float(meta["start_s"]), group_delay_s=float(meta["group_delay_s"]),
-        compression=meta.get("compression"),
-    )
+        start_s=float(meta["start_s"]), group_delay_s=float(meta["group_delay_s"]))

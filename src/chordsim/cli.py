@@ -12,15 +12,16 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, model
-from .channelizer import channelize, load_bank, notch_dc, save_bank, WidebandCapture
+from .channelizer import (channelize, compression_report, load_bank, notch_dc, save_bank,
+                          WidebandCapture)
 from .decoder import DecodeError, decode_pipeline
 from .harness import (BatchConfig, HarnessError, SceneSpec, ablation_sweep, evaluate_roi,
                       packet_record, record_to_channel, run_batch, simulate_capture,
                       sweep_rows_to_csv)
 from .locator import GridSpec, LocalizePolicy, PriorROI, classify_roi, localize
 from .model import default_array_geometry, default_carrier_plan, load_config
-from .waveform import (MultisineSpec, load_wave, optimize_tone_phases, save_wave,
-                       synth_multisine, build_packet_baseband, TagPacket)
+from .waveform import (load_wave, optimize_tone_phases, save_wave, synth_multisine,
+                       build_packet_baseband, TagPacket)
 
 
 def _load_setup(args):
@@ -45,7 +46,7 @@ def cmd_waveform(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "excitation":
-        wave = synth_multisine(MultisineSpec(plan=plan, duration_s=args.duration))
+        wave = synth_multisine(plan, args.duration)
     else:
         rng = np.random.default_rng(args.seed)
         pkt = TagPacket(rn16_bits=tuple(rng.integers(0, 2, 16)),
@@ -78,15 +79,14 @@ def cmd_simulate(args):
 def cmd_channelize(args):
     plan, _, _ = _load_setup(args)
     wave = load_wave(args.capture)
-    cap = WidebandCapture(samples=wave.samples, rate_hz=wave.rate_hz,
-                          center_hz=plan.capture_center_hz, start_s=wave.start_s,
+    cap = WidebandCapture(samples=wave.samples, rate_hz=wave.rate_hz, start_s=wave.start_s,
                           antenna_id=args.antenna)
     bank = channelize(cap, plan)
     if args.notch:
         bank = notch_dc(bank)
     manifest = save_bank(bank, args.out)
     print(f"wrote {manifest} ({bank.n_channels} channels, "
-          f"compression {bank.compression['information_fraction']:.4f})")
+          f"compression {compression_report(plan)['information_fraction']:.4f})")
 
 
 def cmd_decode(args):

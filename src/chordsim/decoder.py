@@ -94,7 +94,7 @@ class DecodedPacket:
 
 
 def _preamble_template(subcarrier_hz: float, rate_hz: float) -> np.ndarray:
-    return np.real(miller_encode(PREAMBLE_BITS, subcarrier_hz, rate_hz, preamble=False).samples)
+    return np.real(miller_encode(PREAMBLE_BITS, subcarrier_hz, rate_hz).samples)
 
 
 def _template_bank(tmpls, nfft: int):

@@ -19,8 +19,7 @@ from scipy import fft as sfft
 
 from . import model
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
-                    PropagationPath, Scene, TagDef, subset_plan, subset_geometry,
-                    synth_channel)
+                    PropagationPath, Scene, TagDef, subset_plan, synth_channel)
 from .waveform import (BLF_HZ, SYMBOL_S, TagPacket, backscatter_mix, build_packet_baseband,
                        packet_layout, random_walk_drift, tone_table)
 from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
@@ -151,7 +150,6 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             * math.sqrt(noise_var_wide / 2)
         captures.append(WidebandCapture(samples=rx + noise, rate_hz=plan.capture_rate_hz,
-                                        center_hz=plan.capture_center_hz,
                                         start_s=0.0, antenna_id=k))
     return captures, pkt, h
 
@@ -228,13 +226,18 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
 
     ``carrier_idx``/``antenna_idx`` subset the full plan/geometry while the
     noise draws stay tied to the full-size seeds, so ablation settings see
-    identical realizations on their shared entries.  Individual failures are
-    recorded, never aborting the batch.
+    identical realizations on their shared entries.  Each index list is taken
+    in ascending order for the plan or geometry and the channel entries alike.
+    Individual failures are recorded, never aborting the batch.
     """
     if not scenes:
         raise HarnessError("empty scene list")
-    plan = cfg.plan if carrier_idx is None else subset_plan(cfg.plan, carrier_idx)
-    geom = cfg.geom if antenna_idx is None else subset_geometry(cfg.geom, len(antenna_idx))
+    ant = list(range(cfg.geom.n_antennas)) if antenna_idx is None else sorted(antenna_idx)
+    car = list(range(cfg.plan.n_carriers)) if carrier_idx is None else sorted(carrier_idx)
+    plan = cfg.plan if carrier_idx is None else subset_plan(cfg.plan, car)
+    geom = cfg.geom if antenna_idx is None else replace(
+        cfg.geom, rx_positions_m=tuple(cfg.geom.rx_positions_m[i] for i in ant))
+    entries = np.ix_(ant, car)
 
     results: list[TagResult] = []
     busy_s = 0.0
@@ -251,26 +254,16 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
                 if cfg.mode == "channel":
                     h_full = synth_channel(spec.scene, cfg.geom, cfg.plan, ti)
                     noisy = noisy_channel(h_full, spec.snr_db, rng)
-                    h_sub = noisy.h
-                    q_sub = noisy.quality
-                    if antenna_idx is not None:
-                        h_sub = h_sub[list(antenna_idx)]
-                        q_sub = q_sub[list(antenna_idx)]
-                    if carrier_idx is not None:
-                        h_sub = h_sub[:, list(carrier_idx)]
-                        q_sub = q_sub[:, list(carrier_idx)]
-                    ch = ChannelMatrix(h=h_sub, carriers_hz=plan.carriers_hz,
-                                       geometry=geom, quality=q_sub)
+                    ch = ChannelMatrix(h=noisy.h[entries], carriers_hz=plan.carriers_hz,
+                                       geometry=geom, quality=noisy.quality[entries])
                     decoded = True
                     t_start = time.perf_counter()
                 else:
                     sim, pkt, _ = simulate_capture(spec, plan, geom, seed, ti,
                                                    fast_path=cfg.fast_path)
-                    if isinstance(sim[0], WidebandCapture):
-                        banks = [channelize(c, plan) for c in sim]
-                    else:
-                        banks = sim
-                    banks = [notch_dc(b) for b in banks]
+                    if not cfg.fast_path:
+                        sim = [channelize(c, plan) for c in sim]
+                    banks = [notch_dc(b) for b in sim]
                     t_start = time.perf_counter()
                     packet = decode_pipeline(banks, plan, geom, epc_len=len(tag.epc_bits))
                     decoded = True

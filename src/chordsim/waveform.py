@@ -60,16 +60,6 @@ class BasebandWave:
         return self.samples.size / self.rate_hz
 
 
-@dataclass(frozen=True)
-class MultisineSpec:
-    plan: CarrierPlan
-    duration_s: float
-
-    def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ModelError("duration must be positive")
-
-
 @functools.lru_cache(maxsize=1)
 def tone_table(plan: CarrierPlan, n: int, start_s: float) -> np.ndarray:
     """Tone phasors of the plan's multisine, one row per carrier (read-only):
@@ -88,11 +78,12 @@ def tone_table(plan: CarrierPlan, n: int, start_s: float) -> np.ndarray:
     return table
 
 
-def synth_multisine(spec: MultisineSpec) -> BasebandWave:
+def synth_multisine(plan: CarrierPlan, duration_s: float) -> BasebandWave:
     """Sum of equal-amplitude complex tones at the plan's capture-band offsets."""
-    plan = spec.plan
+    if duration_s <= 0:
+        raise ModelError("duration must be positive")
     rate = plan.capture_rate_hz
-    n = int(round(spec.duration_s * rate))
+    n = int(round(duration_s * rate))
     return BasebandWave(samples=tone_table(plan, n, 0.0).sum(axis=0), rate_hz=rate, start_s=0.0)
 
 
@@ -279,18 +270,16 @@ def miller_symbol_signs(bits) -> np.ndarray:
     return signs
 
 
-def miller_encode(bits, subcarrier_hz: float, rate_hz: float,
-                  preamble: bool = True) -> BasebandWave:
-    """+/-1 Miller-M baseband: M subcarrier cycles per bit, phase inversion at
-    every symbol boundary plus a mid-symbol inversion for data-1.  The frame
-    preamble (pilot zeros + sync pattern) is prepended when ``preamble``.
+def miller_encode(bits, subcarrier_hz: float, rate_hz: float) -> BasebandWave:
+    """+/-1 Miller-M baseband of ``bits``: M subcarrier cycles per bit, phase
+    inversion at every symbol boundary plus a mid-symbol inversion for data-1.
+    A frame's preamble is part of ``bits`` (see ``PREAMBLE_BITS``).
     ``subcarrier_hz`` is BLF for a nominal clock."""
     if rate_hz < 8 * subcarrier_hz:
         raise ModelError("sample rate must be at least 8x BLF")
-    frame = (list(PREAMBLE_BITS) if preamble else []) + [int(b) for b in bits]
-    if not frame:
+    frame = np.asarray([int(b) for b in bits], dtype=int)
+    if not frame.size:
         raise ModelError("no bits to encode")
-    frame = np.asarray(frame, dtype=int)
     if np.any((frame != 0) & (frame != 1)):
         raise ModelError("bits must be 0/1")
     t_sym = MILLER_M / subcarrier_hz
@@ -314,65 +303,39 @@ def miller_encode(bits, subcarrier_hz: float, rate_hz: float,
 
 @dataclass(frozen=True)
 class PacketLayout:
-    """Nominal packet timing: RN16 frame, idle gap, EPC frame."""
+    """Nominal packet timing: RN16 frame, idle gap (GAP_S), EPC frame."""
 
-    symbol_s: float
     preamble_symbols: int
-    pilot_symbols: int
     rn16_frame_symbols: int
     epc_frame_symbols: int
-    gap_s: float
 
     @property
     def rn16_s(self) -> float:
-        return self.rn16_frame_symbols * self.symbol_s
+        return self.rn16_frame_symbols * SYMBOL_S
 
     @property
     def epc_start_s(self) -> float:
-        return self.rn16_s + self.gap_s
+        return self.rn16_s + GAP_S
 
     @property
     def epc_s(self) -> float:
-        return self.epc_frame_symbols * self.symbol_s
+        return self.epc_frame_symbols * SYMBOL_S
 
     @property
     def total_s(self) -> float:
         return self.epc_start_s + self.epc_s
 
-    @property
-    def rn16_active_s(self) -> float:
-        """Data-bearing RN16 reply time (sync + payload + dummy, pilot excluded)."""
-        return (self.rn16_frame_symbols - self.pilot_symbols) * self.symbol_s
-
-    @property
-    def active_s(self) -> float:
-        """Data-bearing time of the whole packet (pilot and gap excluded)."""
-        return (self.rn16_frame_symbols + self.epc_frame_symbols
-                - 2 * self.pilot_symbols) * self.symbol_s
-
-    @property
-    def template_symbols(self) -> tuple[int, int]:
-        """Matched-filter template lengths (RN16-only, full packet) in symbols."""
-        return (self.rn16_frame_symbols,
-                self.rn16_frame_symbols + self.epc_frame_symbols)
-
 
 def packet_layout(epc_len: int) -> PacketLayout:
     pre = len(PREAMBLE_BITS)
-    return PacketLayout(
-        symbol_s=SYMBOL_S,
-        preamble_symbols=pre,
-        pilot_symbols=PILOT_SYMBOLS,
-        rn16_frame_symbols=pre + 16 + 1,
-        epc_frame_symbols=pre + epc_len + 32 + 1,
-        gap_s=GAP_S,
-    )
+    return PacketLayout(preamble_symbols=pre, rn16_frame_symbols=pre + 16 + 1,
+                        epc_frame_symbols=pre + epc_len + 32 + 1)
 
 
 def _frame(payload, rate_hz: float) -> BasebandWave:
     """Miller baseband of one reply frame: preamble, payload, dummy bit."""
     bits = list(PREAMBLE_BITS) + [int(b) for b in payload] + [1]
-    return miller_encode(bits, BLF_HZ, rate_hz, preamble=False)
+    return miller_encode(bits, BLF_HZ, rate_hz)
 
 
 def packet_template(pkt: TagPacket, rate_hz: float) -> BasebandWave:
@@ -407,11 +370,6 @@ def clock_map(elapsed: np.ndarray, alpha0_hz: float, alpha_hz) -> np.ndarray:
     return elapsed - (alpha0_hz * elapsed + integral) / BLF_HZ
 
 
-def clock_warp(elapsed: np.ndarray, pkt: TagPacket) -> np.ndarray:
-    """The packet's true clock map (see ``clock_map``)."""
-    return clock_map(elapsed, pkt.alpha0_hz, pkt.drift_alpha_hz)
-
-
 def apply_clock_offset(wave: BasebandWave, pkt: TagPacket) -> BasebandWave:
     """Time-warp a nominal waveform onto the tag's imperfect clock and delay
     it by t0.  Resamples along the exactly integrated clock phase."""
@@ -422,7 +380,7 @@ def apply_clock_offset(wave: BasebandWave, pkt: TagPacket) -> BasebandWave:
     elapsed = t - pkt.t0_s
     live = elapsed >= 0
     nominal = np.zeros_like(t)
-    nominal[live] = clock_warp(elapsed[live], pkt)
+    nominal[live] = clock_map(elapsed[live], pkt.alpha0_hz, pkt.drift_alpha_hz)
     src_t = np.arange(wave.samples.size) / rate
     re = np.interp(nominal, src_t, np.real(wave.samples), left=0.0, right=0.0)
     im = np.interp(nominal, src_t, np.imag(wave.samples), left=0.0, right=0.0)

@@ -1,5 +1,6 @@
 """Channelization, DC notching and bank export tests."""
 
+import json
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from scipy.signal import fftconvolve
 
 import chordsim as cs
 from chordsim import channelizer as chz
+from chordsim import harness
 from chordsim import waveform as wf
+from chordsim.decoder import decode_pipeline
 from chordsim.model import (ModelError, Scene, default_array_geometry, default_carrier_plan,
                             uniform_carrier_plan)
-from chordsim.harness import multipath_tag, random_epc
+from chordsim.harness import SceneSpec, multipath_tag, random_epc
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +29,7 @@ def geom():
 
 def _capture(samples, plan, antenna=0):
     return chz.WidebandCapture(samples=samples, rate_hz=plan.capture_rate_hz,
-                               center_hz=plan.capture_center_hz, antenna_id=antenna)
+                               antenna_id=antenna)
 
 
 def test_single_tone_steering(plan):
@@ -67,8 +70,7 @@ def test_channelize_matches_the_linear_chain(desk_scale):
     plan = default_carrier_plan(desk_scale=desk_scale, tone_phases_rad=rng.uniform(0, 6, 16))
     n, start_s = 40001, 3.7e-4
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    cap = chz.WidebandCapture(samples=x, rate_hz=plan.capture_rate_hz,
-                              center_hz=plan.capture_center_hz, start_s=start_s)
+    cap = chz.WidebandCapture(samples=x, rate_hz=plan.capture_rate_hz, start_s=start_s)
     ref = _linear_chain(x, plan, start_s)
     streams = chz.channelize(cap, plan).streams
     assert streams.shape == ref.shape == (16, -(-n // plan.decimation))
@@ -127,8 +129,7 @@ def test_adjacent_isolation_physical_spacing():
     rng = np.random.default_rng(3)
     t = np.arange(n) / plan.capture_rate_hz
     bits = rng.integers(0, 2, 24)
-    b_wave = chz.bandlimit_tag(wf.miller_encode(bits, 250e3, plan.capture_rate_hz,
-                                                preamble=False))
+    b_wave = chz.bandlimit_tag(wf.miller_encode(bits, 250e3, plan.capture_rate_hz))
     b = np.zeros(n, dtype=complex)
     b[:b_wave.samples.size] = b_wave.samples[:n]
     sig = np.exp(1j * (2 * math.pi * plan.tone_offsets_hz[5] * t + plan.tone_phases_rad[5])) * b
@@ -178,7 +179,7 @@ def test_notch_kills_pure_leak():
 
 def test_notch_preserves_subcarrier_signal():
     rng = np.random.default_rng(4)
-    wave = wf.miller_encode(rng.integers(0, 2, 64), 250e3, 2.56e6, preamble=False)
+    wave = wf.miller_encode(rng.integers(0, 2, 64), 250e3, 2.56e6)
     bank = _single_channel_bank(wave.samples)
     out = chz.notch_dc(bank)
     p_in = np.mean(np.abs(bank.streams) ** 2)
@@ -188,7 +189,7 @@ def test_notch_preserves_subcarrier_signal():
 
 def test_notch_sir_improvement():
     rng = np.random.default_rng(5)
-    wave = wf.miller_encode(rng.integers(0, 2, 64), 250e3, 2.56e6, preamble=False)
+    wave = wf.miller_encode(rng.integers(0, 2, 64), 250e3, 2.56e6)
     sig = wave.samples
     leak = np.full_like(sig, math.sqrt(np.mean(np.abs(sig) ** 2)))
     bank = _single_channel_bank(sig + leak)
@@ -242,13 +243,35 @@ def test_bank_save_load_round_trip(tmp_path, plan):
     streams = rng.standard_normal((16, 2048)) + 1j * rng.standard_normal((16, 2048))
     bank = chz.ChannelBank(streams=streams, rate_hz=plan.channel_out_rate_hz,
                            carriers_hz=plan.carriers_hz, antenna_id=3,
-                           group_delay_s=1.2e-5, compression=chz.compression_report(plan))
+                           group_delay_s=1.2e-5)
     manifest = chz.save_bank(bank, tmp_path / "ant3")
     back = chz.load_bank(manifest)
     assert back.antenna_id == 3
     assert back.carriers_hz == plan.carriers_hz
     assert back.group_delay_s == pytest.approx(bank.group_delay_s)
     assert np.allclose(back.streams, streams, atol=1e-5)
+
+
+def test_bank_with_the_earlier_compression_key_loads_and_decodes_alike(tmp_path, plan, geom):
+    tag = multipath_tag((0.4, 3.0, 1.11), random_epc(np.random.default_rng(3)),
+                        (1.2, 4.0, 1.11), 0.5)
+    banks, _, _ = harness.simulate_capture(SceneSpec(scene=Scene(tags=(tag,)), snr_db=10.0),
+                                           plan, geom, seed=4, fast_path=True)
+    manifests = [chz.save_bank(chz.notch_dc(b), tmp_path / f"antenna_{b.antenna_id}")
+                 for b in banks]
+    current = [chz.load_bank(m) for m in manifests]
+    # manifests written before the summary was dropped from ChannelBank held it
+    for m in manifests:
+        m.write_text(json.dumps({**json.loads(m.read_text()),
+                                 "compression": chz.compression_report(plan)}))
+    earlier = [chz.load_bank(m) for m in manifests]
+    for a, b in zip(current, earlier):
+        assert np.array_equal(a.streams, b.streams)
+        assert (a.rate_hz, a.carriers_hz, a.antenna_id, a.start_s, a.group_delay_s) == \
+            (b.rate_hz, b.carriers_hz, b.antenna_id, b.start_s, b.group_delay_s)
+    got, ref = decode_pipeline(earlier, plan, geom), decode_pipeline(current, plan, geom)
+    assert got.crc_ok and got.epc_bits == ref.epc_bits == tag.epc_bits
+    assert np.array_equal(got.channel.h, ref.channel.h)
 
 
 def test_load_bank_rejects_non_finite_sample(tmp_path, plan):

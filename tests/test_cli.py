@@ -25,6 +25,13 @@ def test_waveform_excitation(tmp_path):
     assert wave.samples.size == int(2e-4 * 15.36e6)
 
 
+def test_waveform_rejects_a_zero_duration(tmp_path):
+    with pytest.raises(model.ModelError, match="duration must be positive"):
+        run(["waveform", "--kind", "excitation", "--duration", "0",
+             "--out", tmp_path / "exc.cf32"])
+    assert not (tmp_path / "exc.cf32").exists()
+
+
 def test_waveform_tag_template(tmp_path):
     out = tmp_path / "tag.cf32"
     assert run(["--seed", "3", "waveform", "--kind", "tag", "--out", out]) == 0
@@ -95,7 +102,7 @@ def test_decode_with_a_failed_crc_writes_no_record(tmp_path, monkeypatch, capsys
 
 def test_channelize_command(tmp_path):
     plan = model.default_carrier_plan()
-    wave = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=2e-4))
+    wave = cs.synth_multisine(plan, 2e-4)
     cap = tmp_path / "cap.cf32"
     cs.waveform.save_wave(wave, cap)
     out = tmp_path / "bank"

@@ -138,8 +138,9 @@ def test_pll_linear_drift_tracked(plan):
     n_sym = 140
     drift = tuple(np.linspace(0, 0.02 * BLF, n_sym + 10))
     pkt = _packet(rng, t0_s=0.5e-3, drift_alpha_hz=drift)
-    frame = wf.miller_encode(rng.integers(0, 2, n_sym - len(wf.PREAMBLE_BITS)),
-                             BLF, plan.capture_rate_hz, preamble=True)
+    frame = wf.miller_encode(
+        wf.PREAMBLE_BITS + tuple(rng.integers(0, 2, n_sym - len(wf.PREAMBLE_BITS))),
+        BLF, plan.capture_rate_hz)
     warped = wf.apply_clock_offset(frame, pkt)
     pad = np.concatenate([warped.samples, np.zeros(int(0.5e-3 * plan.capture_rate_hz))])
     x = chz.processed_tag_baseband(
@@ -223,7 +224,7 @@ def test_compensate_residual_matches_trajectory_difference(plan):
     tracked = np.asarray(drift) + rng.normal(0, 50.0, len(drift))
     probe = np.linspace(0, 150 * wf.SYMBOL_S, 23)
     est_map = wf.clock_map(probe, 0.0, tracked)
-    true_map = wf.clock_warp(probe, pkt)
+    true_map = wf.clock_map(probe, pkt.alpha0_hz, pkt.drift_alpha_hz)
     resid = est_map - true_map
     t_fine = np.linspace(0, probe[-1], 200001)
     idx = np.minimum((t_fine / wf.SYMBOL_S).astype(int), len(drift) - 1)
@@ -248,7 +249,8 @@ def test_full_chain_residual_timing_under_five_percent(plan):
     offset = None
     for t_anchor, alpha_anchor, track, nom_lo, nom_hi in replies:
         est_map = nom_lo + wf.clock_map(e, alpha_anchor, track)
-        true_map = wf.clock_warp(e + (t_anchor - pkt.t0_s), pkt)
+        true_map = wf.clock_map(e + (t_anchor - pkt.t0_s), pkt.alpha0_hz,
+                                pkt.drift_alpha_hz)
         inside = (true_map >= nom_lo) & (true_map <= nom_hi)
         resid = est_map - true_map
         if offset is None:
@@ -272,7 +274,7 @@ def test_epc_preamble_clock_follows_the_drift(plan):
         sync = dc.preamble_search(x, RATE)
         # received span of the EPC preamble, from the packet's true clock map
         e_a, e_b = np.interp([LAYOUT.epc_start_s, LAYOUT.epc_start_s + pre_s],
-                             wf.clock_warp(e, pkt), e)
+                             wf.clock_map(e, pkt.alpha0_hz, pkt.drift_alpha_hz), e)
         true_alpha = BLF * (1.0 - pre_s / (e_b - e_a))
         assert abs(sync.epc_alpha_hat_hz - true_alpha) < 0.003 * BLF
 
@@ -472,7 +474,7 @@ def _exhaustive_ml(y, n_bits, first_symbol, frame_start, entering_sign):
 def test_viterbi_noiseless_recovery():
     rng = np.random.default_rng(14)
     bits = list(rng.integers(0, 2, 96))
-    frame = wf.miller_encode(bits, BLF, RATE, preamble=True)
+    frame = wf.miller_encode(wf.PREAMBLE_BITS + tuple(bits), BLF, RATE)
     sign0 = dc._sign_after(wf.PREAMBLE_BITS)
     got, metric = dc.viterbi_decode(frame.samples, RATE, 0.0, LAYOUT.preamble_symbols,
                                     96, sign0)
@@ -487,7 +489,7 @@ def test_viterbi_equals_exhaustive_ml():
     for trial in range(120):
         n_bits = int(rng.integers(2, 11))
         bits = list(rng.integers(0, 2, n_bits))
-        frame = wf.miller_encode(bits, BLF, RATE, preamble=True)
+        frame = wf.miller_encode(wf.PREAMBLE_BITS + tuple(bits), BLF, RATE)
         x = frame.samples + (rng.standard_normal(frame.samples.size)
                              + 1j * rng.standard_normal(frame.samples.size)) / math.sqrt(2) / math.sqrt(2.0)
         got, _ = dc.viterbi_decode(x, RATE, 0.0, LAYOUT.preamble_symbols, n_bits, sign0)
@@ -505,7 +507,7 @@ def test_viterbi_ber_monotone_in_snr():
         total = 0
         for _ in range(60):
             bits = list(rng.integers(0, 2, 12))
-            frame = wf.miller_encode(bits, BLF, RATE, preamble=True)
+            frame = wf.miller_encode(wf.PREAMBLE_BITS + tuple(bits), BLF, RATE)
             sig = frame.samples
             n = sig.size
             noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)

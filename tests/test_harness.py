@@ -154,6 +154,25 @@ def test_run_batch_noiseless_bound(plan, geom, grid):
     assert rep.p99_m <= grid.cell_m * math.sqrt(2)
 
 
+@pytest.mark.parametrize("subset", [{"antenna_idx": [0, 1, 2, 3]},
+                                    {"antenna_idx": [5, 4, 3, 2]},
+                                    {"carrier_idx": range(7, -1, -1)},
+                                    {"carrier_idx": [9, 3, 12, 0]}])
+def test_run_batch_subsets_take_the_entries_they_name(plan, geom, grid, subset):
+    # the geometry or plan and the channel rows or columns follow one index
+    # list, in whatever order it comes
+    rng = np.random.default_rng(1)
+    scenes = [SceneSpec(scene=Scene(tags=(single_path_tag(
+        (float(rng.uniform(-1.0, 1.0)), float(rng.uniform(1.5, 4.5)), 1.11),
+        random_epc(rng)),)), snr_db=60.0) for _ in range(4)]
+    cfg = BatchConfig(plan=plan, geom=geom, grid=grid, seed=1)
+    rep = run_batch(scenes, cfg, **subset)
+    ascending = run_batch(scenes, cfg, **{k: sorted(v) for k, v in subset.items()})
+    assert rep.n_failed == 0
+    assert rep.p99_m <= grid.cell_m * math.sqrt(2)
+    assert [r.error_m for r in rep.results] == [r.error_m for r in ascending.results]
+
+
 def test_run_batch_empty_rejected(plan, geom, grid):
     with pytest.raises(HarnessError):
         run_batch([], BatchConfig(plan=plan, geom=geom, grid=grid))

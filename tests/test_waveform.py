@@ -27,12 +27,12 @@ def test_single_tone_at_zero_offset_is_constant_phasor():
                           per_tone_power_dbm=-15.0, capture_rate_hz=15.36e6,
                           channel_out_rate_hz=2.56e6, capture_center_hz=887e6,
                           tone_offsets_hz=(0.0,))
-    wave = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=1e-4))
+    wave = cs.synth_multisine(plan, 1e-4)
     assert np.allclose(wave.samples, np.exp(0.3j), atol=1e-12)
 
 
 def test_sixteen_tone_spectrum_peaks(plan):
-    wave = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=2e-3))
+    wave = cs.synth_multisine(plan, 2e-3)
     window = np.hanning(wave.samples.size)
     spec = np.fft.fft(wave.samples * window)
     freqs = np.fft.fftfreq(wave.samples.size, 1 / plan.capture_rate_hz)
@@ -53,7 +53,7 @@ def test_two_tone_power_additivity():
                           per_tone_power_dbm=-15.0, capture_rate_hz=15.36e6,
                           channel_out_rate_hz=2.56e6, capture_center_hz=887e6,
                           tone_offsets_hz=(-1.3875e6, 1.3875e6))
-    wave = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=2e-3))
+    wave = cs.synth_multisine(plan, 2e-3)
     assert float(np.mean(np.abs(wave.samples) ** 2)) == pytest.approx(2.0, rel=1e-3)
 
 
@@ -103,12 +103,18 @@ def test_crest_constant_envelope_is_one():
     assert cs.crest_factor(wave) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("duration_s", [0.0, -1e-3])
+def test_multisine_duration_must_be_positive(plan, duration_s):
+    with pytest.raises(ModelError, match="duration must be positive"):
+        cs.synth_multisine(plan, duration_s)
+
+
 def test_crest_aligned_tones_baselines():
     # complex envelope of n aligned tones peaks at n with rms sqrt(n);
     # the real (cosine) rendering of n distinct positive frequencies peaks at
     # n with rms sqrt(n/2)
     plan = default_carrier_plan()  # zero phases align at t = 0
-    wave = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=2e-3))
+    wave = cs.synth_multisine(plan, 2e-3)
     assert cs.crest_factor(wave) == pytest.approx(4.0, rel=0.02)
     t = np.arange(0, 2e-3, 1 / plan.capture_rate_hz)
     tones = np.exp(2j * math.pi * np.arange(1, 17)[:, None] * 100e3 * t[None, :]).sum(axis=0)
@@ -126,13 +132,13 @@ def test_crest_errors():
 def test_optimized_sixteen_tone_crest(plan):
     phases = cs.optimize_tone_phases(plan.tone_offsets_hz, iterations=200)
     tuned = default_carrier_plan(tone_phases_rad=phases)
-    wave = cs.synth_multisine(cs.MultisineSpec(plan=tuned, duration_s=2e-3))
+    wave = cs.synth_multisine(tuned, 2e-3)
     cf = cs.crest_factor(wave)
     assert cf <= 1.5
     assert cs.papr_db(wave) <= 3.5
     # never worse than the Newman initialization
     newman = default_carrier_plan(tone_phases_rad=tuple(wf.newman_phases(16)))
-    cf_newman = cs.crest_factor(cs.synth_multisine(cs.MultisineSpec(plan=newman, duration_s=2e-3)))
+    cf_newman = cs.crest_factor(cs.synth_multisine(newman, 2e-3))
     assert cf <= cf_newman + 1e-9
 
 
@@ -159,19 +165,19 @@ def test_optimize_rejects_single_tone():
 # --- Miller coding -----------------------------------------------------------
 
 def test_symbol_duration():
-    wave = wf.miller_encode([1], BLF, RATE, preamble=False)
+    wave = wf.miller_encode([1], BLF, RATE)
     assert wave.duration_s == pytest.approx(4 / BLF, abs=1.0 / RATE)
 
 
 def test_payload_duration_96_bits():
-    wave = wf.miller_encode([0] * 96, BLF, RATE, preamble=False)
+    wave = wf.miller_encode([0] * 96, BLF, RATE)
     assert wave.duration_s == pytest.approx(96 * 4 / BLF, abs=1.0 / RATE)
 
 
 def test_encode_unit_magnitude_zero_mean_round_trip():
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, 96)
-    wave = wf.miller_encode(bits, BLF, RATE, preamble=True)
+    wave = wf.miller_encode(wf.PREAMBLE_BITS + tuple(bits), BLF, RATE)
     assert np.allclose(np.abs(wave.samples), 1.0)
     assert abs(np.mean(wave.samples)) < 0.01
 
@@ -183,7 +189,7 @@ def test_transition_count_exact(m):
     # one, and boundary inversions cancel the boundary flips exactly
     rng = np.random.default_rng(m)
     bits = rng.integers(0, 2, 64)
-    x = np.real(wf.miller_encode(bits, BLF, 16e6, preamble=False).samples)
+    x = np.real(wf.miller_encode(bits, BLF, 16e6).samples)
     transitions = int(np.sum(x[1:] != x[:-1]))
     assert transitions == 64 * (2 * m - 1) - int(bits.sum())
 
@@ -192,17 +198,19 @@ def test_miller_preconditions():
     with pytest.raises(ModelError):
         wf.miller_encode([1, 0], BLF, BLF * 4)
     with pytest.raises(ModelError):
-        wf.miller_encode([], BLF, RATE, preamble=False)
+        wf.miller_encode([], BLF, RATE)
 
 
 # --- packet framing ----------------------------------------------------------
 
 def test_packet_durations_near_reference():
     layout = wf.packet_layout(96)
-    assert layout.rn16_active_s == pytest.approx(0.31e-3, rel=0.10)
-    assert layout.active_s == pytest.approx(2.31e-3, rel=0.10)
+    rn16_syms = layout.rn16_frame_symbols
+    full_syms = rn16_syms + layout.epc_frame_symbols
+    # data-bearing reply time: sync, payload and dummy, pilot excluded
+    assert (rn16_syms - wf.PILOT_SYMBOLS) * wf.SYMBOL_S == pytest.approx(0.31e-3, rel=0.10)
+    assert (full_syms - 2 * wf.PILOT_SYMBOLS) * wf.SYMBOL_S == pytest.approx(2.31e-3, rel=0.10)
     # matched-filter template length ratio stays in the integration-gain band
-    rn16_syms, full_syms = layout.template_symbols
     assert 10 * math.log10(full_syms / rn16_syms) == pytest.approx(8.7, abs=1.0)
 
 
@@ -258,7 +266,7 @@ def test_fast_clock_leads_template():
     tmpl = wf.packet_template(pkt, RATE)
     warped = wf.apply_clock_offset(tmpl, pkt)
     e = 32 * t_sym
-    nominal = wf.clock_warp(np.array([e]), pkt)[0]
+    nominal = wf.clock_map(np.array([e]), pkt.alpha0_hz, pkt.drift_alpha_hz)[0]
     assert (nominal - e) / t_sym == pytest.approx(0.8, rel=0.01)
     i_rx = int(round(e * RATE))
     i_nom = nominal * RATE
@@ -282,7 +290,7 @@ def test_clock_warp_matches_numerical_integration():
     nominal_oracle = np.concatenate(
         [[0.0], np.cumsum((rate_fine[1:] + rate_fine[:-1]) / 2 * np.diff(t_fine))])
     probe = np.linspace(0, 160 * wf.SYMBOL_S * 0.999, 57)
-    got = wf.clock_warp(probe, pkt)
+    got = wf.clock_map(probe, pkt.alpha0_hz, pkt.drift_alpha_hz)
     expect = np.interp(probe, t_fine, nominal_oracle)
     assert np.allclose(got, expect, atol=2e-9)
 
@@ -290,7 +298,7 @@ def test_clock_warp_matches_numerical_integration():
 def test_clock_offset_preserves_transition_count():
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, 64)
-    wave = wf.miller_encode(bits, BLF, RATE, preamble=False)
+    wave = wf.miller_encode(bits, BLF, RATE)
     pkt = wf.TagPacket(rn16_bits=tuple(rng.integers(0, 2, 16)),
                        epc_bits=tuple(rng.integers(0, 2, 96)),
                        alpha0_hz=0.05 * BLF,
@@ -320,7 +328,7 @@ def _one_tone_setup(h_value):
                             tx_ism_position_m=(0.0, -1.0, 0.0))
     ch = cs.ChannelMatrix(h=np.array([[h_value]]), carriers_hz=plan.carriers_hz,
                           geometry=geom)
-    exc = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=2e-4))
+    exc = cs.synth_multisine(plan, 2e-4)
     return plan, ch, exc
 
 
@@ -387,7 +395,7 @@ def test_pc_word_encodes_length():
 # --- file format -------------------------------------------------------------
 
 def test_wave_file_round_trip(tmp_path, plan):
-    wave = cs.synth_multisine(cs.MultisineSpec(plan=plan, duration_s=1e-4))
+    wave = cs.synth_multisine(plan, 1e-4)
     path = tmp_path / "excitation.cf32"
     wf.save_wave(wave, path)
     back = wf.load_wave(path)
