@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as sps
 
-from .model import CarrierPlan, ModelError, TAG_BANDWIDTH_HZ
+from .model import CarrierPlan, ModelError, TAG_BANDWIDTH_HZ, read_json_object
 from .waveform import BLF_HZ, BasebandWave, load_wave, save_wave
 
 STOPBAND_ATTEN_DB = 80.0
@@ -311,7 +311,8 @@ def load_bank(manifest_path) -> ChannelBank:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    meta = json.loads(manifest_path.read_text())
+    meta = read_json_object(manifest_path, "manifest", ("files", "rate_hz", "carriers_hz",
+                                                         "antenna_id", "start_s", "group_delay_s"))
     streams = [load_wave(manifest_path.parent / name).samples for name in meta["files"]]
     for name, x in zip(meta["files"], streams):
         if not np.all(np.isfinite(x)):

@@ -19,7 +19,7 @@ from .harness import (BatchConfig, HarnessError, SceneSpec, ablation_sweep, eval
                       packet_record, record_to_channel, run_batch, simulate_capture,
                       sweep_rows_to_csv)
 from .locator import GridSpec, LocalizePolicy, PriorROI, classify_roi, localize
-from .model import default_array_geometry, default_carrier_plan, load_config
+from .model import default_array_geometry, default_carrier_plan, load_config, read_json_object
 from .waveform import (load_wave, optimize_tone_phases, save_wave, synth_multisine,
                        build_packet_baseband, TagPacket)
 
@@ -147,7 +147,7 @@ def cmd_localize(args):
 
 
 def cmd_evaluate(args):
-    labels = json.loads(Path(args.labels).read_text())
+    labels = read_json_object(args.labels, "labels")
     decisions = []
     for i, line in enumerate(Path(args.results).read_text().splitlines(), start=1):
         if not line.strip():

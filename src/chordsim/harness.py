@@ -227,13 +227,18 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
     ``carrier_idx``/``antenna_idx`` subset the full plan/geometry while the
     noise draws stay tied to the full-size seeds, so ablation settings see
     identical realizations on their shared entries.  Each index list is taken
-    in ascending order for the plan or geometry and the channel entries alike.
+    in ascending order for the plan or geometry and the channel entries alike;
+    a repeated index, or one outside the full plan or geometry, raises.
     Individual failures are recorded, never aborting the batch.
     """
     if not scenes:
         raise HarnessError("empty scene list")
     ant = list(range(cfg.geom.n_antennas)) if antenna_idx is None else sorted(antenna_idx)
     car = list(range(cfg.plan.n_carriers)) if carrier_idx is None else sorted(carrier_idx)
+    for name, idx, n in (("antenna_idx", ant, cfg.geom.n_antennas),
+                         ("carrier_idx", car, cfg.plan.n_carriers)):
+        if len(set(idx)) < len(idx) or not all(i in range(n) for i in idx):
+            raise HarnessError(f"{name} must hold distinct indices in range({n})")
     plan = cfg.plan if carrier_idx is None else subset_plan(cfg.plan, car)
     geom = cfg.geom if antenna_idx is None else replace(
         cfg.geom, rx_positions_m=tuple(cfg.geom.rx_positions_m[i] for i in ant))
@@ -311,39 +316,29 @@ def bandwidth_carrier_indices(plan: CarrierPlan, bandwidth_hz: float) -> list[in
 
 BANDWIDTH_SETTINGS_HZ = (50e6, 100e6, 150e6, 200e6)
 ANTENNA_SETTINGS = (2, 4, 6, 8)
-ALGORITHM_SETTINGS = ("basic", "enhanced")
+ALGORITHM_SETTINGS = (("basic", LocalizePolicy(mode="never")),
+                      ("enhanced", LocalizePolicy(mode="conditional")))
 
 
-def ablation_sweep(corpus: list[SceneSpec], axis: str, cfg: BatchConfig,
-                   settings=None) -> list[dict]:
+def ablation_sweep(corpus: list[SceneSpec], axis: str, cfg: BatchConfig) -> list[dict]:
     """Percentile-error table along one resource axis, same corpus and seeds
     for every setting."""
-    rows = []
     if axis == "bandwidth":
-        for bw in settings or BANDWIDTH_SETTINGS_HZ:
-            idx = bandwidth_carrier_indices(cfg.plan, bw)
-            rep = run_batch(corpus, cfg, carrier_idx=idx)
-            rows.append({"setting": f"{bw / 1e6:.0f}MHz", "p50_m": rep.p50_m,
-                         "p90_m": rep.p90_m, "p99_m": rep.p99_m})
+        table = [(f"{bw / 1e6:.0f}MHz", cfg, bandwidth_carrier_indices(cfg.plan, bw), None)
+                 for bw in BANDWIDTH_SETTINGS_HZ]
     elif axis == "antennas":
-        for n_ant in settings or ANTENNA_SETTINGS:
-            idx = model.antenna_subset_indices(cfg.geom, n_ant)
-            rep = run_batch(corpus, cfg, antenna_idx=idx)
-            rows.append({"setting": str(n_ant), "p50_m": rep.p50_m,
-                         "p90_m": rep.p90_m, "p99_m": rep.p99_m})
+        table = [(str(n), cfg, None, model.antenna_subset_indices(cfg.geom, n))
+                 for n in ANTENNA_SETTINGS]
     elif axis == "algorithm":
-        for name in settings or ALGORITHM_SETTINGS:
-            if name == "basic":
-                policy = LocalizePolicy(mode="never")
-            elif name == "enhanced":
-                policy = LocalizePolicy(mode="conditional")
-            else:
-                raise HarnessError(f"unknown algorithm setting {name!r}")
-            rep = run_batch(corpus, replace(cfg, policy=policy))
-            rows.append({"setting": name, "p50_m": rep.p50_m,
-                         "p90_m": rep.p90_m, "p99_m": rep.p99_m})
+        table = [(name, replace(cfg, policy=policy), None, None)
+                 for name, policy in ALGORITHM_SETTINGS]
     else:
         raise HarnessError(f"unknown sweep axis {axis!r}")
+    rows = []
+    for setting, setting_cfg, carrier_idx, antenna_idx in table:
+        rep = run_batch(corpus, setting_cfg, carrier_idx, antenna_idx)
+        rows.append({"setting": setting, "p50_m": rep.p50_m, "p90_m": rep.p90_m,
+                     "p99_m": rep.p99_m})
     return rows
 
 
@@ -504,7 +499,7 @@ class SnapshotRecord:
 def parse_snapshot_line(line: str) -> SnapshotRecord:
     doc = json.loads(line)
     return SnapshotRecord(epc=doc["epc"], timestamp_s=float(doc["timestamp_s"]),
-                          antenna_id=int(doc["antenna_id"]),
+                          antenna_id=doc["antenna_id"],
                           carrier_hz=float(doc["carrier_hz"]),
                           phase_rad=float(doc["phase_rad"]),
                           rssi_db=float(doc["rssi_db"]),
@@ -532,8 +527,10 @@ def export_snapshots(records: list[SnapshotRecord], path) -> None:
 def _entry_index(antenna_id: int, carrier_hz: float, n_antennas: int,
                  carrier_index: dict) -> tuple[int, int]:
     """(k, l) channel-matrix index of an (antenna id, carrier Hz) observation;
-    an antenna outside the geometry or a carrier outside the plan raises a
-    HarnessError."""
+    an antenna id that is not an integer, an antenna outside the geometry or a
+    carrier outside the plan raises a HarnessError."""
+    if isinstance(antenna_id, bool) or not isinstance(antenna_id, int):
+        raise HarnessError(f"antenna {antenna_id!r} is not an integer")
     if not 0 <= antenna_id < n_antennas:
         raise HarnessError(f"antenna {antenna_id} not in the {n_antennas}-antenna geometry")
     l = carrier_index.get(carrier_hz)
@@ -551,9 +548,10 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan):
 
     Records sharing an EPC within SNAPSHOT_WINDOW_S form one reply; carriers or
     antennas never observed stay masked.  Malformed lines (a missing field,
-    an ``epc`` that is not a string, ``re`` without ``im`` or the reverse, a
-    non-finite number), and lines naming an antenna or carrier outside the
-    geometry or plan, raise with their line number.
+    an ``epc`` that is not a string, an ``antenna_id`` that is not an integer,
+    ``re`` without ``im`` or the reverse, a non-finite number), and lines
+    naming an antenna or carrier outside the geometry or plan, raise with
+    their line number.
     """
     n_antennas = geom.n_antennas
     carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
@@ -627,7 +625,7 @@ def record_to_channel(doc: dict, geom: ArrayGeometry, plan: CarrierPlan) -> Chan
     for j, c in enumerate(doc["channels"]):
         try:
             snr = c.get("snr_db")
-            k, l = _entry_index(int(c["antenna"]), float(c["carrier_hz"]), geom.n_antennas,
+            k, l = _entry_index(c["antenna"], float(c["carrier_hz"]), geom.n_antennas,
                                 carrier_index)
             re, im = float(c["re"]), float(c["im"])
             if not (math.isfinite(re) and math.isfinite(im)

@@ -1,20 +1,19 @@
 """Near-field localization as a stack of layers.
 
 The hologram kernel scores the similarity exp(-j(phi - theta)) of one
-channel's measured phase phi against the phase theta a candidate location
-would produce; layers combine it across carriers and antennas.  The basic
-hologram sums the kernel over the whole grid; the multipath-suppression
+channel's measured propagation phase phi against the phase theta a candidate
+location would produce; layers combine it across carriers and antennas.  The
+basic hologram sums the kernel over the whole grid; the multipath-suppression
 pipeline inserts a time-of-flight layer, direct-path identification against
 prior range bounds, and a direct-path enhancement before the final summation.
 
-Phase bookkeeping: channel entries store angle(h) = minus the propagation
-phase.  Holograms and ToF profiles operate on propagation phases (they negate
-angle(h) internally); the enhancement layer works directly in the angle(h)
-domain, matching its defining formula.
+Phase convention: every layer reads the channel phase angle(h), which is
+minus the propagation phase phi (see ``model``), so the kernel
+exp(-j(phi - theta)) is evaluated as exp(j(angle(h) + theta)).
 
 Hologram cost: the basic hologram and the summation layer weight one
 full-grid steering row exp(j 2 pi f_l (|cell - tx| + |cell - rx_k|) / c) by
-exp(-j phi_kl) for every unmasked (antenna k, carrier l) and sum the rows,
+exp(j angle(h_kl)) for every unmasked (antenna k, carrier l) and sum the rows,
 K * L * cells complex multiply-adds per call.  Each row is added into the
 accumulator in place by one BLAS axpy, which reads the row once and makes no
 temporary: about 1.0-1.2 ms per call for the full 8 x 16 array on the default
@@ -130,11 +129,6 @@ class LocationEstimate:
     fallback: str | None = None
 
 
-def _measured_propagation_phases(ch: ChannelMatrix | np.ndarray) -> np.ndarray:
-    h = ch.h if isinstance(ch, ChannelMatrix) else np.asarray(ch, dtype=complex)
-    return -np.angle(h)
-
-
 # Bounds on the per-point distance and per-(point pair, carrier) steering-row
 # caches; 256 rows hold two full 8 x 16 arrays.
 _DISTANCE_CACHE_SIZE = 64
@@ -166,28 +160,27 @@ def _steering_row(grid: GridSpec, tx_m: tuple[float, float, float],
     return row
 
 
-def _phase_hologram(prop_phases: np.ndarray, mask: np.ndarray | None,
+def _phase_hologram(phases: np.ndarray, mask: np.ndarray,
                     grid: GridSpec, geom: ArrayGeometry, plan: CarrierPlan) -> HologramResult:
-    k_n, l_n = prop_phases.shape
+    k_n, l_n = phases.shape
     if k_n != geom.n_antennas or l_n != plan.n_carriers:
         raise ModelError("phase matrix does not match geometry/plan")
     if grid.nx * grid.ny == 0:
         raise ModelError("empty grid")
-    if mask is not None and np.shape(mask) != prop_phases.shape:
+    if np.shape(mask) != phases.shape:
         raise ModelError("hologram: mask shape differs from the phase matrix")
-    if mask is not None and not np.any(mask):
+    # the observed entries in row-major order, which fixes the summation order
+    ks, ls = np.nonzero(mask)
+    if not ks.size:
         raise ModelError("hologram: every channel entry is masked")
     tx = _point_key(geom.tx_wideband_position_m)
-    weights = np.exp(-1j * prop_phases)
+    rx = [_point_key(p) for p in geom.rx_positions_m]
+    weights = np.exp(1j * phases)
     acc = np.zeros(grid.nx * grid.ny, dtype=complex)
-    for k in range(k_n):
-        rx = _point_key(geom.rx_positions_m[k])
-        for l in range(l_n):
-            if mask is not None and not mask[k, l]:
-                continue
-            # zaxpy writes acc (its y) in place and only reads the cached row
-            acc = blas.zaxpy(_steering_row(grid, tx, rx, float(plan.carriers_hz[l])), acc,
-                             a=weights[k, l])
+    for k, l in zip(ks.tolist(), ls.tolist()):
+        # zaxpy writes acc (its y) in place and only reads the cached row
+        acc = blas.zaxpy(_steering_row(grid, tx, rx[k], float(plan.carriers_hz[l])), acc,
+                         a=weights[k, l])
     heat = np.abs(acc).reshape(grid.ny, grid.nx)
     flat_idx = int(np.argmax(heat))
     iy, ix = divmod(flat_idx, grid.nx)
@@ -198,18 +191,21 @@ def _phase_hologram(prop_phases: np.ndarray, mask: np.ndarray | None,
 
 def basic_hologram(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry,
                    plan: CarrierPlan) -> HologramResult:
-    """Likelihood surface |sum_kl exp(-j(phi_kl - theta(g,k,l)))| over the grid.
+    """Likelihood surface |sum_kl exp(j(angle(h_kl) + theta(g,k,l)))| over the grid.
 
     Ties break to the lowest row-major cell index.
     """
-    return _phase_hologram(_measured_propagation_phases(ch), ch.mask, grid, geom, plan)
+    return _phase_hologram(np.angle(ch.h), ch.mask, grid, geom, plan)
 
 
 def summation_layer(enhanced_phases: np.ndarray, grid: GridSpec, geom: ArrayGeometry,
                     plan: CarrierPlan, mask: np.ndarray | None = None) -> HologramResult:
-    """Final combining layer: the hologram evaluated on enhanced channel
-    phases (angle(h) domain), sharing the basic hologram implementation."""
-    return _phase_hologram(-np.asarray(enhanced_phases, dtype=float), mask, grid, geom, plan)
+    """Final combining layer: the basic hologram's sum over enhanced angle(h)
+    phases, every entry observed unless ``mask`` says otherwise."""
+    phases = np.asarray(enhanced_phases, dtype=float)
+    if mask is None:
+        mask = np.ones(phases.shape, dtype=bool)
+    return _phase_hologram(phases, mask, grid, geom, plan)
 
 
 def peak_find_2d(heatmap: np.ndarray, rel_threshold: float = 0.5) -> list[tuple[int, int, float]]:
@@ -228,21 +224,20 @@ def peak_find_2d(heatmap: np.ndarray, rel_threshold: float = 0.5) -> list[tuple[
 
 def tof_profile(ch_row, plan: CarrierPlan, d_max_m: float = 20.0,
                 spacing_m: float = 0.05) -> TofProfile:
-    """Time-of-flight layer: S(d) = sum_l exp(-j(phi_l - 2 pi f_l d / c)) on a
-    total-path-length axis, the nonuniform inverse transform of the measured
-    per-carrier propagation phases."""
+    """Time-of-flight layer: S(d) = sum_l exp(j(angle(h_l) + 2 pi f_l d / c))
+    on a total-path-length axis, the nonuniform inverse transform of the
+    measured per-carrier phases."""
     h = np.asarray(ch_row, dtype=complex).ravel()
     if h.size < 2:
         raise ModelError("time resolution needs at least two carriers")
     if spacing_m <= 0 or spacing_m > 0.1:
         raise ModelError("profile spacing must be positive and at most 0.1 m")
-    phi = -np.angle(h)
     freqs = np.asarray(plan.carriers_hz, dtype=float)
     if freqs.size != h.size:
         raise ModelError("carrier count does not match the channel row")
     d = np.arange(0.0, d_max_m + spacing_m / 2, spacing_m)
     s = np.exp(1j * (2 * math.pi / C_M_PER_S) * np.outer(d, freqs)
-               - 1j * phi[None, :]).sum(axis=1)
+               + 1j * np.angle(h)[None, :]).sum(axis=1)
     return TofProfile(distances_m=d, magnitude=np.abs(s), complex_values=s)
 
 
@@ -309,9 +304,7 @@ def combined_carrier_channel(ch: ChannelMatrix) -> np.ndarray:
     the ToF layer a single row per carrier.  Masked entries contribute
     nothing: neither to their antenna's weight nor to the sum."""
     h = ch.h
-    # ones_like keeps the memory layout of h, so the sums below run in the same
-    # order as for the all-True mask of a carrier-sliced matrix
-    mask = np.ones_like(h, dtype=bool) if ch.mask is None else ch.mask
+    mask = ch.mask
     if ch.quality is None:
         weights = np.ones(h.shape[0])
     else:
@@ -354,8 +347,8 @@ DEFAULT_POLICY = LocalizePolicy()
 def _observed_carriers(ch: ChannelMatrix, plan: CarrierPlan) -> tuple[ChannelMatrix, CarrierPlan]:
     """The channel and plan restricted to the carriers with at least one
     observed entry."""
-    observed = None if ch.mask is None else ch.mask.any(axis=0)
-    if observed is None or observed.all():
+    observed = ch.mask.any(axis=0)
+    if observed.all():
         return ch, plan
     seen = np.flatnonzero(observed)
     sub = subset_plan(plan, seen)
@@ -377,11 +370,14 @@ def localize(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry, plan: Carri
     the observed carriers, so a carrier masked at every antenna gives the
     same result as a plan without it.
     """
+    def estimate(result: HologramResult, **flags) -> LocationEstimate:
+        return LocationEstimate(position_m=result.position_m, likelihood=result.likelihood,
+                                heatmap=result.heatmap if keep_heatmap else None, **flags)
+
     base = basic_hologram(ch, grid, geom, plan)
     want_enhance = policy.mode == "always"
     if policy.mode == "conditional":
         peaks = peak_find_2d(base.heatmap, AMBIGUOUS_PEAK_FRAC)
-        want_enhance = False
         for iy, ix, _ in peaks[1:]:
             dist = math.hypot((ix - base.argmax_ix) * grid.cell_m,
                               (iy - base.argmax_iy) * grid.cell_m)
@@ -389,25 +385,20 @@ def localize(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry, plan: Carri
                 want_enhance = True
                 break
     if not want_enhance or prior is None:
-        return LocationEstimate(position_m=base.position_m, likelihood=base.likelihood,
-                                heatmap=base.heatmap if keep_heatmap else None,
-                                enhancement_applied=False,
-                                fallback=None if not want_enhance else "no prior")
+        return estimate(base, fallback="no prior" if want_enhance else None)
 
     sub, sub_plan = _observed_carriers(ch, plan)
     d_max = max(prior.path_bounds_m[1] * 1.25, 1.0)
     profile = tof_profile(combined_carrier_channel(sub), sub_plan, d_max_m=d_max)
     d0 = identify_direct_path(profile, prior)
     if d0 is None:
-        return LocationEstimate(position_m=base.position_m, likelihood=base.likelihood,
-                                heatmap=base.heatmap if keep_heatmap else None,
-                                enhancement_applied=False, fallback="no direct path")
+        return estimate(base, fallback="no direct path")
     enhanced = np.zeros(sub.shape)
-    for k in range(sub.shape[0]):
-        if sub.mask is None:
+    for k, observed in enumerate(sub.mask.tolist()):
+        if all(observed):
             enhanced[k] = enhance_direct_path(sub.h[k], sub_plan, d0)
-        elif sub.mask[k].any():
-            seen = np.flatnonzero(sub.mask[k])
+        elif any(observed):
+            seen = np.flatnonzero(observed)
             enhanced[k, seen] = enhance_direct_path(sub.h[k, seen],
                                                     subset_plan(sub_plan, seen), d0)
     final = summation_layer(enhanced, grid, geom, sub_plan, mask=sub.mask)
@@ -416,13 +407,9 @@ def localize(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry, plan: Carri
     # land somewhere that is no peak at all.  Fall back in that case.
     raw_score = base.heatmap[final.argmax_iy, final.argmax_ix]
     if raw_score < CONSISTENCY_FRAC * base.likelihood:
-        return LocationEstimate(position_m=base.position_m, likelihood=base.likelihood,
-                                heatmap=base.heatmap if keep_heatmap else None,
-                                d0_rough_m=d0, enhancement_applied=False,
-                                fallback="enhanced estimate inconsistent with raw phases")
-    return LocationEstimate(position_m=final.position_m, likelihood=final.likelihood,
-                            heatmap=final.heatmap if keep_heatmap else None,
-                            d0_rough_m=d0, enhancement_applied=True)
+        return estimate(base, d0_rough_m=d0,
+                        fallback="enhanced estimate inconsistent with raw phases")
+    return estimate(final, d0_rough_m=d0, enhancement_applied=True)
 
 
 AOA_STEP_DEG = 0.25
@@ -430,7 +417,7 @@ AOA_STEP_DEG = 0.25
 
 def aoa_spectrum(ch_column, geom: ArrayGeometry, plan: CarrierPlan,
                  carrier: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angle-of-arrival layer at one carrier: S(psi) = sum_k e^{-j phi_k}
+    """Angle-of-arrival layer at one carrier: S(psi) = sum_k e^{-j angle(h_k)}
     e^{j 2 pi f x_k sin(psi) / c} over psi in [-90, 90] degrees in steps of
     AOA_STEP_DEG, using the exact per-element positions (the co-prime gap
     needs no uniform-spacing idealization).  Returns (psi_deg, S)."""

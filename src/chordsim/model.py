@@ -328,6 +328,7 @@ class ChannelMatrix:
 
     ``quality`` holds a per-entry SNR estimate in dB (None when synthetic and
     noiseless); ``mask`` flags entries actually observed (False = missing).
+    A mask of None is stored as all True: every entry observed.
     """
 
     h: np.ndarray
@@ -347,11 +348,12 @@ class ChannelMatrix:
             raise ModelError("channel entries must be finite")
         if self.quality is not None and np.shape(self.quality) != h.shape:
             raise ModelError("channel quality must be K x L")
-        if self.mask is not None:
-            mask = np.asarray(self.mask, dtype=bool)
-            object.__setattr__(self, "mask", mask)
-            if mask.shape != h.shape:
-                raise ModelError("channel mask must be K x L")
+        # ones_like keeps the memory layout of h, so masked sums over an
+        # unmasked matrix run in the same order as over a carrier-sliced one
+        mask = np.ones_like(h, dtype=bool) if self.mask is None else self.mask
+        object.__setattr__(self, "mask", np.asarray(mask, dtype=bool))
+        if self.mask.shape != h.shape:
+            raise ModelError("channel mask must be K x L")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -467,16 +469,26 @@ def save_config(path, plan: CarrierPlan | None = None,
         json.dump(doc, fh, indent=2)
 
 
+def read_json_object(path, what: str, keys=()) -> dict:
+    """The JSON object in the file at ``path``.  Any other JSON value, or an
+    object that misses one of ``keys``, raises a ModelError naming the file."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path}: {what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ModelError(f"{path}: {what} misses key {key!r}")
+    return doc
+
+
 def load_config(path, sections: dict | None = None) -> dict:
     """Read a config written by save_config.  ``sections`` maps more section
     names to their builders, as for plan, geometry and scene.  A file or
     section that is not an object, or a section that misses a field, has an
     unknown one or fails its class's checks, raises a ModelError naming the
     file and the section."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ModelError(f"{path}: config must be a JSON object")
+    doc = read_json_object(path, "config")
     out = dict(doc)
     for name, build in {**_SECTIONS, **(sections or {})}.items():
         if name in doc:

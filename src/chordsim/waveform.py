@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import CarrierPlan, ChannelMatrix, ModelError
+from .model import CarrierPlan, ChannelMatrix, ModelError, read_json_object
 
 # The one uplink link setting: Miller-4 at a 250 kHz backscatter link frequency
 # (BLF).  The channelizer's receive filters are designed around it.
@@ -446,7 +446,7 @@ def save_wave(wave: BasebandWave, path) -> Path:
 
 def load_wave(path) -> BasebandWave:
     path = Path(path)
-    meta = json.loads(_sidecar_path(path).read_text())
+    meta = read_json_object(_sidecar_path(path), "sidecar", ("n_samples", "rate_hz", "start_s"))
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     samples = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
     if samples.size != meta["n_samples"]:

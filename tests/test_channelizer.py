@@ -286,6 +286,23 @@ def test_load_bank_rejects_non_finite_sample(tmp_path, plan):
         chz.load_bank(manifest)
 
 
+@pytest.mark.parametrize("target, edit, message", [
+    ("manifest.json", lambda d: [d], "manifest.json: manifest must be a JSON object"),
+    ("manifest.json", lambda d: {k: v for k, v in d.items() if k != "rate_hz"},
+     "manifest.json: manifest misses key 'rate_hz'"),
+    ("ch_00.json", lambda d: {k: v for k, v in d.items() if k != "start_s"},
+     "ch_00.json: sidecar misses key 'start_s'"),
+], ids=["manifest_not_an_object", "manifest_without_rate", "sidecar_without_start"])
+def test_load_bank_names_the_file_and_the_missing_key(tmp_path, plan, target, edit, message):
+    bank = chz.ChannelBank(streams=np.ones((plan.n_carriers, 64), dtype=complex),
+                           rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz)
+    manifest = chz.save_bank(bank, tmp_path / "ant0")
+    path = tmp_path / "ant0" / target
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ModelError, match=message):
+        chz.load_bank(manifest)
+
+
 def test_shaped_noise_follows_the_shaping_filter():
     plan = default_carrier_plan(desk_scale=True)
     rate, shape, var = plan.channel_out_rate_hz, (64, 10752), 3.0

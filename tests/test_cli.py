@@ -165,6 +165,15 @@ def test_evaluate_names_the_file_and_line_of_a_bad_result(tmp_path, line, messag
         run(["evaluate", results, labels])
 
 
+def test_evaluate_names_a_labels_file_that_holds_no_object(tmp_path):
+    results = tmp_path / "results.jsonl"
+    results.write_text('{"epc": "aa", "roi": "inside"}\n')
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(["aa"]))
+    with pytest.raises(model.ModelError, match="labels.json: labels must be a JSON object"):
+        run(["evaluate", results, labels])
+
+
 _REGION = [[-1.5, 0.5], [1.5, 0.5], [1.5, 3.6], [-1.5, 3.6]]
 
 

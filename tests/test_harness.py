@@ -173,6 +173,19 @@ def test_run_batch_subsets_take_the_entries_they_name(plan, geom, grid, subset):
     assert [r.error_m for r in rep.results] == [r.error_m for r in ascending.results]
 
 
+@pytest.mark.parametrize("subset", [{"antenna_idx": [9]}, {"carrier_idx": [16]},
+                                    {"antenna_idx": [-1, 0]}, {"antenna_idx": [1, 1]}],
+                         ids=["antenna_past_the_end", "carrier_past_the_end",
+                              "negative_antenna", "repeated_antenna"])
+def test_run_batch_rejects_indices_that_are_no_subset(plan, geom, grid, subset):
+    # unchecked, a negative index takes an antenna from the end and a repeated
+    # one counts its antenna twice, and both localize without an error
+    scenes = [SceneSpec(scene=Scene(tags=(single_path_tag((0.1, 2.2, 1.11), (0, 1) * 48),)),
+                        snr_db=60.0)]
+    with pytest.raises(HarnessError, match=next(iter(subset))):
+        run_batch(scenes, BatchConfig(plan=plan, geom=geom, grid=grid), **subset)
+
+
 def test_run_batch_empty_rejected(plan, geom, grid):
     with pytest.raises(HarnessError):
         run_batch([], BatchConfig(plan=plan, geom=geom, grid=grid))
@@ -474,7 +487,8 @@ def test_gate_corpus_labels():
         assert (y <= 2.0) if label == "inside" else (y >= 3.0)
 
 
-@pytest.mark.parametrize("antenna", [-1, 8])
+# a fractional or boolean id would otherwise be truncated to an antenna
+@pytest.mark.parametrize("antenna", [-1, 8, 1.5, True])
 def test_snapshot_antenna_outside_geometry_raises_with_line(tmp_path, plan, geom, antenna):
     recs = [SnapshotRecord(epc="ab", timestamp_s=0.0, antenna_id=a,
                            carrier_hz=plan.carriers_hz[0], phase_rad=0.5, rssi_db=-3.0)
@@ -492,11 +506,14 @@ def test_snapshot_antenna_outside_geometry_raises_with_line(tmp_path, plan, geom
     ("re", _DROP, "channel 5: 're'"),
     ("snr_db", "x", "channel 5: "),
     ("antenna", "a", "channel 5: "),
+    ("antenna", 2.7, "channel 5: antenna 2.7 is not an integer"),
+    ("antenna", True, "channel 5: antenna True is not an integer"),
     ("channels", _DROP, "^record 5{24}: channels must be a list"),
     ("channels", 5, "^record 5{24}: channels must be a list"),
     ("channels", [5], "channel 0: "),
 ], ids=["unknown_carrier", "nan_re", "nan_snr_db", "missing_re", "text_snr_db",
-        "text_antenna", "no_channels", "channels_not_a_list", "entry_not_an_object"])
+        "text_antenna", "fractional_antenna", "bool_antenna", "no_channels",
+        "channels_not_a_list", "entry_not_an_object"])
 def test_packet_record_unknown_carrier_raises(plan, geom, key, value, match):
     h = cs.synth_channel(Scene(tags=(single_path_tag((0.1, 2.2, 1.11), (0, 1) * 48),)),
                          geom, plan, 0)

@@ -609,3 +609,25 @@ def test_masked_carriers_localize_as_subset_plan(geom, plan, corpus_channels, in
     assert got.position_m == want.position_m
     assert got.likelihood == want.likelihood
     assert got.enhancement_applied == want.enhancement_applied
+
+
+def test_no_mask_and_an_all_true_mask_localize_alike(geom, plan, corpus_channels):
+    prior = loc.PriorROI(path_bounds_m=(1.5, 14.0))
+    always = loc.LocalizePolicy(mode="always")
+    enhanced = 0
+    for ch in corpus_channels[:8]:
+        full = cs.ChannelMatrix(h=ch.h, carriers_hz=ch.carriers_hz, geometry=geom,
+                                quality=ch.quality, mask=np.ones(ch.shape, dtype=bool))
+        a, b = (loc.basic_hologram(c, GRID, geom, plan) for c in (ch, full))
+        assert np.array_equal(a.heatmap, b.heatmap)
+        assert (a.position_m, a.likelihood) == (b.position_m, b.likelihood)
+        assert np.array_equal(loc.combined_carrier_channel(ch),
+                              loc.combined_carrier_channel(full))
+        a, b = (loc.localize(c, GRID, geom, plan, prior, always, keep_heatmap=True)
+                for c in (ch, full))
+        assert np.array_equal(a.heatmap, b.heatmap)
+        assert (a.position_m, a.likelihood, a.d0_rough_m, a.enhancement_applied,
+                a.fallback) == (b.position_m, b.likelihood, b.d0_rough_m,
+                                b.enhancement_applied, b.fallback)
+        enhanced += a.enhancement_applied
+    assert enhanced

@@ -195,6 +195,16 @@ def test_channel_matrix_mask_is_bool(geom, plan):
     assert np.array_equal(~ch.mask, mask == 0)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_channel_matrix_without_a_mask_holds_an_all_true_one(geom, plan, order):
+    # the mask keeps the layout of h, so sums over both run in one order
+    h = np.ones((geom.n_antennas, plan.n_carriers), dtype=complex, order=order)
+    ch = cs.ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom)
+    assert ch.mask.dtype == bool and ch.mask.shape == h.shape and ch.mask.all()
+    assert (ch.mask.flags.c_contiguous, ch.mask.flags.f_contiguous) == \
+        (h.flags.c_contiguous, h.flags.f_contiguous)
+
+
 # --- analytic formulas -------------------------------------------------------
 
 def test_thermal_noise_reference_values():
