@@ -15,7 +15,8 @@ FFT whose length is a multiple of that grid, mixing a tone to DC is a
 rotation of the capture spectrum, the anti-alias filter is a product with
 its zero-phase response, and decimation is the mean of the D spectral
 replicas.  The padding holds the filter's tail, so the circular convolution
-equals the linear one; the decimated streams are then shaped as before.
+equals the linear one; the decimated streams are then shaped.  The tones
+repeat on that grid, which the simulator's tone sums use (waveform.tone_sum).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from . import model
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     PropagationPath, Scene, TagDef, subset_plan, synth_channel)
 from .waveform import (BLF_HZ, SYMBOL_S, TagPacket, backscatter_mix, build_packet_baseband,
-                       packet_layout, random_walk_drift, tone_table)
+                       packet_layout, random_walk_drift, tone_sum)
 from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
                           chain_transient_s, channelize, notch_dc, processed_tag_baseband,
                           shaped_noise)
@@ -94,12 +94,13 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     """Simulate one tag reply at every antenna.
 
     Returns (captures-or-banks, packet, channel).  The full path emits
-    WidebandCapture objects for the channelizer; the fast path applies the
-    channelizer's own filter chain to the tag baseband directly and emits
-    per-antenna ChannelBank objects, bypassing the wideband mixing; its noise
-    is drawn in the shaping band, stationary to the bank edges.  Either way
-    the banks come out at a length that FFTs fast (the notch and the
-    preamble search transform every stream).
+    WidebandCapture objects for the channelizer, sum_l (h_kl b + leak_kl) tone_l
+    plus white noise at antenna k (``waveform.tone_sum``); the fast path
+    applies the channelizer's own filter chain to the tag baseband directly
+    and emits per-antenna ChannelBank objects, bypassing the wideband mixing;
+    its noise is drawn in the shaping band, stationary to the bank edges.
+    Either way the banks come out at a length that FFTs fast (the notch and
+    the preamble search transform every stream).
     """
     rng = np.random.default_rng(seed)
     pkt = _make_packet(spec, spec.scene.tags[tag_index], rng)
@@ -110,10 +111,8 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     tag_wave = build_packet_baseband(pkt, plan.capture_rate_hz)
 
     snr_lin = 10 ** (spec.snr_db / 10)
-    leak_amp = 0.0
     mean_h = float(np.sqrt(np.mean(np.abs(h.h) ** 2)))
-    if spec.leak_db is not None:
-        leak_amp = mean_h * 10 ** (spec.leak_db / 20)
+    leak_amp = 0.0 if spec.leak_db is None else mean_h * 10 ** (spec.leak_db / 20)
 
     if fast_path:
         # the warped wave is zero after the packet, so padding it only
@@ -137,20 +136,18 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     tag_bl = bandlimit_tag(tag_wave)
     active = np.abs(tag_bl.samples) > 0.1
     sig_power = float(np.mean(np.abs(tag_bl.samples[active]) ** 2)) if active.any() else 1.0
-    noise_var_wide = mean_h ** 2 * sig_power / snr_lin / chain_noise_gain(plan)
+    noise_std = math.sqrt(mean_h ** 2 * sig_power / snr_lin / chain_noise_gain(plan) / 2)
 
     captures = []
     n = _fast_capture_length(int(round(duration * plan.capture_rate_hz)), plan)
     for k in range(geom.n_antennas):
         rx = backscatter_mix(plan, n, tag_bl, h, k).samples
         if leak_amp > 0:
-            gl = _leak_gains(geom, plan, k, leak_amp)
-            for row, g in zip(tone_table(plan, n, 0.0), gl):
-                rx = rx + g * row
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
-            * math.sqrt(noise_var_wide / 2)
-        captures.append(WidebandCapture(samples=rx + noise, rate_hz=plan.capture_rate_hz,
-                                        start_s=0.0, antenna_id=k))
+            rx += tone_sum(plan, _leak_gains(geom, plan, k, leak_amp), n)
+        # in place, real draw first: the noise of (re + 1j * im) * noise_std
+        rx.real += rng.standard_normal(n) * noise_std
+        rx.imag += rng.standard_normal(n) * noise_std
+        captures.append(WidebandCapture(samples=rx, rate_hz=plan.capture_rate_hz, antenna_id=k))
     return captures, pkt, h
 
 
@@ -476,6 +473,8 @@ class SnapshotRecord:
         re, im = self.re, self.im
         if not isinstance(self.epc, str):
             raise HarnessError("epc must be a string")
+        if isinstance(self.antenna_id, bool) or not isinstance(self.antenna_id, int):
+            raise HarnessError(f"antenna {self.antenna_id!r} is not an integer")
         if (re is None) != (im is None):
             raise HarnessError("re and im must be given together")
         # a non-finite phase fails the range test below

@@ -70,7 +70,7 @@ class CarrierPlan:
     tone_offsets_hz: tuple[float, ...]
 
     def __post_init__(self):
-        # tuples keep the plan hashable, so it can key the tone-table cache
+        # tuples keep the plan hashable, so it can key the tone-period cache
         for name in ("carriers_hz", "tone_phases_rad", "tone_offsets_hz"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         c = np.asarray(self.carriers_hz, dtype=float)

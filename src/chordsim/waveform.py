@@ -15,6 +15,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -61,30 +62,32 @@ class BasebandWave:
 
 
 @functools.lru_cache(maxsize=1)
-def tone_table(plan: CarrierPlan, n: int, start_s: float) -> np.ndarray:
-    """Tone phasors of the plan's multisine, one row per carrier (read-only):
-    row l is exp(j(2 pi f_l t + phi_l)) at t = start_s + arange(n) / rate.
-
-    The excitation, the tag reply at each antenna and the leak use these
-    rows, so one simulated capture builds one cached table.  The channelizer
-    does not: it mixes by rotating the capture spectrum.  ``start_s`` has no
-    default because the cache keys on the call form.
-    """
-    t = start_s + np.arange(n) / plan.capture_rate_hz
-    offsets = np.asarray(plan.tone_offsets_hz, dtype=float)
-    phases = np.asarray(plan.tone_phases_rad, dtype=float)
-    table = np.exp(1j * (2 * np.pi * offsets[:, None] * t[None, :] + phases[:, None]))
+def _tone_period(plan: CarrierPlan, n: int) -> np.ndarray:
+    """Read-only tone phasors: row l is exp(j(2 pi f_l t + phi_l)), t = arange(n) / rate."""
+    t = np.arange(n) / plan.capture_rate_hz
+    table = np.exp(1j * (2 * np.pi * np.asarray(plan.tone_offsets_hz)[:, None] * t
+                         + np.asarray(plan.tone_phases_rad)[:, None]))
     table.flags.writeable = False
     return table
 
 
+def tone_sum(plan: CarrierPlan, weights, n: int) -> np.ndarray:
+    """sum_l weights[l] exp(j(2 pi f_l t + phi_l)), t = arange(n) / rate.  The
+    tones repeat after the lcm of the denominators of f_l / rate (4096 samples
+    for the default plans), so one cached period, cut at n, is summed and tiled."""
+    rate = Fraction(plan.capture_rate_hz)
+    period = math.lcm(*((Fraction(f) / rate).denominator for f in plan.tone_offsets_hz))
+    one = np.asarray(weights) @ _tone_period(plan, min(period, n))
+    return np.tile(one, -(-n // one.size))[:n]
+
+
 def synth_multisine(plan: CarrierPlan, duration_s: float) -> BasebandWave:
     """Sum of equal-amplitude complex tones at the plan's capture-band offsets."""
-    if duration_s <= 0:
-        raise ModelError("duration must be positive")
     rate = plan.capture_rate_hz
     n = int(round(duration_s * rate))
-    return BasebandWave(samples=tone_table(plan, n, 0.0).sum(axis=0), rate_hz=rate, start_s=0.0)
+    if n < 1:
+        raise ModelError(f"duration must be positive and span a sample, got {duration_s} s")
+    return BasebandWave(samples=tone_sum(plan, np.ones(plan.n_carriers), n), rate_hz=rate)
 
 
 def crest_factor(wave: BasebandWave) -> float:
@@ -398,7 +401,7 @@ def backscatter_mix(plan: CarrierPlan, n: int, tag: BasebandWave,
                     channel: ChannelMatrix, antenna: int) -> BasebandWave:
     """Received baseband at one antenna over an n-sample capture starting at
     time 0: every excitation tone modulated by the tag baseband and weighted
-    by that carrier's channel entry."""
+    by that carrier's channel entry; the tone sum is tiled from one period."""
     rate = plan.capture_rate_hz
     if abs(rate - tag.rate_hz) > 1e-6:
         raise ModelError("tag wave is not at the capture rate")
@@ -413,10 +416,7 @@ def backscatter_mix(plan: CarrierPlan, n: int, tag: BasebandWave,
     if hi <= lo:
         raise ModelError("tag waveform does not overlap the capture")
     b[lo:hi] = src[lo - i0:hi - i0]
-    out = np.zeros(n, dtype=complex)
-    for row, hl in zip(tone_table(plan, n, 0.0), channel.h[antenna]):
-        out += hl * row * b
-    return BasebandWave(samples=out, rate_hz=rate)
+    return BasebandWave(samples=b * tone_sum(plan, channel.h[antenna], n), rate_hz=rate)
 
 
 # ---------------------------------------------------------------------------

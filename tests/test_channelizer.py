@@ -52,11 +52,13 @@ def test_single_tone_steering(plan):
 
 
 def _linear_chain(x, plan, start_s):
-    """Reference bank: mix by each tone-table row, anti-alias, decimate, shape."""
+    """Reference bank: mix by each tone phasor, anti-alias, decimate, shape."""
     aa = chz._antialias_taps(plan.capture_rate_hz, plan.channel_out_rate_hz)
     sh = chz._shaping_taps(plan.channel_out_rate_hz)
+    t = start_s + np.arange(x.size) / plan.capture_rate_hz
     rows = []
-    for tone in wf.tone_table(plan, x.size, start_s):
+    for off, phi in zip(plan.tone_offsets_hz, plan.tone_phases_rad):
+        tone = np.exp(1j * (2 * np.pi * off * t + phi))
         low = fftconvolve(x * np.conj(tone), aa, mode="same")[::plan.decimation]
         rows.append(fftconvolve(low, sh, mode="same"))
     return np.array(rows)

@@ -32,6 +32,13 @@ def test_waveform_rejects_a_zero_duration(tmp_path):
     assert not (tmp_path / "exc.cf32").exists()
 
 
+def test_waveform_rejects_a_duration_below_one_sample(tmp_path):
+    with pytest.raises(model.ModelError, match="got 1e-09 s"):
+        run(["waveform", "--kind", "excitation", "--duration", "1e-9",
+             "--out", tmp_path / "exc.cf32"])
+    assert not (tmp_path / "exc.cf32").exists()
+
+
 def test_waveform_tag_template(tmp_path):
     out = tmp_path / "tag.cf32"
     assert run(["--seed", "3", "waveform", "--kind", "tag", "--out", out]) == 0

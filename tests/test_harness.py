@@ -487,16 +487,26 @@ def test_gate_corpus_labels():
         assert (y <= 2.0) if label == "inside" else (y >= 3.0)
 
 
-# a fractional or boolean id would otherwise be truncated to an antenna
+# a fractional or boolean id would otherwise be truncated to an antenna; the
+# third line is written as raw JSON, as SnapshotRecord refuses the last two
 @pytest.mark.parametrize("antenna", [-1, 8, 1.5, True])
 def test_snapshot_antenna_outside_geometry_raises_with_line(tmp_path, plan, geom, antenna):
     recs = [SnapshotRecord(epc="ab", timestamp_s=0.0, antenna_id=a,
                            carrier_hz=plan.carriers_hz[0], phase_rad=0.5, rssi_db=-3.0)
-            for a in (0, 1, antenna)]
+            for a in (0, 1)]
     path = tmp_path / "antenna.jsonl"
     export_snapshots(recs, path)
+    bad = {**json.loads(recs[0].to_json()), "antenna_id": antenna}
+    path.write_text(path.read_text() + json.dumps(bad) + "\n")
     with pytest.raises(HarnessError, match=f"line 3: antenna {antenna}"):
         import_snapshots(path, geom, plan)
+
+
+@pytest.mark.parametrize("antenna", [1.5, True, "2"])
+def test_snapshot_record_rejects_a_non_integer_antenna(plan, antenna):
+    with pytest.raises(HarnessError, match=f"^antenna {antenna!r} is not an integer$"):
+        SnapshotRecord(epc="ab", timestamp_s=0.0, antenna_id=antenna,
+                       carrier_hz=plan.carriers_hz[0], phase_rad=0.5, rssi_db=-3.0)
 
 
 @pytest.mark.parametrize("key, value, match", [

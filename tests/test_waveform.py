@@ -1,12 +1,14 @@
 """Multisine, crest optimization, Miller coding and clock-model tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import chordsim as cs
 from chordsim import channelizer as chz
+from chordsim import harness
 from chordsim import waveform as wf
 from chordsim.harness import SceneSpec, simulate_capture, single_path_tag
 from chordsim.model import ModelError, Scene, default_carrier_plan, uniform_carrier_plan
@@ -65,35 +67,106 @@ def test_tone_outside_nyquist_rejected():
                        tone_offsets_hz=(9e6,))
 
 
-# --- tone table --------------------------------------------------------------
+# --- tone sum ----------------------------------------------------------------
+
+def _direct_tone_sum(plan, weights, n):
+    t = np.arange(n) / plan.capture_rate_hz
+    return sum(w * np.exp(1j * (2 * np.pi * off * t + phi))
+               for w, off, phi in zip(weights, plan.tone_offsets_hz, plan.tone_phases_rad))
+
+
+def _tone_sum_case(case):
+    """(plan, n, period) with the period in samples: the desk plan over more
+    than three periods, one 1 MHz tone (period 384) and a plan whose
+    1 387 501 Hz tone has a period far longer than the capture."""
+    rng = np.random.default_rng(12)
+    if case == "desk":
+        return default_carrier_plan(tone_phases_rad=rng.uniform(0, 6, 16)), 3 * 4096 + 517, 4096
+    one = cs.CarrierPlan(carriers_hz=(887e6,), tone_phases_rad=(0.7,), per_tone_power_dbm=-15.0,
+                         capture_rate_hz=15.36e6, channel_out_rate_hz=2.56e6,
+                         capture_center_hz=887e6, tone_offsets_hz=(1.0e6,))
+    if case == "one_tone":
+        return one, 5000, 384
+    return replace(one, carriers_hz=(880e6, 894e6), tone_phases_rad=(0.7, -2.1),
+                   tone_offsets_hz=(-1387501.0, 1387500.0)), 5000, 5000
+
+
+@pytest.mark.parametrize("case", ["desk", "one_tone", "long_period"])
+def test_tone_sums_equal_the_per_tone_formula(case):
+    plan, n, period = _tone_sum_case(case)
+    rng = np.random.default_rng(5)
+    geom = cs.default_array_geometry()
+    h = rng.standard_normal((8, plan.n_carriers)) + 1j * rng.standard_normal((8, plan.n_carriers))
+    ch = cs.ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom)
+    # the tag reply starts 200 samples in and ends 100 before the capture does
+    b = np.sign(rng.standard_normal(n - 300)).astype(complex)
+    rate = plan.capture_rate_hz
+    tag = wf.BasebandWave(samples=b, rate_hz=rate, start_s=200 / rate)
+    b_capture = np.pad(b, (200, 100))
+    wf._tone_period.cache_clear()
+    pairs = [(wf.tone_sum(plan, h[3], n), _direct_tone_sum(plan, h[3], n)),
+             (cs.backscatter_mix(plan, n, tag, ch, 3).samples,
+              b_capture * _direct_tone_sum(plan, h[3], n)),
+             (cs.synth_multisine(plan, n / rate).samples,
+              _direct_tone_sum(plan, np.ones(plan.n_carriers), n))]
+    for got, ref in pairs:
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+    # every sum above read one cached period of the plan
+    info = wf._tone_period.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert wf._tone_period(plan, period).shape == (plan.n_carriers, period)
+    assert wf._tone_period.cache_info().misses == 1
+
 
 def test_tone_table_read_only(plan):
-    table = wf.tone_table(plan, 64, 0.0)
+    table = wf._tone_period(plan, 64)
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
 
 
 def test_tone_table_rows_are_the_per_tone_phasors(plan):
     tuned = default_carrier_plan(tone_phases_rad=cs.optimize_tone_phases(plan.tone_offsets_hz))
-    start_s, n = 3.7e-4, 1000
-    t = start_s + np.arange(n) / tuned.capture_rate_hz
-    table = wf.tone_table(tuned, n, start_s)
+    n = 4096
+    t = np.arange(n) / tuned.capture_rate_hz
+    table = wf._tone_period(tuned, n)
     assert table.shape == (tuned.n_carriers, n)
     for row, off, phi in zip(table, tuned.tone_offsets_hz, tuned.tone_phases_rad):
         assert np.array_equal(row, np.exp(1j * (2 * np.pi * off * t + phi)))
-        # the mixer of the linear reference chain in test_channelizer.py
-        assert np.array_equal(np.conj(row), np.exp(-1j * (2 * np.pi * off * t + phi)))
 
 
 def test_full_path_capture_and_channelize_build_one_table(plan):
+    # one period per plan: the reply and the leak at every antenna read it
     tag = single_path_tag((0.3, 2.5, 1.11), (0, 1) * 48)
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=20.0, leak_db=20.0)
     geom = cs.default_array_geometry()
-    wf.tone_table.cache_clear()
+    wf._tone_period.cache_clear()
     captures, _, _ = simulate_capture(spec, plan, geom, seed=4)
     for cap in captures:
         chz.channelize(cap, plan)
-    assert wf.tone_table.cache_info().misses == 1
+    info = wf._tone_period.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert wf._tone_period(plan, 4096).shape == (plan.n_carriers, 4096)
+
+
+def test_full_path_capture_is_the_per_tone_sum(plan):
+    # at 300 dB the noise is ~1e-15 of the signal, so each capture is the
+    # reply plus the leak: sum_l (h_kl b + g_kl) exp(j(2 pi f_l t + phi_l))
+    tuned = default_carrier_plan(tone_phases_rad=cs.optimize_tone_phases(plan.tone_offsets_hz))
+    tag = single_path_tag((0.3, 2.5, 1.11), (0, 1) * 48)
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=300.0, leak_db=20.0)
+    geom = cs.default_array_geometry()
+    captures, pkt, h = simulate_capture(spec, tuned, geom, seed=4)
+    n = captures[0].samples.size
+    b = chz.bandlimit_tag(wf.build_packet_baseband(pkt, tuned.capture_rate_hz)).samples[:n]
+    b = np.pad(b, (0, n - b.size))
+    leak_amp = float(np.sqrt(np.mean(np.abs(h.h) ** 2))) * 10 ** (20.0 / 20)
+    for k, cap in enumerate(captures):
+        g = harness._leak_gains(geom, tuned, k, leak_amp)
+        ref = b * _direct_tone_sum(tuned, h.h[k], n) + _direct_tone_sum(tuned, g, n)
+        assert np.max(np.abs(cap.samples - ref)) <= 1e-9 * np.max(np.abs(ref))
+    period = wf._tone_period(tuned, 4096)
+    assert not period.flags.writeable
 
 
 # --- crest factor ------------------------------------------------------------
@@ -107,6 +180,12 @@ def test_crest_constant_envelope_is_one():
 def test_multisine_duration_must_be_positive(plan, duration_s):
     with pytest.raises(ModelError, match="duration must be positive"):
         cs.synth_multisine(plan, duration_s)
+
+
+def test_multisine_duration_below_one_sample_rejected(plan):
+    # 1e-9 s rounds to 0 samples at 15.36 MHz
+    with pytest.raises(ModelError, match="span a sample, got 1e-09 s"):
+        cs.synth_multisine(plan, 1e-9)
 
 
 def test_crest_aligned_tones_baselines():
