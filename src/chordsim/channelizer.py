@@ -13,9 +13,9 @@ bank, after Borgerding, IEEE SP Magazine 2006).  Tone offsets must lie on
 the rate / lcm(D, TONE_GRID_BINS) grid, D the decimation, so on a zero-padded
 FFT whose length is a multiple of that grid, mixing a tone to DC is a
 rotation of the capture spectrum, the anti-alias filter is a product with
-its zero-phase response, and decimation is the mean of the D spectral
-replicas.  The padding holds the filter's tail, so the circular convolution
-equals the linear one; the decimated streams are then shaped.  The tones
+its zero-phase response, decimation is the mean of the D spectral replicas
+and shaping a product on the decimated spectrum.  The padding holds both
+filters' tails, so every circular convolution is the linear one.  The tones
 repeat on that grid, which the simulator's tone sums use (waveform.tone_sum).
 """
 
@@ -84,44 +84,48 @@ def _shaping_taps(out_rate_hz: float) -> np.ndarray:
 
 
 def _filter_aligned(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Filter along the last axis and remove the group delay; output sample n
-    is aligned with input sample n."""
-    return sps.fftconvolve(x, taps[(None,) * (x.ndim - 1)], mode="same", axes=-1)
+    """Filter and remove the group delay; output sample n is aligned with
+    input sample n."""
+    return sps.fftconvolve(x, taps, mode="same")
 
 
 @functools.lru_cache(maxsize=4)
-def _antialias_response(rate_hz: float, out_rate_hz: float, nfft: int) -> np.ndarray:
-    """DFT of the circularly centred anti-alias taps on nfft bins (cached,
-    read-only); real because the taps are symmetric."""
-    taps = _antialias_taps(rate_hz, out_rate_hz)
-    resp = np.fft.fft(np.roll(np.pad(taps, (0, nfft - taps.size)), -(taps.size // 2))).real
-    resp.flags.writeable = False
-    return resp
+def _chain_responses(rate_hz: float, out_rate_hz: float, d: int, nfft: int) -> tuple:
+    """Zero-phase DFTs of the anti-alias taps on nfft bins and of the shaping
+    taps / d on nfft / d bins (cached, read-only; real: the taps are symmetric)."""
+    resps = [np.fft.fft(np.roll(np.pad(taps, (0, n - taps.size)), -(taps.size // 2))).real
+             for taps, n in ((_antialias_taps(rate_hz, out_rate_hz), nfft),
+                             (_shaping_taps(out_rate_hz) / d, nfft // d))]
+    for resp in resps:
+        resp.flags.writeable = False
+    return tuple(resps)
 
 
-def _fft_bank(x: np.ndarray, plan: CarrierPlan, offsets_hz) -> np.ndarray:
-    """Mix x down by each offset, anti-alias filter, decimate and shape.
-
-    Row l equals the linear, delay-compensated chain run on
-    x * exp(-j 2 pi offsets_hz[l] k / rate), transients included: the FFT
-    leaves room for the anti-alias tail, so its circular convolution is the
-    linear one.
-    """
+def _fft_bank(x: np.ndarray, plan: CarrierPlan, offsets_hz, phases_rad) -> np.ndarray:
+    """Row l is x * exp(-j 2 pi offsets_hz[l] k / rate) anti-alias filtered,
+    decimated, shaped and rotated by exp(-j phases_rad[l]): the linear,
+    delay-compensated chain, transients included and untruncated between
+    stages, since the FFT leaves room for both filters' tails."""
     rate, out_rate, d = plan.capture_rate_hz, plan.channel_out_rate_hz, plan.decimation
     # the FFT length is a multiple of grid, so a tone on the grid is on a bin
     grid = math.lcm(d, TONE_GRID_BINS)
     grid_bins = np.asarray(offsets_hz, dtype=float) * grid / rate
     if np.any(np.abs(grid_bins - np.round(grid_bins)) > 1e-6):
         raise ModelError(f"channelize: tone offsets must be multiples of rate / {grid}")
-    nfft = grid * -(-(x.size + _antialias_taps(rate, out_rate).size) // grid)
-    aa_resp = _antialias_response(rate, out_rate, nfft)
+    room = _antialias_taps(rate, out_rate).size + d * _shaping_taps(out_rate).size
+    nfft = grid * -(-(x.size + room) // grid)
+    m = nfft // d
+    aa_resp, sh_resp = _chain_responses(rate, out_rate, d, nfft)
     # wrapped[b:b + nfft] is the spectrum of x * exp(-j 2 pi b k / nfft)
     wrapped = np.tile(np.fft.fft(x, nfft), 2)
-    folded = np.empty((grid_bins.size, nfft // d), dtype=complex)
-    for row, b in zip(folded, np.round(grid_bins).astype(int) * (nfft // grid) % nfft):
-        np.sum((wrapped[b:b + nfft] * aa_resp).reshape(d, -1), axis=0, out=row)
-    low = np.fft.ifft(folded / d, axis=1)[:, :-(-x.size // d)]
-    return _filter_aligned(low, _shaping_taps(out_rate))
+    folded = np.zeros((grid_bins.size, m), dtype=complex)
+    bins = np.round(grid_bins).astype(int) * (nfft // grid) % nfft
+    for row, b, phase in zip(folded, bins, phases_rad):
+        # add the D spectral replicas one at a time: temporaries are one row
+        for j in range(0, nfft, m):
+            row += wrapped[b + j:b + j + m] * aa_resp[j:j + m]
+        row *= sh_resp * np.exp(-1j * phase)
+    return np.fft.ifft(folded, axis=1)[:, :-(-x.size // d)]
 
 
 def chain_noise_gain(plan: CarrierPlan) -> float:
@@ -148,8 +152,10 @@ class WidebandCapture:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-        if not np.all(np.isfinite(self.samples)):
-            raise ModelError("capture samples must be finite")
+        if self.samples.ndim != 1 or not self.samples.size or not np.isfinite(self.samples).all():
+            raise ModelError("capture samples must be a finite, non-empty 1-D array")
+        if not math.isfinite(self.start_s):
+            raise ModelError("capture start_s must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +177,8 @@ class ChannelBank:
         object.__setattr__(self, "streams", np.asarray(self.streams, dtype=complex))
         if self.streams.ndim != 2 or self.streams.shape[0] != len(self.carriers_hz):
             raise ModelError("stream count must equal carrier count")
+        if self.streams.shape[1] == 0:
+            raise ModelError("channel bank streams must hold at least one sample")
 
     @property
     def n_channels(self) -> int:
@@ -197,7 +205,7 @@ def channelize(capture: WidebandCapture, plan: CarrierPlan) -> ChannelBank:
     The per-tone phase of the plan and the tone phase at ``start_s`` are
     removed, so a tag response h*tone*B comes out as h*B directly.
     """
-    if abs(capture.rate_hz - plan.capture_rate_hz) > 1e-6:
+    if not abs(capture.rate_hz - plan.capture_rate_hz) <= 1e-6:   # a NaN rate fails too
         raise ModelError("capture rate does not match the plan")
     rate = plan.capture_rate_hz
     offsets = np.asarray(plan.tone_offsets_hz, dtype=float)
@@ -205,7 +213,7 @@ def channelize(capture: WidebandCapture, plan: CarrierPlan) -> ChannelBank:
         raise ModelError("carrier too close to the capture Nyquist edge")
 
     start_phase = 2 * np.pi * offsets * capture.start_s + np.asarray(plan.tone_phases_rad)
-    streams = _fft_bank(capture.samples, plan, offsets) * np.exp(-1j * start_phase)[:, None]
+    streams = _fft_bank(capture.samples, plan, offsets, start_phase)
     return ChannelBank(
         streams=streams, rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz,
         antenna_id=capture.antenna_id, start_s=capture.start_s,
@@ -241,7 +249,7 @@ def processed_tag_baseband(tag_capture_rate: BasebandWave, plan: CarrierPlan) ->
     if abs(tag_capture_rate.rate_hz - rate) > 1e-6:
         raise ModelError("tag waveform must be at the capture rate")
     x = _filter_aligned(tag_capture_rate.samples, _tag_taps(rate))
-    return BasebandWave(samples=_fft_bank(x, plan, (0.0,))[0],
+    return BasebandWave(samples=_fft_bank(x, plan, (0.0,), (0.0,))[0],
                         rate_hz=plan.channel_out_rate_hz, start_s=tag_capture_rate.start_s)
 
 

@@ -553,6 +553,9 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
 
     stack = np.stack([b.streams for b in banks])        # [K, L, N]
     energies = np.sum(np.abs(stack) ** 2, axis=2)
+    if not np.all(np.isfinite(energies)):
+        k, l = np.argwhere(~np.isfinite(energies))[0]
+        raise ModelError(f"decode_pipeline: bank {k} carrier {l} holds non-finite samples")
     k_best, l_best = np.unravel_index(int(np.argmax(energies)), energies.shape)
 
     sync = preamble_search(stack[k_best, l_best], rate)

@@ -53,8 +53,10 @@ class BasebandWave:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-        if self.rate_hz <= 0:
+        if not self.rate_hz > 0:
             raise ModelError("sample rate must be positive")
+        if not math.isfinite(self.start_s):
+            raise ModelError("wave start_s must be finite")
 
     @property
     def duration_s(self) -> float:

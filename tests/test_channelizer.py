@@ -52,31 +52,60 @@ def test_single_tone_steering(plan):
 
 
 def _linear_chain(x, plan, start_s):
-    """Reference bank: mix by each tone phasor, anti-alias, decimate, shape."""
+    """Reference bank: mix by each tone phasor, anti-alias, decimate at every
+    capture time m * D that has anti-alias output (m < 0 included), shape,
+    and crop to the decimated span [0, ceil(n / D)); no stage truncates."""
     aa = chz._antialias_taps(plan.capture_rate_hz, plan.channel_out_rate_hz)
     sh = chz._shaping_taps(plan.channel_out_rate_hz)
+    d, c = plan.decimation, aa.size // 2
+    m0 = c // d                     # decimated samples before capture time 0
     t = start_s + np.arange(x.size) / plan.capture_rate_hz
     rows = []
     for off, phi in zip(plan.tone_offsets_hz, plan.tone_phases_rad):
         tone = np.exp(1j * (2 * np.pi * off * t + phi))
-        low = fftconvolve(x * np.conj(tone), aa, mode="same")[::plan.decimation]
-        rows.append(fftconvolve(low, sh, mode="same"))
+        full = fftconvolve(x * np.conj(tone), aa)           # full[i] is at time i - c
+        low = full[c - m0 * d::d]                           # low[i] is at time (i - m0) D
+        start = m0 + sh.size // 2
+        rows.append(fftconvolve(low, sh)[start:start + -(-x.size // d)])
     return np.array(rows)
 
 
-@pytest.mark.parametrize("desk_scale", [True, False])
-def test_channelize_matches_the_linear_chain(desk_scale):
-    # whole stream, transients included; the length is not a multiple of the
-    # decimation (6 desk, 96 physical)
-    rng = np.random.default_rng(8)
-    plan = default_carrier_plan(desk_scale=desk_scale, tone_phases_rad=rng.uniform(0, 6, 16))
-    n, start_s = 40001, 3.7e-4
+def _room_boundary(plan):
+    """A capture length near 40k whose FFT holds both filters' tails with no
+    spare bin: x.size plus the tails' room is a multiple of the FFT grid."""
+    room = (chz._antialias_taps(plan.capture_rate_hz, plan.channel_out_rate_hz).size
+            + plan.decimation * chz._shaping_taps(plan.channel_out_rate_hz).size)
+    grid = math.lcm(plan.decimation, chz.TONE_GRID_BINS)
+    return grid * -(-(40000 + room) // grid) - room
+
+
+def _check_linear_chain(plan, n, rng):
+    # whole stream, transients included
+    start_s = 3.7e-4
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     cap = chz.WidebandCapture(samples=x, rate_hz=plan.capture_rate_hz, start_s=start_s)
     ref = _linear_chain(x, plan, start_s)
     streams = chz.channelize(cap, plan).streams
     assert streams.shape == ref.shape == (16, -(-n // plan.decimation))
     assert np.max(np.abs(streams - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("desk_scale", [True, False])
+def test_channelize_matches_the_linear_chain(desk_scale):
+    # the length is not a multiple of the decimation (6 desk, 96 physical)
+    rng = np.random.default_rng(8)
+    plan = default_carrier_plan(desk_scale=desk_scale, tone_phases_rad=rng.uniform(0, 6, 16))
+    _check_linear_chain(plan, 40001, rng)
+
+
+@pytest.mark.parametrize("desk_scale", [True, False])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_channelize_matches_the_linear_chain_at_the_fft_room_boundary(desk_scale, extra):
+    # at the boundary the tails fill the FFT to its last bin; one sample more
+    # takes the FFT up by a whole grid
+    rng = np.random.default_rng(9)
+    plan = default_carrier_plan(desk_scale=desk_scale, tone_phases_rad=rng.uniform(0, 6, 16))
+    _check_linear_chain(plan, _room_boundary(plan) + extra, rng)
 
 
 def test_compression_report_full_rates():
@@ -274,6 +303,32 @@ def test_bank_with_the_earlier_compression_key_loads_and_decodes_alike(tmp_path,
     got, ref = decode_pipeline(earlier, plan, geom), decode_pipeline(current, plan, geom)
     assert got.crc_ok and got.epc_bits == ref.epc_bits == tag.epc_bits
     assert np.array_equal(got.channel.h, ref.channel.h)
+
+
+@pytest.mark.parametrize("samples, start_s, message", [
+    (np.ones(64), math.nan, "capture start_s must be finite"),
+    (np.ones(64), -math.inf, "capture start_s must be finite"),
+    (np.ones((2, 64)), 0.0, "capture samples must be a finite, non-empty 1-D array"),
+    (np.ones(0), 0.0, "capture samples must be a finite, non-empty 1-D array"),
+    (np.array([1.0, np.nan]), 0.0, "capture samples must be a finite, non-empty 1-D array"),
+], ids=["nan_start", "infinite_start", "two_dimensional", "empty", "nan_sample"])
+def test_capture_rejects_what_channelize_cannot_use(plan, samples, start_s, message):
+    # a NaN start had given an all-NaN bank; 2-D and empty captures failed
+    # later with untyped numpy errors
+    with pytest.raises(ModelError, match=message):
+        chz.WidebandCapture(samples=samples, rate_hz=plan.capture_rate_hz, start_s=start_s)
+
+
+def test_channelize_rejects_a_nan_capture_rate(plan):
+    cap = chz.WidebandCapture(samples=np.ones(4096), rate_hz=math.nan)
+    with pytest.raises(ModelError, match="capture rate does not match the plan"):
+        chz.channelize(cap, plan)
+
+
+def test_channel_bank_rejects_empty_streams(plan):
+    with pytest.raises(ModelError, match="at least one sample"):
+        chz.ChannelBank(streams=np.ones((plan.n_carriers, 0)), rate_hz=plan.channel_out_rate_hz,
+                        carriers_hz=plan.carriers_hz)
 
 
 def test_load_bank_rejects_non_finite_sample(tmp_path, plan):

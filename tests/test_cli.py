@@ -118,6 +118,18 @@ def test_channelize_command(tmp_path):
     assert bank.n_channels == 16
 
 
+def test_channelize_command_rejects_a_non_finite_start(tmp_path):
+    # the sidecar's start_s had gone through as NaN into an all-NaN bank
+    plan = model.default_carrier_plan()
+    cap = tmp_path / "cap.cf32"
+    cs.waveform.save_wave(cs.synth_multisine(plan, 2e-4), cap)
+    meta = json.loads(cap.with_suffix(".json").read_text())
+    cap.with_suffix(".json").write_text(json.dumps({**meta, "start_s": float("nan")}))
+    with pytest.raises(model.ModelError, match="start_s must be finite"):
+        run(["channelize", cap, "--out", tmp_path / "bank"])
+    assert not (tmp_path / "bank").exists()
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep"
     assert run(["sweep", "--axis", "algorithm", "--scenes", "3", "--out", out]) == 0

@@ -691,6 +691,20 @@ def test_pipeline_rejects_banks_that_do_not_match_the_plan(plan, geom):
             dc.decode_pipeline(case_banks, case_plan, geom)
 
 
+def test_pipeline_names_the_bank_and_carrier_of_a_non_finite_sample(plan, geom):
+    # one NaN sample had made its stream the most energetic, and sync on it
+    # then failed with a NoPacketError that named the wrong cause
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(28)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=18.0, leak_db=20.0)
+    banks, _, _ = simulate_capture(spec, plan, geom, seed=8, fast_path=True)
+    banks = [chz.notch_dc(b) for b in banks]
+    streams = banks[3].streams.copy()
+    streams[5, 1000] = np.nan
+    banks[3] = replace(banks[3], streams=streams)
+    with pytest.raises(ModelError, match="bank 3 carrier 5 holds non-finite samples"):
+        dc.decode_pipeline(banks, plan, geom)
+
+
 def _decode_fast(plan, geom, tag, seed, **kw):
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=18.0, leak_db=20.0)
     banks, pkt, _ = simulate_capture(spec, plan, geom, seed=seed, fast_path=True)

@@ -449,6 +449,17 @@ def test_mix_rate_mismatch_rejected():
         cs.backscatter_mix(plan, exc.samples.size, tag, ch, 0)
 
 
+@pytest.mark.parametrize("rate_hz, start_s, message", [
+    (RATE, math.nan, "wave start_s must be finite"),
+    (RATE, math.inf, "wave start_s must be finite"),
+    (math.nan, 0.0, "sample rate must be positive"),
+], ids=["nan_start", "infinite_start", "nan_rate"])
+def test_wave_rejects_a_non_finite_start_or_rate(rate_hz, start_s, message):
+    # a sidecar's NaN start or rate had loaded into a wave
+    with pytest.raises(ModelError, match=message):
+        wf.BasebandWave(samples=np.ones(16), rate_hz=rate_hz, start_s=start_s)
+
+
 # --- Gen2 framing helpers ----------------------------------------------------
 
 def test_crc16_round_trip():
