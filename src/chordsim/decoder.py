@@ -23,7 +23,8 @@ from .model import ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError
 from .channelizer import ChannelBank, apply_shaping
 from .waveform import (ALPHA0_LIMIT_FRAC, BLF_HZ, CLOCK_STRETCH, DRIFT_LIMIT_FRAC, MILLER_M,
                        PREAMBLE_BITS, SYMBOL_S, TagPacket, check_epc_reply, clock_map,
-                       miller_encode, miller_symbol_signs, packet_layout, packet_template)
+                       miller_encode, miller_half_periods, miller_symbol_signs, packet_layout,
+                       packet_template)
 
 # The sync grid spans the initial offset envelope plus the drift on top of it.
 ALPHA_SEARCH_FRAC = ALPHA0_LIMIT_FRAC + DRIFT_LIMIT_FRAC
@@ -52,6 +53,8 @@ LOOP_BW_FRAC = 0.04
 LOOP_DAMPING = 0.707
 # MSNR diagonal loading, as a fraction of the mean per-antenna noise power.
 DIAG_LOAD_FRAC = 1e-3
+# Baseband sign entering a frame's first data symbol, which the preamble sets.
+_ENTERING_SIGN = int(miller_symbol_signs(PREAMBLE_BITS + (0,))[-1])
 
 
 class DecodeError(RuntimeError):
@@ -431,55 +434,46 @@ def mrc_combine(streams: np.ndarray, gains, noise_vars) -> np.ndarray:
     return (w @ x) / max(scale, 1e-30)
 
 
-def _symbol_windows(frame_start_s: float, first_symbol: int, n_symbols: int,
-                    t_sym: float, rate_hz: float, n_stream: int):
-    starts = [int(round((frame_start_s + (first_symbol + i) * t_sym) * rate_hz))
-              for i in range(n_symbols + 1)]
-    if starts[-1] > n_stream:
+def _branch_metrics(stream: np.ndarray, rate_hz: float, frame_start_s: float, n_bits: int):
+    """Branch metrics of the n_bits data symbols of the frame that starts at
+    frame_start_s (the preamble's symbols are skipped), and their norm.
+
+    c[i, b] correlates the real stream with the crisp template of data bit b
+    in symbol i for entering sign +1 (sign -1 negates it); the norm sums
+    |segment| |template| over the symbols.  The templates sample the frame by
+    the encoder's own rule, ``miller_half_periods``, from the sample the
+    packet template puts the frame at, so a noiseless frame scores 1.
+    """
+    pre = len(PREAMBLE_BITS)
+    half = miller_half_periods(pre + n_bits, BLF_HZ, rate_hz)
+    i0 = int(round(frame_start_s * rate_hz))
+    if i0 + half.size > len(stream):
         raise DecodeError("viterbi", "stream too short for the symbol span")
-    return starts
+    y = np.real(stream[i0:i0 + half.size])
+    sym, within = np.divmod(half, 2 * MILLER_M)
+    t0 = y * (1 - 2 * (half % 2))                # data-0: the subcarrier
+    t1 = np.where(within >= MILLER_M, -t0, t0)   # data-1 inverts it mid-symbol
+    c0, c1, energy, count = (np.bincount(sym, w, pre + n_bits)[pre:]
+                             for w in (t0, t1, y * y, None))
+    return np.stack([c0, c1], axis=1), float(np.sum(np.sqrt(energy * count)))
 
 
-def _symbol_templates(frame_start_s: float, first_symbol: int, n_symbols: int,
-                      rate_hz: float, starts):
-    """Crisp +/-1 symbol templates (entering sign +1) for bits 0 and 1; the
-    subcarrier phase is referenced to the frame start."""
-    tmpl0, tmpl1 = [], []
-    for i in range(n_symbols):
-        idx = np.arange(starts[i], starts[i + 1])
-        t = idx / rate_hz - frame_start_s
-        sq = 1 - 2 * (np.floor(2 * BLF_HZ * t).astype(np.int64) % 2)
-        within = t - (first_symbol + i) * SYMBOL_S
-        tmpl0.append(sq.astype(float))
-        tmpl1.append(np.where(within >= SYMBOL_S / 2, -1.0, 1.0) * sq)
-    return tmpl0, tmpl1
-
-
-def viterbi_decode(stream: np.ndarray, rate_hz: float, frame_start_s: float,
-                   first_symbol: int, n_bits: int, entering_sign: int):
-    """Maximum-likelihood Miller bit sequence over the two-state sign trellis.
+def viterbi_decode(stream: np.ndarray, rate_hz: float, frame_start_s: float, n_bits: int):
+    """Maximum-likelihood Miller bit sequence of the n_bits data symbols that
+    follow the preamble of the frame starting at frame_start_s, over the
+    two-state sign trellis.
 
     State is the baseband sign entering a symbol; a data-0 flips it, a data-1
-    keeps it.  Branch metrics are correlations with the crisp symbol
+    keeps it, and the first data symbol enters with the sign the preamble
+    leaves.  Branch metrics are correlations with the crisp symbol
     templates, so the search is exactly equivalent to scoring every bit
     sequence with the same metric.
     """
-    y = np.asarray(stream, dtype=complex)
-    starts = _symbol_windows(frame_start_s, first_symbol, n_bits, SYMBOL_S, rate_hz, y.size)
-    tmpl0, tmpl1 = _symbol_templates(frame_start_s, first_symbol, n_bits, rate_hz, starts)
-    # c[i, b] for entering sign +1; sign -1 negates it.
-    c = np.zeros((n_bits, 2))
-    norm = 0.0
-    for i in range(n_bits):
-        seg = np.real(y[starts[i]:starts[i + 1]])
-        c[i, 0] = float(np.dot(seg, tmpl0[i]))
-        c[i, 1] = float(np.dot(seg, tmpl1[i]))
-        norm += float(np.linalg.norm(seg) * np.linalg.norm(tmpl0[i]))
-
+    c, norm = _branch_metrics(stream, rate_hz, frame_start_s, n_bits)
     neg_inf = -1e30
     # metric[s] for s in (+1, -1) encoded as index 0 / 1
-    metric = np.array([0.0 if entering_sign == 1 else neg_inf,
-                       0.0 if entering_sign == -1 else neg_inf])
+    metric = np.array([0.0 if _ENTERING_SIGN == 1 else neg_inf,
+                       0.0 if _ENTERING_SIGN == -1 else neg_inf])
     back = np.zeros((n_bits, 2), dtype=np.int8)
     for i in range(n_bits):
         new = np.full(2, neg_inf)
@@ -501,10 +495,6 @@ def viterbi_decode(stream: np.ndarray, rate_hz: float, frame_start_s: float,
         if bits[i] == 0:
             s = 1 - s
     return bits.tolist(), float(np.max(metric) / max(norm, 1e-30))
-
-
-def _sign_after(bits) -> int:
-    return int(miller_symbol_signs(list(bits) + [0])[-1])
 
 
 def _packet_estimate(comp: np.ndarray, rn16_bits, epc_bits, rate_hz: float,
@@ -533,8 +523,8 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
 
     Banks are expected to be time-aligned to a common capture clock and
     DC-notched, of one length, and hold the plan's carriers at its channel
-    rate (ModelError otherwise).  Raises DecodeError/NoPacketError with stage
-    attribution.
+    rate; bank i is antenna i of the geometry (ModelError otherwise).  Raises
+    DecodeError/NoPacketError with stage attribution.
     """
     if not banks:
         raise ModelError("need at least one channel bank")
@@ -543,6 +533,8 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     if geom.n_antennas != k_n:
         raise ModelError("bank count does not match the geometry")
     for i, b in enumerate(banks):
+        if b.antenna_id != i:
+            raise ModelError(f"decode_pipeline: bank {i} holds antenna {b.antenna_id}")
         if b.n_samples != banks[0].n_samples:
             raise ModelError(f"decode_pipeline: bank {i} length differs from bank 0's")
         if abs(b.rate_hz - plan.channel_out_rate_hz) > 1e-6:
@@ -601,12 +593,10 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     combined = mrc_combine(steered, gains, noise_vars)
 
     # Both frames are decoded through their dummy bit, which is then dropped.
-    sign0 = _sign_after(PREAMBLE_BITS)
-    rn16, m1 = viterbi_decode(combined, rate, 0.0, layout.preamble_symbols, 16 + 1, sign0)
+    rn16, m1 = viterbi_decode(combined, rate, 0.0, 16 + 1)
     rn16 = rn16[:16]
     reply_len = epc_len + 32
-    reply, m2 = viterbi_decode(combined, rate, layout.epc_start_s,
-                               layout.preamble_symbols, reply_len + 1, sign0)
+    reply, m2 = viterbi_decode(combined, rate, layout.epc_start_s, reply_len + 1)
     if min(m1, m2) < METRIC_THRESHOLD:
         raise DecodeError("viterbi", "path metric below threshold")
     epc, crc_ok = check_epc_reply(reply[:reply_len])

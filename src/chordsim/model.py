@@ -109,10 +109,7 @@ class CarrierPlan:
         return int(round(ratio))
 
 
-def default_carrier_plan(desk_scale: bool = True,
-                         tone_phases_rad=None,
-                         channel_out_rate_hz: float = DEFAULT_CHANNEL_OUT_RATE_HZ,
-                         per_tone_power_dbm: float = PER_TONE_LIMIT_DBM) -> CarrierPlan:
+def default_carrier_plan(desk_scale: bool = True, tone_phases_rad=None) -> CarrierPlan:
     """Build the default 16-tone plan.
 
     ``desk_scale=True`` (the default used by the tests) keeps the true RF
@@ -132,9 +129,9 @@ def default_carrier_plan(desk_scale: bool = True,
     return CarrierPlan(
         carriers_hz=carriers,
         tone_phases_rad=tuple(float(p) for p in tone_phases_rad),
-        per_tone_power_dbm=per_tone_power_dbm,
+        per_tone_power_dbm=PER_TONE_LIMIT_DBM,
         capture_rate_hz=rate,
-        channel_out_rate_hz=channel_out_rate_hz,
+        channel_out_rate_hz=DEFAULT_CHANNEL_OUT_RATE_HZ,
         capture_center_hz=DEFAULT_CAPTURE_CENTER_HZ,
         tone_offsets_hz=tuple(float(o) for o in offsets),
     )
@@ -142,24 +139,21 @@ def default_carrier_plan(desk_scale: bool = True,
 
 def uniform_carrier_plan(n_tones: int = 16,
                          span_hz: float = 199.8e6,
-                         center_hz: float = DEFAULT_CAPTURE_CENTER_HZ,
-                         desk_scale: bool = True,
-                         channel_out_rate_hz: float = DEFAULT_CHANNEL_OUT_RATE_HZ) -> CarrierPlan:
-    """Evenly spaced variant, handy for resolution studies without the ISM gap."""
+                         center_hz: float = DEFAULT_CAPTURE_CENTER_HZ) -> CarrierPlan:
+    """Evenly spaced desk-scale variant, handy for resolution studies without
+    the ISM gap."""
     if n_tones < 2:
         raise ModelError("need at least two tones")
     offsets = np.linspace(-span_hz / 2, span_hz / 2, n_tones)
     carriers = center_hz + offsets
-    scale = DESK_OFFSET_SCALE if desk_scale else 1.0
-    rate = DESK_CAPTURE_RATE_HZ if desk_scale else FULL_CAPTURE_RATE_HZ
     return CarrierPlan(
         carriers_hz=tuple(carriers),
         tone_phases_rad=(0.0,) * n_tones,
         per_tone_power_dbm=PER_TONE_LIMIT_DBM,
-        capture_rate_hz=rate,
-        channel_out_rate_hz=channel_out_rate_hz,
+        capture_rate_hz=DESK_CAPTURE_RATE_HZ,
+        channel_out_rate_hz=DEFAULT_CHANNEL_OUT_RATE_HZ,
         capture_center_hz=center_hz,
-        tone_offsets_hz=tuple(offsets * scale),
+        tone_offsets_hz=tuple(offsets * DESK_OFFSET_SCALE),
     )
 
 
@@ -210,14 +204,14 @@ DEFAULT_MID_GAP_M = 0.315
 DEFAULT_TX_DROP_M = 0.40
 
 
-def default_array_geometry(height_m: float = DEFAULT_ARRAY_HEIGHT_M) -> ArrayGeometry:
+def default_array_geometry() -> ArrayGeometry:
     """1x8 line: 21 cm element spacing with a 31.5 cm gap in the middle
     (2:3 co-prime), transmitters hung 0.4 m below the array bisection."""
     gaps = [DEFAULT_ELEMENT_SPACING_M] * 3 + [DEFAULT_MID_GAP_M] + [DEFAULT_ELEMENT_SPACING_M] * 3
     x = np.concatenate([[0.0], np.cumsum(gaps)])
     x -= x.mean()
-    rx = tuple((float(xi), 0.0, height_m) for xi in x)
-    tx_z = height_m - DEFAULT_TX_DROP_M
+    rx = tuple((float(xi), 0.0, DEFAULT_ARRAY_HEIGHT_M) for xi in x)
+    tx_z = DEFAULT_ARRAY_HEIGHT_M - DEFAULT_TX_DROP_M
     return ArrayGeometry(
         rx_positions_m=rx,
         tx_wideband_position_m=(0.0, 0.0, tx_z),
@@ -460,11 +454,9 @@ _SECTIONS = {
 
 def save_config(path, plan: CarrierPlan | None = None,
                 geom: ArrayGeometry | None = None,
-                scene: Scene | None = None, extra: dict | None = None) -> None:
-    doc: dict = dict(extra or {})
-    for name, value in (("plan", plan), ("geometry", geom), ("scene", scene)):
-        if value is not None:
-            doc[name] = asdict(value)
+                scene: Scene | None = None) -> None:
+    doc = {name: asdict(value) for name, value in (("plan", plan), ("geometry", geom),
+                                                   ("scene", scene)) if value is not None}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
 

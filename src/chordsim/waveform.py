@@ -275,6 +275,17 @@ def miller_symbol_signs(bits) -> np.ndarray:
     return signs
 
 
+def miller_half_periods(n_symbols: int, subcarrier_hz: float, rate_hz: float) -> np.ndarray:
+    """Subcarrier half-period index of every sample of an n_symbols Miller-M
+    frame, sampled at rate_hz from its start: the one sampling rule of the
+    crisp symbol.  The index drives the subcarrier sign (its parity), the
+    symbol (its quotient by 2M) and the mid-symbol flip (its remainder), so
+    coincident inversions cancel exactly even when boundaries fall between
+    samples."""
+    n = int(round(n_symbols * (MILLER_M / subcarrier_hz) * rate_hz))
+    return np.floor(2 * subcarrier_hz * (np.arange(n) / rate_hz) + 1e-9).astype(np.int64)
+
+
 def miller_encode(bits, subcarrier_hz: float, rate_hz: float) -> BasebandWave:
     """+/-1 Miller-M baseband of ``bits``: M subcarrier cycles per bit, phase
     inversion at every symbol boundary plus a mid-symbol inversion for data-1.
@@ -287,13 +298,7 @@ def miller_encode(bits, subcarrier_hz: float, rate_hz: float) -> BasebandWave:
         raise ModelError("no bits to encode")
     if np.any((frame != 0) & (frame != 1)):
         raise ModelError("bits must be 0/1")
-    t_sym = MILLER_M / subcarrier_hz
-    n = int(round(frame.size * t_sym * rate_hz))
-    t = np.arange(n) / rate_hz
-    # One global half-period index drives the subcarrier, the symbol index and
-    # the mid-symbol flip, so coincident inversions cancel exactly even when
-    # boundaries fall between samples.
-    half = np.floor(2 * subcarrier_hz * t + 1e-9).astype(np.int64)
+    half = miller_half_periods(frame.size, subcarrier_hz, rate_hz)
     sym = np.minimum(half // (2 * MILLER_M), frame.size - 1)
     sq = 1 - 2 * (half % 2)
     mid = np.where((frame[sym] == 1) & (half - sym * 2 * MILLER_M >= MILLER_M), -1, 1)
@@ -310,7 +315,6 @@ def miller_encode(bits, subcarrier_hz: float, rate_hz: float) -> BasebandWave:
 class PacketLayout:
     """Nominal packet timing: RN16 frame, idle gap (GAP_S), EPC frame."""
 
-    preamble_symbols: int
     rn16_frame_symbols: int
     epc_frame_symbols: int
 
@@ -333,8 +337,7 @@ class PacketLayout:
 
 def packet_layout(epc_len: int) -> PacketLayout:
     pre = len(PREAMBLE_BITS)
-    return PacketLayout(preamble_symbols=pre, rn16_frame_symbols=pre + 16 + 1,
-                        epc_frame_symbols=pre + epc_len + 32 + 1)
+    return PacketLayout(rn16_frame_symbols=pre + 16 + 1, epc_frame_symbols=pre + epc_len + 32 + 1)
 
 
 def _frame(payload, rate_hz: float) -> BasebandWave:

@@ -144,9 +144,7 @@ def test_c05_clock_robustness():
 
 def test_c06_viterbi_equals_exhaustive():
     rng = np.random.default_rng(15)
-    sign0 = dc._sign_after(wf.PREAMBLE_BITS)
     rate = PLAN.channel_out_rate_hz
-    t_sym = 4 / BLF
     mismatches = 0
     snr_lin = 10 ** (3.0 / 10)
     for seed in range(1000):
@@ -156,16 +154,12 @@ def test_c06_viterbi_equals_exhaustive():
         x = frame.samples + (r.standard_normal(frame.samples.size)
                              + 1j * r.standard_normal(frame.samples.size)) \
             / math.sqrt(2) / math.sqrt(snr_lin)
-        got, _ = dc.viterbi_decode(x, rate, 0.0, LAYOUT.preamble_symbols, 8, sign0)
-        starts = dc._symbol_windows(0.0, LAYOUT.preamble_symbols, 8, t_sym, rate, x.size)
-        t0l, t1l = dc._symbol_templates(0.0, LAYOUT.preamble_symbols, 8, rate, starts)
-        c = np.array([[np.dot(np.real(x[starts[i]:starts[i + 1]]), t0l[i]),
-                       np.dot(np.real(x[starts[i]:starts[i + 1]]), t1l[i])]
-                      for i in range(8)])
+        got, _ = dc.viterbi_decode(x, rate, 0.0, 8)
+        c, _ = dc._branch_metrics(x, rate, 0.0, 8)
         best, best_bits = -np.inf, None
         for word in range(256):
             bits_w = [(word >> (7 - i)) & 1 for i in range(8)]
-            s, metric = sign0, 0.0
+            s, metric = dc._ENTERING_SIGN, 0.0
             for i, b in enumerate(bits_w):
                 metric += s * c[i, b]
                 s = s if b else -s

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_channelize_matches_the_linear_chain_at_the_fft_room_boundary(desk_scale
 
 
 def test_compression_report_full_rates():
-    plan = default_carrier_plan(desk_scale=False, channel_out_rate_hz=1.92e6)
+    plan = replace(default_carrier_plan(desk_scale=False), channel_out_rate_hz=1.92e6)
     rep = chz.compression_report(plan)
     assert rep["data_rate_fraction"] == pytest.approx(16 * 1.92e6 / 245.76e6, abs=1e-12)
     assert rep["data_rate_fraction"] == pytest.approx(0.125, abs=1e-12)

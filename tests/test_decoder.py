@@ -444,24 +444,12 @@ def test_mrc_scale_invariant_direction():
 
 # --- Viterbi -----------------------------------------------------------------
 
-def _symbol_corr_table(y, n_bits, first_symbol, frame_start, sign):
-    t_sym = 4 / BLF
-    starts = dc._symbol_windows(frame_start, first_symbol, n_bits, t_sym, RATE, y.size)
-    t0l, t1l = dc._symbol_templates(frame_start, first_symbol, n_bits, RATE, starts)
-    c = np.zeros((n_bits, 2))
-    for i in range(n_bits):
-        seg = np.real(y[starts[i]:starts[i + 1]])
-        c[i, 0] = np.dot(seg, t0l[i])
-        c[i, 1] = np.dot(seg, t1l[i])
-    return c
-
-
-def _exhaustive_ml(y, n_bits, first_symbol, frame_start, entering_sign):
+def _exhaustive_ml(y, n_bits, frame_start):
     """Score every bit sequence with the same per-symbol correlations."""
-    c = _symbol_corr_table(y, n_bits, first_symbol, frame_start, entering_sign)
+    c, _ = dc._branch_metrics(y, RATE, frame_start, n_bits)
     best, best_bits = -np.inf, None
     for bits in itertools.product((0, 1), repeat=n_bits):
-        s = entering_sign
+        s = dc._ENTERING_SIGN
         metric = 0.0
         for i, b in enumerate(bits):
             metric += s * c[i, b]
@@ -475,16 +463,13 @@ def test_viterbi_noiseless_recovery():
     rng = np.random.default_rng(14)
     bits = list(rng.integers(0, 2, 96))
     frame = wf.miller_encode(wf.PREAMBLE_BITS + tuple(bits), BLF, RATE)
-    sign0 = dc._sign_after(wf.PREAMBLE_BITS)
-    got, metric = dc.viterbi_decode(frame.samples, RATE, 0.0, LAYOUT.preamble_symbols,
-                                    96, sign0)
+    got, metric = dc.viterbi_decode(frame.samples, RATE, 0.0, 96)
     assert got == bits
     assert metric > 0.9
 
 
 def test_viterbi_equals_exhaustive_ml():
     rng = np.random.default_rng(15)
-    sign0 = dc._sign_after(wf.PREAMBLE_BITS)
     mismatches = 0
     for trial in range(120):
         n_bits = int(rng.integers(2, 11))
@@ -492,15 +477,43 @@ def test_viterbi_equals_exhaustive_ml():
         frame = wf.miller_encode(wf.PREAMBLE_BITS + tuple(bits), BLF, RATE)
         x = frame.samples + (rng.standard_normal(frame.samples.size)
                              + 1j * rng.standard_normal(frame.samples.size)) / math.sqrt(2) / math.sqrt(2.0)
-        got, _ = dc.viterbi_decode(x, RATE, 0.0, LAYOUT.preamble_symbols, n_bits, sign0)
-        oracle = _exhaustive_ml(x, n_bits, LAYOUT.preamble_symbols, 0.0, sign0)
+        got, _ = dc.viterbi_decode(x, RATE, 0.0, n_bits)
+        oracle = _exhaustive_ml(x, n_bits, 0.0)
         mismatches += got != oracle
     assert mismatches == 0
 
 
+@pytest.mark.parametrize("frame_start_s", [0.0, LAYOUT.epc_start_s])
+def test_viterbi_noiseless_frame_scores_one(frame_start_s):
+    # the templates sample each frame of the packet template by the encoder's
+    # own rule; per-symbol round() windows had scored 0.966 and 0.977 here
+    rng = np.random.default_rng(30)
+    pkt = wf.TagPacket(rn16_bits=tuple(int(b) for b in rng.integers(0, 2, 16)),
+                       epc_bits=random_epc(rng))
+    if frame_start_s:
+        bits = wf.epc_reply_bits(pkt.epc_bits) + [1]
+    else:
+        bits = list(pkt.rn16_bits) + [1]
+    got, metric = dc.viterbi_decode(wf.packet_template(pkt, RATE).samples, RATE,
+                                    frame_start_s, len(bits))
+    assert got == bits
+    assert abs(metric - 1.0) <= 1e-12
+
+
+def test_viterbi_short_stream_raises_at_its_stage():
+    bits = [int(b) for b in np.random.default_rng(31).integers(0, 2, 12)]
+    x = wf.miller_encode(wf.PREAMBLE_BITS + tuple(bits), BLF, RATE).samples
+    assert dc.viterbi_decode(x, RATE, 0.0, 12)[0] == bits
+    half = wf.miller_half_periods(len(wf.PREAMBLE_BITS) + 12, BLF, RATE)
+    # cut at the start of the last half-period, and one sample short
+    for n in (int(np.searchsorted(half, half[-1])), x.size - 1):
+        with pytest.raises(dc.DecodeError, match="too short") as err:
+            dc.viterbi_decode(x[:n], RATE, 0.0, 12)
+        assert err.value.stage == "viterbi"
+
+
 def test_viterbi_ber_monotone_in_snr():
     rng = np.random.default_rng(16)
-    sign0 = dc._sign_after(wf.PREAMBLE_BITS)
     bers = []
     for snr_db in (-14.0, -10.0, -6.0, -2.0):
         errors = 0
@@ -512,7 +525,7 @@ def test_viterbi_ber_monotone_in_snr():
             n = sig.size
             noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
             x = sig + noise / math.sqrt(10 ** (snr_db / 10))
-            got, _ = dc.viterbi_decode(x, RATE, 0.0, LAYOUT.preamble_symbols, 12, sign0)
+            got, _ = dc.viterbi_decode(x, RATE, 0.0, 12)
             errors += sum(a != b for a, b in zip(got, bits))
             total += 12
         bers.append(errors / total)
@@ -689,6 +702,21 @@ def test_pipeline_rejects_banks_that_do_not_match_the_plan(plan, geom):
     for case_banks, case_plan, what in cases:
         with pytest.raises(ModelError, match=f"decode_pipeline: bank .* {what}"):
             dc.decode_pipeline(case_banks, case_plan, geom)
+
+
+def test_pipeline_rejects_banks_out_of_antenna_order(plan, geom):
+    # bank i is antenna i of the geometry: reversed banks had localized at the
+    # mirrored x with the CRC ok, and a repeated bank had moved y
+    tag = single_path_tag((0.4, 3.0, 1.11), random_epc(np.random.default_rng(28)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=20.0, leak_db=20.0)
+    banks, _, _ = simulate_capture(spec, plan, geom, seed=8, fast_path=True)
+    banks = [chz.notch_dc(b) for b in banks]
+    cases = [(banks[::-1], "bank 0 holds antenna 7"),
+             (banks[:7] + [banks[6]], "bank 7 holds antenna 6")]
+    for case_banks, what in cases:
+        with pytest.raises(ModelError, match=f"decode_pipeline: {what}"):
+            dc.decode_pipeline(case_banks, plan, geom)
+    assert dc.decode_pipeline(banks, plan, geom).crc_ok
 
 
 def test_pipeline_names_the_bank_and_carrier_of_a_non_finite_sample(plan, geom):

@@ -57,7 +57,7 @@ def test_full_rate_plan_offsets_match_carriers():
 
 def test_plan_invariants_rejected():
     with pytest.raises(ModelError):
-        default_carrier_plan(per_tone_power_dbm=-10.0)
+        replace(default_carrier_plan(), per_tone_power_dbm=-10.0)
     good = default_carrier_plan()
     with pytest.raises(ModelError):
         replace(good, carriers_hz=tuple(sorted(good.carriers_hz, reverse=True)))
