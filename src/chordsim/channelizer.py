@@ -163,7 +163,9 @@ class ChannelBank:
     """Per-carrier baseband streams at the decimated channel rate.
 
     ``group_delay_s`` is the filter transient span at each end of every
-    stream; those samples are present but not trustworthy.
+    stream; those samples are present but not trustworthy.  ``notched`` is a
+    fact, not a setting: every stream's DFT bins within +/-NOTCH_HZ of DC are
+    zero (``notch_dc``'s output and the fast simulation path's banks).
     """
 
     streams: np.ndarray
@@ -172,6 +174,7 @@ class ChannelBank:
     antenna_id: int = 0
     start_s: float = 0.0
     group_delay_s: float = 0.0
+    notched: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "streams", np.asarray(self.streams, dtype=complex))
@@ -253,12 +256,19 @@ def processed_tag_baseband(tag_capture_rate: BasebandWave, plan: CarrierPlan) ->
                         rate_hz=plan.channel_out_rate_hz, start_s=tag_capture_rate.start_s)
 
 
+def _notch_spectrum(spectra: np.ndarray, rate_hz: float) -> np.ndarray:
+    """Zero, in place, the last-axis DFT bins within +/-NOTCH_HZ of DC."""
+    spectra[..., np.abs(np.fft.fftfreq(spectra.shape[-1], d=1.0 / rate_hz)) <= NOTCH_HZ] = 0.0
+    return spectra
+
+
 def shaped_noise(rng: np.random.Generator, shape: tuple[int, int], noise_var: float,
                  plan: CarrierPlan) -> np.ndarray:
     """Complex Gaussian channel-rate noise rows with the shaping filter's
     spectrum and variance noise_var / decimation per sample, drawn in the band
     (DFT bins within SHAPE_STOP_HZ, beyond which the filter is below
-    -STOPBAND_ATTEN_DB), so the rows are stationary to their ends."""
+    -STOPBAND_ATTEN_DB), so the rows are stationary to their ends, and then
+    notched as ``notch_dc`` notches rows of their length."""
     rate, n = plan.channel_out_rate_hz, shape[1]
     band = np.abs(np.fft.fftfreq(n, d=1.0 / rate)) <= SHAPE_STOP_HZ
     gain = np.abs(np.fft.fft(_shaping_taps(rate), n))[band]
@@ -266,7 +276,7 @@ def shaped_noise(rng: np.random.Generator, shape: tuple[int, int], noise_var: fl
     gain *= n * math.sqrt(noise_var / plan.decimation / 2 / float(np.sum(gain ** 2)))
     spec = np.zeros(shape, dtype=complex)
     spec[:, band] = rng.standard_normal((shape[0], 2 * gain.size)).view(complex) * gain
-    return np.fft.ifft(spec, axis=1)
+    return np.fft.ifft(_notch_spectrum(spec, rate), axis=1)
 
 
 def notch_dc(bank: ChannelBank) -> ChannelBank:
@@ -274,14 +284,15 @@ def notch_dc(bank: ChannelBank) -> ChannelBank:
 
     Implemented as an exact spectral projection (FFT bins inside +/-NOTCH_HZ
     zeroed), so it is idempotent and leaves the +/-BLF subcarrier sidebands
-    untouched.
+    untouched.  The output has ``notched`` set; a bank that has it already
+    comes back as it is, which the idempotence makes exact.
     """
     if bank.rate_hz <= 2 * BLF_HZ:
         raise ModelError("channel rate too low for the subcarrier sidebands")
-    spectra = np.fft.fft(bank.streams, axis=1)
-    freqs = np.fft.fftfreq(bank.n_samples, d=1.0 / bank.rate_hz)
-    spectra[:, np.abs(freqs) <= NOTCH_HZ] = 0.0
-    return replace(bank, streams=np.fft.ifft(spectra, axis=1))
+    if bank.notched:
+        return bank
+    spectra = _notch_spectrum(np.fft.fft(bank.streams, axis=1), bank.rate_hz)
+    return replace(bank, streams=np.fft.ifft(spectra, axis=1), notched=True)
 
 
 def dynamic_range_required(bits: int) -> float:

@@ -91,15 +91,17 @@ def cmd_channelize(args):
 
 def cmd_decode(args):
     plan, geom, _ = _load_setup(args)
-    banks = [load_bank(p) for p in args.banks]
-    banks.sort(key=lambda b: b.antenna_id)
     try:
+        banks = sorted((load_bank(p) for p in args.banks), key=lambda b: b.antenna_id)
         pkt = decode_pipeline(banks, plan, geom)
         # a reply that fails its CRC is not decoded: no record to localize
         if not pkt.crc_ok:
             raise DecodeError("crc", "EPC reply fails its CRC")
     except DecodeError as exc:
         print(json.dumps({"error": str(exc), "stage": exc.stage}))
+        return 1
+    except model.ModelError as exc:   # run_batch's name for this stage
+        print(json.dumps({"error": str(exc), "stage": "model_error"}))
         return 1
     rec = packet_record(pkt.epc_bits, pkt.sync.t0_hat_s, pkt.sync.alpha0_hat_hz,
                         pkt.crc_ok, pkt.channel)

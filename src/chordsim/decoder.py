@@ -522,8 +522,9 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     """One-shot decode of a tag reply from per-antenna channel banks.
 
     Banks are expected to be time-aligned to a common capture clock and
-    DC-notched, of one length, and hold the plan's carriers at its channel
-    rate; bank i is antenna i of the geometry (ModelError otherwise).  Raises
+    DC-notched (by ``notch_dc``, or built so by the fast simulation path), of
+    one length, and hold the plan's carriers at its channel rate; bank i is
+    antenna i of the geometry (ModelError otherwise).  Raises
     DecodeError/NoPacketError with stage attribution.
     """
     if not banks:

@@ -24,7 +24,7 @@ from .waveform import (BLF_HZ, SYMBOL_S, TagPacket, backscatter_mix, build_packe
                        packet_layout, random_walk_drift, tone_sum)
 from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
                           chain_transient_s, channelize, notch_dc, processed_tag_baseband,
-                          shaped_noise)
+                          shaped_noise, _notch_spectrum)
 from .decoder import DecodeError, decode_pipeline
 from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI,
                       DEFAULT_POLICY, localize)
@@ -47,7 +47,9 @@ def random_epc(rng, n_bits: int = 96) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Scene plus capture conditions for simulation."""
+    """Scene plus capture conditions for simulation.  ``leak_db`` (None: none)
+    is each tone's leak over the RMS tag channel gain; it is DC in every
+    channel, so only full-path captures hold it (fast-path banks are notched)."""
 
     scene: Scene
     snr_db: float = 20.0
@@ -98,9 +100,11 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     plus white noise at antenna k (``waveform.tone_sum``); the fast path
     applies the channelizer's own filter chain to the tag baseband directly
     and emits per-antenna ChannelBank objects, bypassing the wideband mixing;
-    its noise is drawn in the shaping band, stationary to the bank edges.
-    Either way the banks come out at a length that FFTs fast (the notch and
-    the preamble search transform every stream).
+    its noise is drawn in the shaping band, stationary to the bank edges.  Its
+    banks come out notched (the tag row and the noise spectrum notched once)
+    and hold no leak: the leak is DC, which the notch removes exactly.  Either
+    way the banks come out at a length that FFTs fast (the notch and the
+    preamble search transform every stream).
     """
     rng = np.random.default_rng(seed)
     pkt = _make_packet(spec, spec.scene.tags[tag_index], rng)
@@ -112,27 +116,27 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
 
     snr_lin = 10 ** (spec.snr_db / 10)
     mean_h = float(np.sqrt(np.mean(np.abs(h.h) ** 2)))
-    leak_amp = 0.0 if spec.leak_db is None else mean_h * 10 ** (spec.leak_db / 20)
 
     if fast_path:
         # the warped wave is zero after the packet, so padding it only
         # lengthens the bank
         n_wave = tag_wave.samples.size
         padded = np.pad(tag_wave.samples, (0, _fast_capture_length(n_wave, plan) - n_wave))
-        base = processed_tag_baseband(replace(tag_wave, samples=padded), plan)
-        sig_power = float(np.mean(np.abs(base.samples[np.abs(base.samples) > 0.1]) ** 2))
+        base = processed_tag_baseband(replace(tag_wave, samples=padded), plan).samples
+        sig_power = float(np.mean(np.abs(base[np.abs(base) > 0.1]) ** 2))
         noise_var_chan = mean_h ** 2 * sig_power / snr_lin
+        base = np.fft.ifft(_notch_spectrum(np.fft.fft(base), plan.channel_out_rate_hz))
         banks = []
         for k in range(geom.n_antennas):
-            streams = np.outer(h.h[k], base.samples)
-            if leak_amp > 0:
-                streams += _leak_gains(geom, plan, k, leak_amp)[:, None]
-            streams = streams + shaped_noise(rng, streams.shape, noise_var_chan, plan)
+            streams = np.outer(h.h[k], base)
+            streams += shaped_noise(rng, streams.shape, noise_var_chan, plan)
             banks.append(ChannelBank(streams=streams, rate_hz=plan.channel_out_rate_hz,
                                      carriers_hz=plan.carriers_hz, antenna_id=k,
-                                     start_s=0.0, group_delay_s=chain_transient_s(plan)))
+                                     start_s=0.0, group_delay_s=chain_transient_s(plan),
+                                     notched=True))
         return banks, pkt, h
 
+    leak_amp = 0.0 if spec.leak_db is None else mean_h * 10 ** (spec.leak_db / 20)
     tag_bl = bandlimit_tag(tag_wave)
     active = np.abs(tag_bl.samples) > 0.1
     sig_power = float(np.mean(np.abs(tag_bl.samples[active]) ** 2)) if active.any() else 1.0

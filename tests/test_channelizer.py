@@ -245,6 +245,16 @@ def test_notch_idempotent():
     assert num / den < 1e-9
 
 
+def test_notch_dc_sets_notched_and_channelize_and_load_bank_do_not(tmp_path, plan):
+    bank = chz.channelize(_capture(np.ones(4096, dtype=complex), plan), plan)
+    assert not bank.notched
+    once = chz.notch_dc(bank)
+    assert once.notched and not np.array_equal(once.streams, bank.streams)
+    assert chz.notch_dc(once) is once
+    # manifests do not hold the flag: a loaded bank is notched again
+    assert not chz.load_bank(chz.save_bank(once, tmp_path / "ant0")).notched
+
+
 def test_notch_validation():
     with pytest.raises(ModelError):
         chz.notch_dc(chz.ChannelBank(streams=np.ones((1, 64)), rate_hz=400e3,
@@ -366,13 +376,19 @@ def test_shaped_noise_follows_the_shaping_filter():
     rate, shape, var = plan.channel_out_rate_hz, (64, 10752), 3.0
     x = chz.shaped_noise(np.random.default_rng(5), shape, var, plan)
     assert np.array_equal(x, chz.shaped_noise(np.random.default_rng(5), shape, var, plan))
-    assert np.mean(np.abs(x) ** 2) == pytest.approx(var / plan.decimation, rel=0.02)
     freqs = np.abs(np.fft.fftfreq(shape[1], d=1.0 / rate))
+    notch = freqs <= chz.NOTCH_HZ
+    gain2 = np.abs(np.fft.fft(chz._shaping_taps(rate), shape[1])) ** 2
+    # var / D is drawn over the band, and the notch keeps the rest of it
+    band = freqs <= chz.SHAPE_STOP_HZ
+    kept = np.sum(gain2[band & ~notch]) / np.sum(gain2[band])
+    assert np.mean(np.abs(x) ** 2) == pytest.approx(var / plan.decimation * kept, rel=0.02)
     psd = np.mean(np.abs(np.fft.fft(x, axis=1)) ** 2, axis=0)
-    # nothing beyond the stop edge but the FFT round trip's residue
+    # nothing beyond the stop edge or in the notch but the FFT round trip's residue
     assert np.max(psd[freqs > chz.SHAPE_STOP_HZ]) < 1e-20 * np.max(psd)
-    passband = freqs <= chz.SHAPE_PASS_HZ
-    ratio = psd[passband] / np.abs(np.fft.fft(chz._shaping_taps(rate), shape[1]))[passband] ** 2
+    assert np.max(psd[notch]) < 1e-20 * np.max(psd)
+    passband = (freqs <= chz.SHAPE_PASS_HZ) & ~notch
+    ratio = psd[passband] / gain2[passband]
     # blocks of 64 bins x 64 rows: ~1.6% standard error each
     blocks = ratio[:ratio.size // 64 * 64].reshape(-1, 64).mean(axis=1)
     assert np.max(np.abs(blocks / np.mean(ratio) - 1.0)) < 0.1

@@ -107,6 +107,35 @@ def test_decode_with_a_failed_crc_writes_no_record(tmp_path, monkeypatch, capsys
     assert doc["stage"] == "crc" and "error" in doc
 
 
+def _antenna_banks(tmp_path):
+    plan = model.default_carrier_plan(desk_scale=True)
+    return [cs.channelizer.save_bank(
+        cs.channelizer.ChannelBank(streams=np.ones((plan.n_carriers, 64)),
+                                   rate_hz=plan.channel_out_rate_hz,
+                                   carriers_hz=plan.carriers_hz, antenna_id=k),
+        tmp_path / f"antenna_{k}") for k in range(8)]
+
+
+def _nan_in_channel_file(manifests):
+    raw = np.fromfile(manifests[2].parent / "ch_05.cf32", dtype="<f4")
+    raw[7] = np.nan
+    raw.tofile(manifests[2].parent / "ch_05.cf32")
+    return manifests
+
+
+@pytest.mark.parametrize("banks, message", [
+    (lambda m: m[:7] + [m[6]], "bank 7 holds antenna 6"),
+    (_nan_in_channel_file, "ch_05.cf32: samples must be finite"),
+], ids=["antenna_given_twice", "non_finite_sample"])
+def test_decode_reports_a_model_error_as_its_stage(tmp_path, capsys, banks, message):
+    packets = tmp_path / "packets.jsonl"
+    assert run(["decode", *banks(_antenna_banks(tmp_path)), "--out", packets]) == 1
+    assert not packets.exists()
+    lines = capsys.readouterr().out.splitlines()
+    doc = json.loads(lines[-1])
+    assert len(lines) == 1 and doc["stage"] == "model_error" and message in doc["error"]
+
+
 def test_channelize_command(tmp_path):
     plan = model.default_carrier_plan()
     wave = cs.synth_multisine(plan, 2e-4)

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -136,9 +136,37 @@ def test_fast_path_padding_keeps_the_tag_baseband(plan, geom, alpha0, drift):
     banks, pkt, h = simulate_capture(spec, plan, one, seed=0, fast_path=True)
     ref = chz.processed_tag_baseband(wf.build_packet_baseband(pkt, plan.capture_rate_hz),
                                      plan).samples
-    got = banks[0].streams[:, :ref.size]
+    got = banks[0].streams
     assert banks[0].n_samples > ref.size
-    assert np.max(np.abs(got - np.outer(h.h[0], ref))) <= 1e-12 * np.max(np.abs(got))
+    # the fast path's banks are born notched, so the reference is notched too
+    ref = np.pad(np.outer(h.h[0], ref), ((0, 0), (0, got.shape[1] - ref.size)))
+    ref = chz.notch_dc(replace(banks[0], streams=ref, notched=False)).streams
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(got))
+
+
+def _fast_banks(plan, geom, leak_db):
+    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(4)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=10.0, leak_db=leak_db)
+    return simulate_capture(spec, plan, geom, seed=3, fast_path=True)[0]
+
+
+def test_fast_path_banks_are_born_notched(plan, geom):
+    banks = _fast_banks(plan, geom, leak_db=20.0)
+    for bank in banks:
+        assert bank.notched
+        assert chz.notch_dc(bank) is bank
+        # notching again changes nothing beyond rounding
+        again = chz.notch_dc(replace(bank, notched=False))
+        assert again.notched
+        assert np.max(np.abs(again.streams - bank.streams)) <= \
+            1e-12 * np.max(np.abs(bank.streams))
+
+
+def test_fast_path_banks_hold_no_leak(plan, geom):
+    # the leak is DC in every channel, and the notch removes it exactly
+    for leaky, clean in zip(_fast_banks(plan, geom, 20.0), _fast_banks(plan, geom, None)):
+        assert np.max(np.abs(leaky.streams - clean.streams)) <= \
+            1e-12 * np.max(np.abs(clean.streams))
 
 
 def test_run_batch_noiseless_bound(plan, geom, grid):
