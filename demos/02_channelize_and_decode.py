@@ -39,4 +39,5 @@ print("sync: t0_hat=%.3f ms (true %.3f), alpha0_hat=%+.0f Hz, peak %.2f"
 err = np.abs(np.angle(packet.channel.h * np.conj(h_true.h)))
 print("channel-estimate phase error: mean %.3f rad, max %.3f rad"
       % (err.mean(), err.max()))
-print("per-channel SNR estimate: %.1f dB mean" % packet.channel.quality.mean())
+print("per-entry SNR against the pre-SOF noise: %.1f dB median"
+      % np.median(packet.channel.quality))

@@ -1,9 +1,10 @@
 """Uplink recovery from channelized captures.
 
 One pass, no iteration: preamble search (joint t0/CFO grid with refinement) ->
-Costas tracking of the residual clock fluctuation -> clock compensation ->
-max-SNR combining over antennas per carrier -> maximum-ratio combining across
-carriers -> Viterbi bit search -> full-packet matched channel estimation.
+Costas tracking of the residual clock fluctuation -> max-SNR combining over
+antennas per carrier -> clock compensation of the combined streams ->
+maximum-ratio combining across carriers -> Viterbi bit search -> full-packet
+matched channel estimation through the compensation's interpolation taps.
 
 Streams are plain complex arrays at the channel rate; every stage is a pure
 function of its inputs.
@@ -357,22 +358,20 @@ def track_packet_clock(stream: np.ndarray, rate_hz: float, sync: SyncEstimate,
             pll_track(stream, rate_hz, sync.epc_t0_hat_s, sync.epc_alpha_hat_hz, n2_span))
 
 
-def compensate_clock(streams: np.ndarray, rate_hz: float, spans) -> np.ndarray:
-    """Resample streams onto the nominal tag clock, along the last axis.
-
+def _clock_taps(n: int, rate_hz: float, spans) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolation taps (idx, w) that resample an n-sample stream x onto the
+    nominal tag clock: output m is (1 - w[m]) x[idx[m]] + w[m] x[idx[m] + 1].
     Each span (t0_s, alpha0_hz, alpha_t_hz, duration_s) is one reply, mapped
     from its own anchor: output sample m of the span sits at nominal time
     m/rate after t0_s, with the initial offset and the tracked fluctuation
-    removed.  The spans' outputs follow one another, taken by one gather, and
-    every stream shares the one clock map.
+    removed.  The spans' outputs follow one another.
     """
-    x = np.asarray(streams, dtype=complex)
     parts = []
     for t0_s, alpha0_hz, alpha_t_hz, duration_s in spans:
         i0 = max(int(math.ceil(t0_s * rate_hz)) - 1, 0)
         # elapsed may start a fraction of a sample negative; the clock map is
         # monotone there, which keeps the interpolation exact at integer t0
-        elapsed = np.arange(i0, x.shape[-1]) / rate_hz - t0_s
+        elapsed = np.arange(i0, n) / rate_hz - t0_s
         n_vals = clock_map(elapsed, alpha0_hz, alpha_t_hz)
         target = np.arange(int(round(duration_s * rate_hz))) / rate_hz
         if n_vals[-1] < target[-1]:
@@ -380,7 +379,13 @@ def compensate_clock(streams: np.ndarray, rate_hz: float, spans) -> np.ndarray:
         j = np.clip(np.searchsorted(n_vals, target) - 1, 0, n_vals.size - 2)
         w = np.clip((target - n_vals[j]) / np.maximum(n_vals[j + 1] - n_vals[j], 1e-30), 0.0, 1.0)
         parts.append((i0 + j, w))
-    idx, w = map(np.concatenate, zip(*parts))
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def compensate_clock(streams: np.ndarray, rate_hz: float, spans) -> np.ndarray:
+    """Resample streams along the last axis by the taps of ``_clock_taps``."""
+    x = np.asarray(streams, dtype=complex)
+    idx, w = _clock_taps(x.shape[-1], rate_hz, spans)
     # interpolate in place on the two gathered copies: the same arithmetic
     # with fewer packet-sized temporaries
     out, nxt = np.take(x, idx, axis=-1), np.take(x, idx + 1, axis=-1)
@@ -470,51 +475,41 @@ def viterbi_decode(stream: np.ndarray, rate_hz: float, frame_start_s: float, n_b
     sequence with the same metric.
     """
     c, norm = _branch_metrics(stream, rate_hz, frame_start_s, n_bits)
-    neg_inf = -1e30
-    # metric[s] for s in (+1, -1) encoded as index 0 / 1
-    metric = np.array([0.0 if _ENTERING_SIGN == 1 else neg_inf,
-                       0.0 if _ENTERING_SIGN == -1 else neg_inf])
-    back = np.zeros((n_bits, 2), dtype=np.int8)
-    for i in range(n_bits):
-        new = np.full(2, neg_inf)
-        choice = np.zeros(2, dtype=np.int8)
-        for s_new in (0, 1):
-            # data-1 keeps the sign, data-0 flips it
-            from_keep = metric[s_new] + (1 - 2 * s_new) * c[i, 1]
-            from_flip = metric[1 - s_new] + (1 - 2 * (1 - s_new)) * c[i, 0]
-            if from_keep >= from_flip:
-                new[s_new], choice[s_new] = from_keep, 1
-            else:
-                new[s_new], choice[s_new] = from_flip, 0
-        metric = new
-        back[i] = choice
-    s = int(np.argmax(metric))
+    # path metric of each state, the sign entering a symbol: (+1, -1)
+    metric = (0.0, -1e30) if _ENTERING_SIGN == 1 else (-1e30, 0.0)
+    back = []
+    for c0, c1 in c.tolist():
+        # into each state a data-1 keeps the sign and a data-0 flips it
+        keep, flip = (metric[0] + c1, metric[1] - c1), (metric[1] - c0, metric[0] + c0)
+        back.append((keep[0] >= flip[0], keep[1] >= flip[1]))
+        metric = (max(keep[0], flip[0]), max(keep[1], flip[1]))
+    s = int(metric[1] > metric[0])
     bits = np.zeros(n_bits, dtype=int)
     for i in range(n_bits - 1, -1, -1):
-        bits[i] = back[i, s]
+        bits[i] = back[i][s]
         if bits[i] == 0:
             s = 1 - s
-    return bits.tolist(), float(np.max(metric) / max(norm, 1e-30))
+    return bits.tolist(), float(max(metric) / max(norm, 1e-30))
 
 
-def _packet_estimate(comp: np.ndarray, rn16_bits, epc_bits, rate_hz: float,
-                     plan: CarrierPlan, geom: ArrayGeometry) -> ChannelMatrix:
-    """Matched-filter estimate of compensated rows (antenna-major, spanning the
-    packet) against the channel-shaped full-packet template of the bits."""
+def _packet_estimate(streams, idx: np.ndarray, w: np.ndarray, noise: np.ndarray, rn16_bits,
+                     epc_bits, rate_hz: float, plan: CarrierPlan,
+                     geom: ArrayGeometry) -> ChannelMatrix:
+    """Matched-filter estimate of raw streams (one [L, N] array per antenna)
+    against the shaped packet template of the bits resampled by the clock
+    taps (idx, w), with the SNR of each entry against its noise power [K, L].
+    resample(x) @ t = x @ s, for s the template scattered through the taps."""
     pkt = TagPacket(rn16_bits=tuple(int(b) for b in rn16_bits),
                     epc_bits=tuple(int(b) for b in epc_bits))
     tmpl = apply_shaping(packet_template(pkt, rate_hz), rate_hz).samples.real
+    n = streams[0].shape[-1]
+    s = (np.bincount(idx, tmpl * (1.0 - w), n)
+         + np.bincount(idx + 1, tmpl * w, n)) / float(np.sum(tmpl ** 2))
+    h = np.stack([x @ s for x in streams])
     active = np.abs(tmpl) > 0.1
-    t_energy = float(np.sum(tmpl ** 2))
-    h = (comp @ tmpl) / t_energy
-    # an exact residual at every sample (no cancellation at high SNR), no gathers
-    resid = np.multiply.outer(-h, tmpl)
-    resid += comp
-    noise = (resid.real ** 2 + resid.imag ** 2) @ active / np.count_nonzero(active) + 1e-30
     sig = np.abs(h) ** 2 * float(np.mean(tmpl[active] ** 2))
-    snr = 10.0 * np.log10(np.maximum(sig / noise, 1e-30))
-    return ChannelMatrix(h=h.reshape(-1, plan.n_carriers), carriers_hz=plan.carriers_hz,
-                         geometry=geom, quality=snr.reshape(-1, plan.n_carriers))
+    snr = 10.0 * np.log10(np.maximum(sig / (noise + 1e-30), 1e-30))
+    return ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom, quality=snr)
 
 
 def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeometry,
@@ -544,20 +539,20 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
             raise ModelError(f"decode_pipeline: bank {i} carriers do not match the plan")
     layout = packet_layout(epc_len)
 
-    stack = np.stack([b.streams for b in banks])        # [K, L, N]
-    energies = np.sum(np.abs(stack) ** 2, axis=2)
+    energies = np.array([np.einsum("ln,ln->l", v, v)
+                         for v in (np.ascontiguousarray(b.streams).view(float) for b in banks)])
     if not np.all(np.isfinite(energies)):
         k, l = np.argwhere(~np.isfinite(energies))[0]
         raise ModelError(f"decode_pipeline: bank {k} carrier {l} holds non-finite samples")
     k_best, l_best = np.unravel_index(int(np.argmax(energies)), energies.shape)
 
-    sync = preamble_search(stack[k_best, l_best], rate)
+    sync = preamble_search(banks[k_best].streams[l_best], rate)
     # Clock tracking runs on the best carrier combined across antennas; the
     # array gain keeps the loop's timing jitter well under a quarter
     # subcarrier period at threshold SNR.  Under spatially white noise the
     # dominant eigenvector of the carrier's covariance points along the tag's
     # channel at any SNR, so the combining needs no sync first.
-    best = stack[:, l_best, :]
+    best = np.stack([b.streams[l_best] for b in banks])
     w_track = np.linalg.eigh(best @ best.conj().T)[1][:, -1]
     tracks = track_packet_clock(w_track.conj() @ best, rate, sync, layout)
 
@@ -571,26 +566,28 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     # EPC frame starts at sample i2, where the packet template puts it.
     i2 = int(round(layout.epc_start_s * rate))
     n_nom = int(round(layout.total_s * rate))
-    comp = compensate_clock(stack, rate,                                 # [K, L, N']
-                            [(sync.t0_hat_s, sync.alpha0_hat_hz, tracks[0], i2 / rate),
-                             (sync.epc_t0_hat_s, sync.epc_alpha_hat_hz, tracks[1],
-                              (n_nom - i2) / rate)])
+    idx, w = _clock_taps(banks[0].n_samples, rate,
+                         [(sync.t0_hat_s, sync.alpha0_hat_hz, tracks[0], i2 / rate),
+                          (sync.epc_t0_hat_s, sync.epc_alpha_hat_hz, tracks[1],
+                           (n_nom - i2) / rate)])
+    lo, hi = int(idx.min()), int(idx.max()) + 2
 
-    pre_tmpl = _preamble_template(BLF_HZ, rate)        # the grid's alpha0 = 0 row
-    lp = pre_tmpl.size
-    pre_energy = float(np.sum(pre_tmpl ** 2))
-
-    steered = np.zeros((l_n, n_nom), dtype=complex)
-    gains = np.zeros(l_n, dtype=complex)
+    # MSNR trains on the raw samples the taps read; the compensation commutes
+    # with the steering, so only the steered streams are resampled.
+    raw = np.zeros((l_n, hi - lo), dtype=complex)
+    noise = np.zeros((k_n, l_n))
     noise_vars = np.zeros(l_n)
     for l in range(l_n):
-        pre = stack[:, l, pre_lo:pre_hi]
+        rows = np.stack([b.streams[l, :hi] for b in banks])
+        pre = rows[:, pre_lo:pre_hi]
         rn = pre @ pre.conj().T / pre.shape[1]
-        out, w_l, _ = msnr_combine(comp[:, l, :], rn)
-        steered[l] = out
+        noise[:, l] = rn.diagonal().real
+        raw[l], w_l, _ = msnr_combine(rows[:, lo:hi], rn)
         noise_vars[l] = max(float(np.real(w_l.conj() @ rn @ w_l)), 1e-30)
-        gains[l] = complex(np.dot(out[:lp], pre_tmpl)) / pre_energy
+    steered = raw[:, idx - lo] * (1.0 - w) + raw[:, idx + 1 - lo] * w
 
+    pre_tmpl = _preamble_template(BLF_HZ, rate)        # the grid's alpha0 = 0 row
+    gains = steered[:, :pre_tmpl.size] @ pre_tmpl / float(np.sum(pre_tmpl ** 2))
     combined = mrc_combine(steered, gains, noise_vars)
 
     # Both frames are decoded through their dummy bit, which is then dropped.
@@ -604,6 +601,7 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     if len(epc) != epc_len:
         raise DecodeError("viterbi", "decoded EPC has the wrong length")
 
-    channel = _packet_estimate(comp.reshape(k_n * l_n, n_nom), rn16, epc, rate, plan, geom)
+    channel = _packet_estimate([b.streams for b in banks], idx, w, noise, rn16, epc, rate,
+                               plan, geom)
     return DecodedPacket(rn16_bits=tuple(rn16), epc_bits=tuple(epc), crc_ok=crc_ok,
                          channel=channel, sync=sync, tracks=tracks)

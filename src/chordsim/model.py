@@ -321,7 +321,9 @@ class ChannelMatrix:
     """Complex channel estimates indexed [antenna k][carrier l].
 
     ``quality`` holds a per-entry SNR estimate in dB (None when synthetic and
-    noiseless); ``mask`` flags entries actually observed (False = missing).
+    noiseless): against the pre-SOF noise from ``decode_pipeline``, the RSSI
+    from ``import_snapshots``, the realized SNR from ``noisy_channel``.
+    ``mask`` flags entries actually observed (False = missing).
     A mask of None is stored as all True: every entry observed.
     """
 
