@@ -8,10 +8,12 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +462,16 @@ def gate_corpus(n_inside: int = 100, n_outside: int = 100, seed: int = 11):
 # Snapshot interchange (line-delimited JSON)
 
 
+def _json_number(field: str, value) -> float:
+    """A numeric field's value as a float: a JSON int or float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise HarnessError(f"{field} must be a JSON number, not {type(value).__name__}")
+    return float(value)
+
+
+_SNAPSHOT_NUMBERS = ("phase_rad", "timestamp_s", "carrier_hz", "rssi_db", "re", "im")
+
+
 @dataclass(frozen=True)
 class SnapshotRecord:
     """One channel observation of one tag reply."""
@@ -474,76 +486,94 @@ class SnapshotRecord:
     im: float | None = None
 
     def __post_init__(self):
-        re, im = self.re, self.im
         if not isinstance(self.epc, str):
             raise HarnessError("epc must be a string")
         if isinstance(self.antenna_id, bool) or not isinstance(self.antenna_id, int):
             raise HarnessError(f"antenna {self.antenna_id!r} is not an integer")
-        if (re is None) != (im is None):
+        if (self.re is None) != (self.im is None):
             raise HarnessError("re and im must be given together")
-        # a non-finite phase fails the range test below
-        if not (math.isfinite(self.timestamp_s) and math.isfinite(self.carrier_hz)
-                and math.isfinite(self.rssi_db)
-                and (re is None or math.isfinite(re) and math.isfinite(im))):
+        numbers = [_json_number(field, getattr(self, field))
+                   for field in _SNAPSHOT_NUMBERS[:4 if self.re is None else 6]]
+        # a non-finite phase (the first number) fails the range test below
+        if not all(map(math.isfinite, numbers[1:])):
             raise HarnessError("every number must be finite")
         if not -math.pi < self.phase_rad <= math.pi + 1e-12:
             raise HarnessError("phase must lie in (-pi, pi]")
 
     def to_json(self) -> str:
-        doc = {"epc": self.epc, "timestamp_s": self.timestamp_s,
-               "antenna_id": self.antenna_id, "carrier_hz": self.carrier_hz,
-               "phase_rad": self.phase_rad, "rssi_db": self.rssi_db}
-        if self.re is not None:
-            doc["re"] = self.re
-            doc["im"] = self.im
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps({k: v for k, v in vars(self).items() if v is not None}, sort_keys=True)
 
 
 def parse_snapshot_line(line: str) -> SnapshotRecord:
     doc = json.loads(line)
-    return SnapshotRecord(epc=doc["epc"], timestamp_s=float(doc["timestamp_s"]),
-                          antenna_id=doc["antenna_id"],
-                          carrier_hz=float(doc["carrier_hz"]),
-                          phase_rad=float(doc["phase_rad"]),
-                          rssi_db=float(doc["rssi_db"]),
+    return SnapshotRecord(epc=doc["epc"], timestamp_s=doc["timestamp_s"],
+                          antenna_id=doc["antenna_id"], carrier_hz=doc["carrier_hz"],
+                          phase_rad=doc["phase_rad"], rssi_db=doc["rssi_db"],
                           re=doc.get("re"), im=doc.get("im"))
 
 
 def channel_to_snapshots(ch: ChannelMatrix, epc_bits, timestamp_s: float) -> list[SnapshotRecord]:
-    recs = []
     epc = bits_to_hex(epc_bits)
-    for k in range(ch.shape[0]):
-        for l in range(ch.shape[1]):
-            v = ch.h[k, l]
-            recs.append(SnapshotRecord(
-                epc=epc, timestamp_s=timestamp_s, antenna_id=k,
-                carrier_hz=ch.carriers_hz[l], phase_rad=float(np.angle(v)),
-                rssi_db=20 * math.log10(max(abs(v), 1e-12)),
-                re=float(v.real), im=float(v.imag)))
-    return recs
+    return [SnapshotRecord(epc=epc, timestamp_s=timestamp_s, antenna_id=k,
+                           carrier_hz=ch.carriers_hz[l], phase_rad=float(np.angle(v)),
+                           rssi_db=20 * math.log10(max(abs(v), 1e-12)),
+                           re=float(v.real), im=float(v.imag))
+            for (k, l), v in np.ndenumerate(ch.h)]
 
 
 def export_snapshots(records: list[SnapshotRecord], path) -> None:
     Path(path).write_text("".join(r.to_json() + "\n" for r in records))
 
 
-def _entry_index(antenna_id: int, carrier_hz: float, n_antennas: int,
-                 carrier_index: dict) -> tuple[int, int]:
+def _entry_index(antenna_id: int, carrier_hz: float, geom: ArrayGeometry,
+                 plan: CarrierPlan) -> tuple[int, int]:
     """(k, l) channel-matrix index of an (antenna id, carrier Hz) observation;
     an antenna id that is not an integer, an antenna outside the geometry or a
     carrier outside the plan raises a HarnessError."""
     if isinstance(antenna_id, bool) or not isinstance(antenna_id, int):
         raise HarnessError(f"antenna {antenna_id!r} is not an integer")
-    if not 0 <= antenna_id < n_antennas:
-        raise HarnessError(f"antenna {antenna_id} not in the {n_antennas}-antenna geometry")
-    l = carrier_index.get(carrier_hz)
-    if l is None:
+    if not 0 <= antenna_id < geom.n_antennas:
+        raise HarnessError(f"antenna {antenna_id} not in the {geom.n_antennas}-antenna geometry")
+    if carrier_hz not in plan.carriers_hz:
         raise HarnessError(f"carrier {carrier_hz} not in the plan")
-    return antenna_id, l
+    return antenna_id, plan.carriers_hz.index(carrier_hz)
 
 
 # Snapshot records of one EPC this close in time belong to one reply.
 SNAPSHOT_WINDOW_S = 10e-3
+# Lines parsed by one json.loads: bounds the parsed objects held at once.
+_PARSE_CHUNK_LINES = 2048
+
+
+def _chunk_columns(chunk: list, geom: ArrayGeometry, plan: CarrierPlan):
+    """Columns (epc, time, k, l, value, rssi) of snapshot lines parsed at once
+    and checked by whole columns, raising where a rule fails.  Each line gets
+    an array of its own, which, with no "[" in any line, closes only where the
+    line ends (a newline follows, so never in a string): one value per line."""
+    text = "[[" + "],\n[".join(chunk) + "]]"
+    docs = ([doc for (doc,) in json.loads(text)] if text.count("[") == len(chunk) + 1
+            else list(map(json.loads, chunk)))
+    epc, antenna, *numbers = zip(*map(itemgetter("epc", "antenna_id", *_SNAPSHOT_NUMBERS[:4]),
+                                      docs))
+    re, im = ([doc.get(key) for doc in docs] for key in ("re", "im"))
+    absent = np.array([v is None for v in re])      # None becomes NaN in the float arrays
+    if (len(docs) != len(chunk) or set(map(type, epc)) != {str} or set(map(type, antenna)) != {int}
+            or not set(map(type, itertools.chain(*numbers))) <= {int, float}
+            or not set(map(type, re + im)) <= {int, float, type(None)}
+            or not np.array_equal(absent, [v is None for v in im])):
+        raise ValueError("a column breaks a snapshot rule")
+    phase, ts, carrier, rssi, re, im = (np.array(c, dtype=float) for c in (*numbers, re, im))
+    k, carriers_hz = np.array(antenna, dtype=np.int64), np.asarray(plan.carriers_hz)
+    l = np.searchsorted(carriers_hz, carrier).clip(max=carriers_hz.size - 1)
+    if not (all(np.isfinite(c).all() for c in (phase, ts, carrier, rssi, re[~absent], im[~absent]))
+            and np.all((-math.pi < phase) & (phase <= math.pi + 1e-12))
+            and np.all((0 <= k) & (k < geom.n_antennas)) and np.all(carriers_hz[l] == carrier)):
+        raise ValueError("a column breaks a snapshot rule")
+    value = re + 1j * im
+    # from RSSI and phase by Python's power: numpy's may differ in the last bit
+    value[absent] = np.array([10 ** (x / 20) for x in rssi[absent].tolist()]) \
+        * np.exp(1j * phase[absent])
+    return epc, ts, k, l, value, rssi
 
 
 def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan):
@@ -552,47 +582,55 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan):
     Records sharing an EPC within SNAPSHOT_WINDOW_S form one reply; carriers or
     antennas never observed stay masked.  Malformed lines (a missing field,
     an ``epc`` that is not a string, an ``antenna_id`` that is not an integer,
-    ``re`` without ``im`` or the reverse, a non-finite number), and lines
-    naming an antenna or carrier outside the geometry or plan, raise with
-    their line number.
+    ``re`` without ``im`` or the reverse, a bool, string or non-finite
+    number), and lines naming an antenna or carrier outside the geometry or
+    plan, raise with their line number.
     """
-    n_antennas = geom.n_antennas
-    carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
-    entries = []
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    lines = Path(path).read_text().splitlines()
+    kept = list(filter(str.strip, lines))
+    chunks = []
+    for start in range(0, len(kept), _PARSE_CHUNK_LINES):
         try:
-            rec = parse_snapshot_line(line)
-            k, l = _entry_index(rec.antenna_id, rec.carrier_hz, n_antennas, carrier_index)
-        except Exception as exc:
-            raise HarnessError(f"line {i}: {exc}") from exc
-        if rec.re is not None:
-            value = rec.re + 1j * rec.im
-        else:
-            value = 10 ** (rec.rssi_db / 20) * np.exp(1j * rec.phase_rad)
-        entries.append((rec.timestamp_s, rec.epc, k, l, i, value, rec.rssi_db))
-    # by time, EPC, antenna and carrier (l follows carrier_hz, as the plan's
-    # carriers strictly increase); the line number keeps repeats in file order
-    entries.sort()
+            chunks.append(_chunk_columns(kept[start:start + _PARSE_CHUNK_LINES], geom, plan))
+        except (KeyError, OverflowError, RecursionError, TypeError, ValueError):
+            # the per-line reading states the rules: it names the first bad line
+            for i, line in enumerate(lines, start=1):
+                try:
+                    if line.strip():
+                        rec = parse_snapshot_line(line)
+                        _entry_index(rec.antenna_id, rec.carrier_hz, geom, plan)
+                except Exception as exc:
+                    raise HarnessError(f"line {i}: {exc}") from exc
+            raise AssertionError("snapshot columns refused lines that break no rule")
+    if not chunks:
+        return []
+    epc = [e for c in chunks for e in c[0]]
+    ts, k, l, value, rssi = (np.concatenate(c) for c in list(zip(*chunks))[1:])
+    tag = np.fromiter(map({e: i for i, e in enumerate(sorted(set(epc)))}.__getitem__, epc),
+                      dtype=np.int64)
+    # by time and EPC, stable: records of one cell keep file order (antenna
+    # and carrier keys would change no outcome)
+    order = np.lexsort((tag, ts))
     # In time order a record can only join its EPC's latest reply: an earlier
     # one opened more than a window before that reply did.
-    groups = []
-    latest: dict[str, tuple] = {}
-    for ts, epc, k, l, _, value, rssi_db in entries:
-        g = latest.get(epc)
-        if g is None or ts - g[1] > SNAPSHOT_WINDOW_S:
-            shape = (n_antennas, plan.n_carriers)
-            g = latest[epc] = (epc, ts, np.zeros(shape, dtype=complex),
-                               np.zeros(shape, dtype=bool), np.full(shape, -np.inf))
-            groups.append(g)
-        _, _, h, mask, quality = g
-        h[k, l] = value
-        mask[k, l] = True
-        quality[k, l] = rssi_db
-    return [(epc, ts, ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom,
-                                    quality=quality, mask=mask))
-            for epc, ts, h, mask, quality in groups]
+    reply, first, latest = [], [], {}
+    for j, e, t in zip(order.tolist(), tag[order].tolist(), ts[order].tolist()):
+        if e not in latest or t - latest[e][1] > SNAPSHOT_WINDOW_S:
+            latest[e] = (len(first), t)
+            first.append(j)
+        reply.append(latest[e][0])
+    # a (reply, k, l) cell observed twice keeps its later record in sort order
+    cell = (np.array(reply) * geom.n_antennas + k[order]) * plan.n_carriers + l[order]
+    cells, back = np.unique(cell[::-1], return_index=True)
+    h = np.zeros((len(first), geom.n_antennas, plan.n_carriers), dtype=complex)
+    quality = np.full(h.shape, -np.inf)
+    h.reshape(-1)[cells] = value[order[cell.size - 1 - back]]
+    quality.reshape(-1)[cells] = rssi[order[cell.size - 1 - back]]
+    # copies free the blocks here, not while the next import builds its own
+    return [(epc[r], float(ts[r]), ChannelMatrix(h=h[g].copy(), carriers_hz=plan.carriers_hz,
+                                                 geometry=geom, quality=quality[g].copy(),
+                                                 mask=np.isfinite(quality[g])))
+            for g, r in enumerate(first)]
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +639,10 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan):
 
 def packet_record(epc_bits, t0_s: float, alpha0_hz: float, crc_ok: bool,
                   ch: ChannelMatrix) -> dict:
-    channels = []
-    for k in range(ch.shape[0]):
-        for l in range(ch.shape[1]):
-            channels.append({
-                "antenna": k, "carrier_hz": ch.carriers_hz[l],
-                "re": float(ch.h[k, l].real), "im": float(ch.h[k, l].imag),
-                "snr_db": float(ch.quality[k, l]) if ch.quality is not None else None,
-            })
+    channels = [{"antenna": k, "carrier_hz": ch.carriers_hz[l], "re": float(v.real),
+                 "im": float(v.imag),
+                 "snr_db": float(ch.quality[k, l]) if ch.quality is not None else None}
+                for (k, l), v in np.ndenumerate(ch.h)]
     return {"epc": bits_to_hex(epc_bits), "t0": t0_s, "alpha0": alpha0_hz,
             "crc_ok": crc_ok, "channels": channels}
 
@@ -622,23 +656,18 @@ def record_to_channel(doc: dict, geom: ArrayGeometry, plan: CarrierPlan) -> Chan
     h = np.zeros((geom.n_antennas, plan.n_carriers), dtype=complex)
     quality = np.zeros(h.shape)
     mask = np.zeros(h.shape, dtype=bool)
-    carrier_index = {f: l for l, f in enumerate(plan.carriers_hz)}
     if not isinstance(doc.get("channels"), list):
         raise HarnessError(f"record {doc.get('epc')}: channels must be a list")
     for j, c in enumerate(doc["channels"]):
         try:
-            snr = c.get("snr_db")
-            k, l = _entry_index(c["antenna"], float(c["carrier_hz"]), geom.n_antennas,
-                                carrier_index)
-            re, im = float(c["re"]), float(c["im"])
-            if not (math.isfinite(re) and math.isfinite(im)
-                    and (snr is None or math.isfinite(snr))):
+            snr = 0.0 if c.get("snr_db") is None else _json_number("snr_db", c["snr_db"])
+            k, l = _entry_index(c["antenna"], _json_number("carrier_hz", c["carrier_hz"]),
+                                geom, plan)
+            re, im = _json_number("re", c["re"]), _json_number("im", c["im"])
+            if not all(map(math.isfinite, (re, im, snr))):
                 raise HarnessError("every number must be finite")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise HarnessError(f"record {doc.get('epc')} channel {j}: {exc}") from exc
-        h[k, l] = re + 1j * im
-        mask[k, l] = True
-        if snr is not None:
-            quality[k, l] = float(snr)
+        h[k, l], mask[k, l], quality[k, l] = re + 1j * im, True, snr
     return ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom, quality=quality,
                          mask=mask)

@@ -196,6 +196,21 @@ def test_localize_rejects_a_record_without_epc_before_localizing(tmp_path, monke
         _localize_lines(tmp_path, monkeypatch, [json.dumps(doc)])
 
 
+def test_localize_rejects_a_channel_number_that_is_no_json_number(tmp_path, monkeypatch):
+    # read as numbers, these would give h = 1+0.5j at quality 1.0: a wrong
+    # position and no error
+    geom = model.default_array_geometry()
+    plan = model.default_carrier_plan(desk_scale=True)
+    h = cs.synth_channel(model.Scene(tags=(harness.single_path_tag((0.1, 2.2, 1.11),
+                                                                   (0, 1) * 48),)),
+                         geom, plan, 0)
+    doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
+    doc["channels"][0].update({"re": True, "im": "0.5", "snr_db": True})
+    with pytest.raises(harness.HarnessError, match="^line 1: record 5{24} channel 0: snr_db "
+                                                   "must be a JSON number, not bool$"):
+        _localize_lines(tmp_path, monkeypatch, [json.dumps(doc)])
+
+
 @pytest.mark.parametrize("line, message", [
     ("{not json", "Expecting property name"),
     ("[1, 2]", "result has no epc"),

@@ -4,10 +4,13 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 import chordsim as cs
@@ -450,6 +453,197 @@ def test_snapshot_numeric_epc_raises_with_line(tmp_path, plan, geom):
         import_snapshots(path, geom, plan)
 
 
+def _good_snapshot(plan) -> dict:
+    return json.loads(SnapshotRecord(epc="ab", timestamp_s=0.0, antenna_id=0,
+                                     carrier_hz=plan.carriers_hz[0], phase_rad=0.0,
+                                     rssi_db=-40.0, re=0.01, im=0.0).to_json())
+
+
+def _reference_import(path, plan, geom):
+    """import_snapshots by brute force: each line through SnapshotRecord, each
+    record in sorted order joining the first reply of its EPC within the
+    window; a later record of a cell overwrites it."""
+    recs = [harness.parse_snapshot_line(line) for line in path.read_text().splitlines()
+            if line.strip()]
+    shape = (geom.n_antennas, plan.n_carriers)
+    replies = []
+    for rec in sorted(recs, key=lambda r: (r.timestamp_s, r.epc, r.antenna_id, r.carrier_hz)):
+        for reply in replies:
+            if reply[0] == rec.epc and abs(rec.timestamp_s - reply[1]) <= harness.SNAPSHOT_WINDOW_S:
+                break
+        else:
+            reply = (rec.epc, rec.timestamp_s, np.zeros(shape, dtype=complex),
+                     np.zeros(shape, dtype=bool), np.full(shape, -np.inf))
+            replies.append(reply)
+        k, l = rec.antenna_id, plan.carriers_hz.index(rec.carrier_hz)
+        if rec.re is not None:
+            reply[2][k, l] = rec.re + 1j * rec.im
+        else:
+            reply[2][k, l] = 10 ** (rec.rssi_db / 20) * np.exp(1j * rec.phase_rad)
+        reply[3][k, l] = True
+        reply[4][k, l] = rec.rssi_db
+    return replies
+
+
+# 0.01 - 0.0 is exactly the window (joins); 0.04 - 0.03 rounds just above it
+_EDGE_TIMES_S = (0.0, 0.004, 0.01, 0.0105, 0.03, 0.04, 0.05)
+
+
+@st.composite
+def _snapshot_text(draw, plan):
+    """Snapshot lines of interleaved EPCs with repeated (antenna, carrier)
+    cells, blank lines, JSON ints among the floats, and re and im on all,
+    none or some of the lines."""
+    shape = draw(st.sampled_from(["re_im", "rssi", "mixed"]))
+    number = st.floats(-1e3, 1e3) | st.integers(-1000, 1000)
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        doc = {"epc": draw(st.sampled_from(["a0", "b1", "c2"])),
+               "timestamp_s": draw(st.sampled_from(_EDGE_TIMES_S)),
+               "antenna_id": draw(st.integers(0, 2)),
+               "carrier_hz": plan.carriers_hz[draw(st.sampled_from([0, 1, 15]))],
+               "phase_rad": draw(st.floats(-math.pi, math.pi, exclude_min=True) | st.just(0)),
+               "rssi_db": draw(st.floats(-120, 40) | st.integers(-120, 40))}
+        if shape == "re_im" or shape == "mixed" and draw(st.booleans()):
+            doc["re"], doc["im"] = draw(number), draw(number)
+        lines += [""] * draw(st.integers(0, 1)) + [json.dumps(doc)]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), chunk_lines=st.integers(1, 7))
+def test_columnar_import_matches_the_per_line_reference(tmp_path_factory, plan, geom, data,
+                                                       chunk_lines):
+    path = tmp_path_factory.mktemp("columns") / "snap.jsonl"
+    path.write_text(data.draw(_snapshot_text(plan)))
+    with mock.patch.object(harness, "_PARSE_CHUNK_LINES", chunk_lines):
+        got = import_snapshots(path, geom, plan)
+    expected = _reference_import(path, plan, geom)
+    assert [(epc, ts) for epc, ts, _ in got] == [(epc, ts) for epc, ts, *_ in expected]
+    for (_, _, ch), (_, _, h, mask, quality) in zip(got, expected):
+        # bit-equal, signed zeros included
+        assert ch.h.tobytes() == h.tobytes()
+        assert np.array_equal(ch.mask, mask)
+        assert ch.quality.tobytes() == quality.tobytes()
+
+
+def test_valid_snapshot_files_import_by_whole_columns(tmp_path, plan, geom, monkeypatch):
+    # valid files never reach the per-line reading, across chunks and blank
+    # lines, with re and im, without, or mixed
+    def no_line_reading(*args):
+        raise AssertionError("a valid chunk was read line by line")
+
+    rng = np.random.default_rng(9)
+    tag = single_path_tag((0.2, 3.1, 1.11), random_epc(rng))
+    h = harness.noisy_channel(cs.synth_channel(Scene(tags=(tag,)), geom, plan, 0), 25.0, rng)
+    records = channel_to_snapshots(h, tag.epc_bits, 0.5)
+    path = tmp_path / "valid.jsonl"
+    for recs in (records, [replace(r, re=None, im=None) for r in records],
+                 [replace(r, re=None, im=None) if r.antenna_id % 2 else r for r in records]):
+        export_snapshots(recs, path)
+        path.write_text("\n" + path.read_text().replace("}\n", "}\n\n", 3))
+        expected = _reference_import(path, plan, geom)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "parse_snapshot_line", no_line_reading)
+            m.setattr(harness, "_PARSE_CHUNK_LINES", 5)
+            (epc, ts, ch), = import_snapshots(path, geom, plan)
+        assert (epc, ts) == expected[0][:2] == (bits_to_hex(tag.epc_bits), 0.5)
+        assert ch.h.tobytes() == expected[0][2].tobytes()
+        assert ch.mask.all()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"re": True}, "re must be a JSON number, not bool"),
+    ({"rssi_db": math.nan}, "every number must be finite"),
+    ({"antenna_id": 9}, "antenna 9 not in the 8-antenna geometry"),
+], ids=["bool_re", "nan_rssi", "antenna_outside"])
+def test_snapshot_error_names_the_first_bad_line_across_a_chunk_boundary(tmp_path, plan, geom,
+                                                                         change, message):
+    # the last line of the first parse chunk is malformed, the next is no JSON
+    good = json.dumps(_good_snapshot(plan))
+    n = harness._PARSE_CHUNK_LINES
+    bad = json.dumps({**_good_snapshot(plan), **change})
+    path = tmp_path / "boundary.jsonl"
+    path.write_text("\n".join(["", *[good] * (n - 1), bad, "not json", good]) + "\n")
+    with pytest.raises(HarnessError, match=f"^line {n + 1}: {re.escape(message)}$"):
+        import_snapshots(path, geom, plan)
+
+
+_NUMBER_FIELDS = ("timestamp_s", "carrier_hz", "phase_rad", "rssi_db", "re", "im")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"im": _DROP}, "re and im must be given together"),
+    ({"re": _DROP}, "re and im must be given together"),
+    ({"epc": _DROP}, "'epc'"),
+    ({"epc": 5}, "epc must be a string"),
+    ({"antenna_id": 1.0}, "antenna 1.0 is not an integer"),
+    ({"antenna_id": 8}, "antenna 8 not in the 8-antenna geometry"),
+    ({"carrier_hz": 1.0}, "carrier 1.0 not in the plan"),
+    ({"phase_rad": 3.5}, "phase must lie in (-pi, pi]"),
+    ({"phase_rad": math.nan}, "phase must lie in (-pi, pi]"),
+    ({"rssi_db": -math.inf}, "every number must be finite"),
+    ({"timestamp_s": 10 ** 400}, "int too large to convert to float"),
+    # the JSON-number rule; a null re or im is an absent one
+    *(({field: value}, f"{field} must be a JSON number, not {type(value).__name__}")
+      for field in _NUMBER_FIELDS for value in (True, "0.5", None)
+      if value is not None or field not in ("re", "im")),
+])
+def test_snapshot_fault_alone_raises_the_per_line_message(tmp_path, plan, geom, change,
+                                                          message):
+    # the only fault in the file, so the whole-column checks must catch it
+    good = _good_snapshot(plan)
+    bad = {k: v for k, v in {**good, **change}.items() if v is not _DROP}
+    path = tmp_path / "alone.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in (good, bad, good)))
+    with pytest.raises(HarnessError, match=f"^line 2: {re.escape(message)}$"):
+        import_snapshots(path, geom, plan)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n\n"], ids=["empty", "newline", "blank"])
+def test_snapshot_file_without_records_imports_no_reply(tmp_path, plan, geom, text):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(text)
+    assert import_snapshots(path, geom, plan) == []
+
+
+def test_snapshot_fault_on_the_last_line_without_a_newline(tmp_path, plan, geom):
+    good = json.dumps(_good_snapshot(plan))
+    bad = json.dumps({**_good_snapshot(plan), "carrier_hz": 900e6})
+    path = tmp_path / "last.jsonl"
+    path.write_text("\n".join([good] * 5 + [bad]))
+    with pytest.raises(HarnessError, match=r"^line 6: carrier 900000000.0 not in the plan$"):
+        import_snapshots(path, geom, plan)
+
+
+def _split_lines(good: str, how: str) -> tuple[str, str]:
+    """Two lines that are no JSON value alone, though joined by a comma they
+    parse as two snapshot objects."""
+    if how == "string":
+        i = good.index('"ab"') + 2
+        return good[:i], good[i:] + ", " + good
+    return good[:-1] + ', "x": [{}', "{}]}, " + good
+
+
+@pytest.mark.parametrize("how", ["string", "array"])
+def test_snapshot_line_that_is_no_json_value_alone_raises(tmp_path, plan, geom, how):
+    first, second = _split_lines(json.dumps(_good_snapshot(plan)), how)
+    assert len(json.loads(f"[{first},{second}]")) == 2
+    path = tmp_path / "split.jsonl"
+    path.write_text(f"{first}\n{second}\n")
+    with pytest.raises(HarnessError, match="^line 1: "):
+        import_snapshots(path, geom, plan)
+
+
+@pytest.mark.parametrize("field", _NUMBER_FIELDS)
+def test_snapshot_record_rejects_a_number_that_is_not_a_json_number(plan, field):
+    # so export_snapshots cannot write a line that import_snapshots refuses
+    fields = dict(epc="ab", timestamp_s=0.0, antenna_id=0, carrier_hz=plan.carriers_hz[0],
+                  phase_rad=0.0, rssi_db=-40.0, re=1, im=0)
+    with pytest.raises(HarnessError, match=f"^{field} must be a JSON number, not bool$"):
+        SnapshotRecord(**{**fields, field: True})
+
+
 def test_replay_equivalence(tmp_path, plan, geom, grid):
     # localizing from exported snapshots equals the in-memory run
     rng = np.random.default_rng(7)
@@ -562,4 +756,17 @@ def test_packet_record_unknown_carrier_raises(plan, geom, key, value, match):
     else:
         target[key] = value
     with pytest.raises(HarnessError, match=match):
+        harness.record_to_channel(doc, geom, plan)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("re", True), ("im", "0.5"), ("snr_db", True), ("carrier_hz", "787100000.0"),
+])
+def test_packet_record_number_must_be_a_json_number(plan, geom, key, value):
+    h = cs.synth_channel(Scene(tags=(single_path_tag((0.1, 2.2, 1.11), (0, 1) * 48),)),
+                         geom, plan, 0)
+    doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
+    doc["channels"][5][key] = value
+    with pytest.raises(HarnessError, match=f"^record 5{{24}} channel 5: {key} must be a JSON "
+                                           f"number, not {type(value).__name__}$"):
         harness.record_to_channel(doc, geom, plan)
