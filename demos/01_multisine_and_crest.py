@@ -2,8 +2,6 @@
 """Walk through the excitation design: the 16-tone plan, why aligned phases
 are hostile to the ADC, and how much the phase optimization buys."""
 
-import numpy as np
-
 import chordsim as cs
 from chordsim import validate_emission
 
@@ -23,7 +21,7 @@ print("\naligned phases: crest factor %.2f (PAPR %.2f dB)"
       % (cs.crest_factor(wave0), cs.papr_db(wave0)))
 
 # tuned phases push the peak down toward the RMS
-phases = cs.optimize_tone_phases(plan.tone_offsets_hz, iterations=200)
+phases = cs.optimize_tone_phases(plan.tone_offsets_hz)
 tuned = cs.default_carrier_plan(tone_phases_rad=phases)
 wave1 = cs.synth_multisine(tuned, 2e-3)
 print("optimized phases: crest factor %.2f (PAPR %.2f dB)"

@@ -12,13 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, model
-from .channelizer import (channelize, compression_report, load_bank, notch_dc, save_bank,
-                          WidebandCapture)
+from .channelizer import channelize, compression_report, load_bank, save_bank, WidebandCapture
 from .decoder import DecodeError, decode_pipeline
 from .harness import (BatchConfig, HarnessError, SceneSpec, ablation_sweep, evaluate_roi,
-                      packet_record, record_to_channel, run_batch, simulate_capture,
-                      sweep_rows_to_csv)
-from .locator import GridSpec, LocalizePolicy, PriorROI, classify_roi, localize
+                      packet_record, record_to_channel, simulate_capture, sweep_rows_to_csv)
+from .locator import GridSpec, PriorROI, classify_roi, localize
 from .model import default_array_geometry, default_carrier_plan, load_config, read_json_object
 from .waveform import (load_wave, optimize_tone_phases, save_wave, synth_multisine,
                        build_packet_baseband, TagPacket)
@@ -70,8 +68,7 @@ def cmd_simulate(args):
     out.mkdir(parents=True, exist_ok=True)
     captures, pkt, _ = simulate_capture(spec, plan, geom, args.seed)
     for cap in captures:
-        bank = notch_dc(channelize(cap, plan))
-        save_bank(bank, out / f"antenna_{cap.antenna_id}")
+        save_bank(channelize(cap, plan), out / f"antenna_{cap.antenna_id}")
     model.save_config(out / "setup.json", plan=plan, geom=geom, scene=scene)
     print(f"wrote {len(captures)} channel banks under {out}")
 
@@ -82,8 +79,6 @@ def cmd_channelize(args):
     cap = WidebandCapture(samples=wave.samples, rate_hz=wave.rate_hz, start_s=wave.start_s,
                           antenna_id=args.antenna)
     bank = channelize(cap, plan)
-    if args.notch:
-        bank = notch_dc(bank)
     manifest = save_bank(bank, args.out)
     print(f"wrote {manifest} ({bank.n_channels} channels, "
           f"compression {compression_report(plan)['information_fraction']:.4f})")
@@ -117,6 +112,7 @@ def cmd_localize(args):
     grid = extra.get("grid", GridSpec())
     prior = extra.get("prior")
     out_lines = []
+    status = 0
     for i, line in enumerate(Path(args.packets).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -126,7 +122,10 @@ def cmd_localize(args):
                 raise HarnessError("record has no epc")
             ch = record_to_channel(doc, geom, plan)
         except ValueError as exc:
-            raise HarnessError(f"line {i}: {exc}") from exc
+            # the records before it keep their positions
+            print(json.dumps({"error": f"line {i}: {exc}", "line": i}), file=sys.stderr)
+            status = 1
+            break
         est = localize(ch, grid, geom, plan, prior, keep_heatmap=bool(args.heatmap_dir))
         roi = classify_roi(est, prior, geom) if prior else None
         out_lines.append(json.dumps({
@@ -134,6 +133,7 @@ def cmd_localize(args):
             "likelihood": est.likelihood, "enhancement_applied": est.enhancement_applied,
             "roi": roi,
         }))
+        print(out_lines[-1])
         if args.heatmap_dir and est.heatmap is not None:
             hm_dir = Path(args.heatmap_dir)
             hm_dir.mkdir(parents=True, exist_ok=True)
@@ -142,10 +142,9 @@ def cmd_localize(args):
                 "ny": est.heatmap.shape[0], "nx": est.heatmap.shape[1],
                 "x_extent_m": grid.x_extent_m, "y_extent_m": grid.y_extent_m,
                 "cell_m": grid.cell_m}))
-    text = "\n".join(out_lines)
     if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+        Path(args.out).write_text("\n".join(out_lines) + "\n")
+    return status
 
 
 def cmd_evaluate(args):
@@ -202,7 +201,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("channelize", help="channelize a wideband capture file")
     p.add_argument("capture")
     p.add_argument("--antenna", type=int, default=0)
-    p.add_argument("--notch", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_channelize)
 

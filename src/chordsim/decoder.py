@@ -21,7 +21,7 @@ from scipy import linalg as sla
 from scipy import ndimage
 
 from .model import ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError
-from .channelizer import ChannelBank, apply_shaping
+from .channelizer import ChannelBank, apply_shaping, chain_transient_s, notch_dc
 from .waveform import (ALPHA0_LIMIT_FRAC, BLF_HZ, CLOCK_STRETCH, DRIFT_LIMIT_FRAC, MILLER_M,
                        PREAMBLE_BITS, SYMBOL_S, TagPacket, check_epc_reply, clock_map,
                        miller_encode, miller_half_periods, miller_symbol_signs, packet_layout,
@@ -516,10 +516,10 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
                     epc_len: int = 96) -> DecodedPacket:
     """One-shot decode of a tag reply from per-antenna channel banks.
 
-    Banks are expected to be time-aligned to a common capture clock and
-    DC-notched (by ``notch_dc``, or built so by the fast simulation path), of
-    one length, and hold the plan's carriers at its channel rate; bank i is
-    antenna i of the geometry (ModelError otherwise).  Raises
+    Banks are expected to be time-aligned to a common capture clock, of one
+    length, and hold the plan's carriers at its channel rate; bank i is
+    antenna i of the geometry (ModelError otherwise).  Each bank not yet
+    DC-notched is notched here by ``notch_dc``.  Raises
     DecodeError/NoPacketError with stage attribution.
     """
     if not banks:
@@ -537,6 +537,9 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
             raise ModelError(f"decode_pipeline: bank {i} rate does not match the plan")
         if not np.array_equal(b.carriers_hz, plan.carriers_hz):
             raise ModelError(f"decode_pipeline: bank {i} carriers do not match the plan")
+    # a notched bank (notch_dc's output, a fast-path bank) is used as it is,
+    # so notch_dc runs once per bank that needs it
+    banks = [b if b.notched else notch_dc(b) for b in banks]
     layout = packet_layout(epc_len)
 
     energies = np.array([np.einsum("ln,ln->l", v, v)
@@ -556,9 +559,13 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     w_track = np.linalg.eigh(best @ best.conj().T)[1][:, -1]
     tracks = track_packet_clock(w_track.conj() @ best, rate, sync, layout)
 
-    # Noise covariance per carrier from the signal-free pre-SOF window.
-    pre_hi = max(int(sync.t0_hat_s * rate) - 2, 2)
-    pre_lo = max(pre_hi - int(1e-3 * rate), 0)
+    # Noise covariance per carrier from the signal-free pre-SOF window, 1 ms
+    # long at most; it keeps clear of the receive chain's transient at both
+    # ends: the reply's onset smeared ahead of t0, and the leak's switch-on
+    # at the bank's start.
+    guard = math.ceil(chain_transient_s(plan) * rate)
+    pre_hi = int(sync.t0_hat_s * rate) - guard
+    pre_lo = max(pre_hi - int(1e-3 * rate), guard)
     if pre_hi - pre_lo < 8 * k_n:
         raise DecodeError("msnr_combine", "pre-SOF window too short for a covariance")
 

@@ -25,8 +25,8 @@ from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
 from .waveform import (BLF_HZ, SYMBOL_S, TagPacket, backscatter_mix, build_packet_baseband,
                        packet_layout, random_walk_drift, tone_sum)
 from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
-                          chain_transient_s, channelize, notch_dc, processed_tag_baseband,
-                          shaped_noise, _notch_spectrum)
+                          chain_transient_s, processed_tag_baseband, shaped_noise,
+                          _notch_spectrum)
 from .decoder import DecodeError, decode_pipeline
 from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI,
                       DEFAULT_POLICY, localize)
@@ -43,8 +43,8 @@ def bits_to_hex(bits) -> str:
     return "".join(f"{int(''.join(map(str, bits[i:i + 4])), 2):x}" for i in range(0, len(bits), 4))
 
 
-def random_epc(rng, n_bits: int = 96) -> tuple[int, ...]:
-    return tuple(int(b) for b in rng.integers(0, 2, size=n_bits))
+def random_epc(rng) -> tuple[int, ...]:
+    return tuple(int(b) for b in rng.integers(0, 2, size=96))
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,7 @@ class BatchConfig:
     grid: GridSpec
     prior: PriorROI | None = None
     policy: LocalizePolicy = DEFAULT_POLICY
-    mode: str = "channel"          # "channel" or "waveform"
-    fast_path: bool = True
+    mode: str = "channel"          # "channel" or "waveform" (fast simulation path)
     seed: int = 0
 
 
@@ -267,11 +266,7 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
                     decoded = True
                     t_start = time.perf_counter()
                 else:
-                    sim, pkt, _ = simulate_capture(spec, plan, geom, seed, ti,
-                                                   fast_path=cfg.fast_path)
-                    if not cfg.fast_path:
-                        sim = [channelize(c, plan) for c in sim]
-                    banks = [notch_dc(b) for b in sim]
+                    banks = simulate_capture(spec, plan, geom, seed, ti, fast_path=True)[0]
                     t_start = time.perf_counter()
                     packet = decode_pipeline(banks, plan, geom, epc_len=len(tag.epc_bits))
                     decoded = True

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -242,15 +242,10 @@ def tof_profile(ch_row, plan: CarrierPlan, d_max_m: float = 20.0,
 
 
 def tof_spectrum(ch_row, plan: CarrierPlan, d_max_m: float = 20.0,
-                 spacing_m: float = 0.05, one_way: bool = False) -> TofProfile:
-    """Same mathematics as ``tof_profile``; ``one_way=True`` re-parameterizes
-    the axis as one-way distance (total path / 2)."""
-    prof = tof_profile(ch_row, plan, d_max_m=(2 * d_max_m if one_way else d_max_m),
-                       spacing_m=(2 * spacing_m if one_way else spacing_m))
-    if not one_way:
-        return prof
-    return TofProfile(distances_m=prof.distances_m / 2,
-                      magnitude=prof.magnitude, complex_values=prof.complex_values)
+                 spacing_m: float = 0.05) -> TofProfile:
+    """``tof_profile`` on a one-way distance axis (total path / 2)."""
+    prof = tof_profile(ch_row, plan, d_max_m=2 * d_max_m, spacing_m=2 * spacing_m)
+    return replace(prof, distances_m=prof.distances_m / 2)
 
 
 def identify_direct_path(profile: TofProfile, prior: PriorROI) -> float | None:

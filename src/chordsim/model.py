@@ -402,42 +402,25 @@ def fraunhofer_distance(aperture_m: float, wavelength_m: float) -> float:
 @dataclass(frozen=True)
 class ToneCheck:
     carrier_hz: float
-    power_dbm: float
-    power_ok: bool
     in_exclusion_band: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.power_ok and not self.in_exclusion_band
 
 
 @dataclass(frozen=True)
 class EmissionReport:
     tones: tuple[ToneCheck, ...]
-    limit_dbm: float
-    exclusion_band_hz: tuple[float, float]
 
     @property
     def passed(self) -> bool:
-        return all(t.passed for t in self.tones)
+        return not any(t.in_exclusion_band for t in self.tones)
 
 
-def validate_emission(plan: CarrierPlan,
-                      limit_dbm: float = PER_TONE_LIMIT_DBM,
-                      exclusion_band_hz: tuple[float, float] = ISM_BAND_HZ) -> EmissionReport:
-    """Check each tone against the per-tone power ceiling and the exclusion
-    band.  Reports failures, never raises."""
-    lo, hi = exclusion_band_hz
-    tones = tuple(
-        ToneCheck(
-            carrier_hz=f,
-            power_dbm=plan.per_tone_power_dbm,
-            power_ok=plan.per_tone_power_dbm <= limit_dbm + 1e-12,
-            in_exclusion_band=lo <= f <= hi,
-        )
-        for f in plan.carriers_hz
-    )
-    return EmissionReport(tones=tones, limit_dbm=limit_dbm, exclusion_band_hz=exclusion_band_hz)
+def validate_emission(plan: CarrierPlan) -> EmissionReport:
+    """Check each tone against the ISM exclusion band.  Reports failures,
+    never raises; the per-tone power ceiling needs no report, since
+    ``CarrierPlan`` refuses a plan above it."""
+    lo, hi = ISM_BAND_HZ
+    return EmissionReport(tones=tuple(ToneCheck(carrier_hz=f, in_exclusion_band=lo <= f <= hi)
+                                      for f in plan.carriers_hz))
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,13 @@ def _multisine_period(phases: np.ndarray, k: np.ndarray, n_grid: int) -> np.ndar
     return np.fft.ifft(spectrum) * n_grid
 
 
-def optimize_tone_phases(offsets_hz, iterations: int = 200) -> tuple[float, ...]:
+def optimize_tone_phases(offsets_hz) -> tuple[float, ...]:
     """Crest-minimizing tone phases for an arbitrary commensurate tone set.
 
-    Newman initialization followed by iterative clip-and-restore: the period
-    waveform is hard-clipped at its RMS and the tone phases are re-read from
-    the clipped spectrum.  The best phase set seen is kept, so the result is
-    never worse than the initialization.
+    Newman initialization followed by 200 rounds of clip-and-restore: the
+    period waveform is hard-clipped at its RMS and the tone phases are re-read
+    from the clipped spectrum.  The best phase set seen is kept, so the result
+    is never worse than the initialization.
     """
     k, _ = _tone_harmonics(offsets_hz)
     n = k.size
@@ -155,7 +155,7 @@ def optimize_tone_phases(offsets_hz, iterations: int = 200) -> tuple[float, ...]
     best = phases.copy()
     best_cf = cf(best)
     cur = phases.copy()
-    for _ in range(max(0, iterations)):
+    for _ in range(200):
         x = _multisine_period(cur, k, n_grid)
         rms = np.sqrt(np.mean(np.abs(x) ** 2))
         mag = np.abs(x)
@@ -168,11 +168,11 @@ def optimize_tone_phases(offsets_hz, iterations: int = 200) -> tuple[float, ...]
     return tuple(float(p) for p in best)
 
 
-def optimize_crest_phases(n_tones: int, iterations: int = 200) -> tuple[float, ...]:
+def optimize_crest_phases(n_tones: int) -> tuple[float, ...]:
     """Crest-minimizing phases for ``n_tones`` uniformly spaced tones."""
     if n_tones < 2:
         raise ModelError("need at least two tones")
-    return optimize_tone_phases(np.arange(1, n_tones + 1, dtype=float), iterations)
+    return optimize_tone_phases(np.arange(1, n_tones + 1, dtype=float))
 
 
 # ---------------------------------------------------------------------------

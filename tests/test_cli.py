@@ -142,9 +142,29 @@ def test_channelize_command(tmp_path):
     cap = tmp_path / "cap.cf32"
     cs.waveform.save_wave(wave, cap)
     out = tmp_path / "bank"
-    assert run(["channelize", cap, "--notch", "--out", out]) == 0
+    assert run(["channelize", cap, "--out", out]) == 0
     bank = cs.channelizer.load_bank(out)
     assert bank.n_channels == 16
+
+
+def test_channelize_then_decode_needs_no_notch(tmp_path, capsys):
+    # channelize writes banks that hold each tone's leak; decode notches them
+    plan, geom, _ = cli._load_setup(SimpleNamespace(config=None))
+    tag = harness.single_path_tag((0.4, 3.0, 1.11), harness.random_epc(np.random.default_rng(3)))
+    spec = harness.SceneSpec(scene=model.Scene(tags=(tag,)), snr_db=20.0, leak_db=20.0)
+    captures, _, _ = harness.simulate_capture(spec, plan, geom, seed=6)
+    manifests = []
+    for cap in captures:
+        wave = tmp_path / f"cap_{cap.antenna_id}.cf32"
+        cs.waveform.save_wave(cs.waveform.BasebandWave(samples=cap.samples, rate_hz=cap.rate_hz),
+                              wave)
+        out = tmp_path / f"antenna_{cap.antenna_id}"
+        assert run(["channelize", wave, "--antenna", cap.antenna_id, "--out", out]) == 0
+        manifests.append(out / "manifest.json")
+    capsys.readouterr()
+    assert run(["decode", *manifests]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["crc_ok"] is True and rec["epc"] == harness.bits_to_hex(tag.epc_bits)
 
 
 def test_channelize_command_rejects_a_non_finite_start(tmp_path):
@@ -168,7 +188,9 @@ def test_sweep_command(tmp_path):
     assert csv[0] == "setting,p50_m,p90_m,p99_m"
 
 
-def _localize_lines(tmp_path, monkeypatch, lines):
+def _localize_lines(tmp_path, monkeypatch, capsys, lines):
+    """The error of localize on a file whose only record is malformed: exit
+    code 1, no stdout and one JSON line on stderr."""
     # localization is not under test here: a call to it fails the test
     def no_localize(*args, **kwargs):
         raise AssertionError("a malformed record reached localize")
@@ -176,15 +198,19 @@ def _localize_lines(tmp_path, monkeypatch, lines):
     monkeypatch.setattr(cli, "localize", no_localize)
     packets = tmp_path / "packets.jsonl"
     packets.write_text("".join(line + "\n" for line in lines))
-    return run(["localize", packets])
+    assert run(["localize", packets]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    return json.loads(err)
 
 
-def test_localize_names_the_line_that_is_not_json(tmp_path, monkeypatch):
-    with pytest.raises(harness.HarnessError, match="^line 2: "):
-        _localize_lines(tmp_path, monkeypatch, ["", "{not json"])
+def test_localize_names_the_line_that_is_not_json(tmp_path, monkeypatch, capsys):
+    doc = _localize_lines(tmp_path, monkeypatch, capsys, ["", "{not json"])
+    assert doc["line"] == 2 and doc["error"].startswith("line 2: ")
 
 
-def test_localize_rejects_a_record_without_epc_before_localizing(tmp_path, monkeypatch):
+def test_localize_rejects_a_record_without_epc_before_localizing(tmp_path, monkeypatch,
+                                                                 capsys):
     geom = model.default_array_geometry()
     plan = model.default_carrier_plan(desk_scale=True)
     h = cs.synth_channel(model.Scene(tags=(harness.single_path_tag((0.1, 2.2, 1.11),
@@ -192,11 +218,12 @@ def test_localize_rejects_a_record_without_epc_before_localizing(tmp_path, monke
                          geom, plan, 0)
     doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
     del doc["epc"]
-    with pytest.raises(harness.HarnessError, match="^line 1: record has no epc"):
-        _localize_lines(tmp_path, monkeypatch, [json.dumps(doc)])
+    err = _localize_lines(tmp_path, monkeypatch, capsys, [json.dumps(doc)])
+    assert err == {"error": "line 1: record has no epc", "line": 1}
 
 
-def test_localize_rejects_a_channel_number_that_is_no_json_number(tmp_path, monkeypatch):
+def test_localize_rejects_a_channel_number_that_is_no_json_number(tmp_path, monkeypatch,
+                                                                   capsys):
     # read as numbers, these would give h = 1+0.5j at quality 1.0: a wrong
     # position and no error
     geom = model.default_array_geometry()
@@ -206,9 +233,29 @@ def test_localize_rejects_a_channel_number_that_is_no_json_number(tmp_path, monk
                          geom, plan, 0)
     doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
     doc["channels"][0].update({"re": True, "im": "0.5", "snr_db": True})
-    with pytest.raises(harness.HarnessError, match="^line 1: record 5{24} channel 0: snr_db "
-                                                   "must be a JSON number, not bool$"):
-        _localize_lines(tmp_path, monkeypatch, [json.dumps(doc)])
+    err = _localize_lines(tmp_path, monkeypatch, capsys, [json.dumps(doc)])
+    assert re.fullmatch("line 1: record 5{24} channel 0: snr_db must be a JSON number, not bool",
+                        err["error"])
+    assert err["line"] == 1
+
+
+def test_localize_prints_the_records_before_a_malformed_one(tmp_path, capsys):
+    geom = model.default_array_geometry()
+    plan = model.default_carrier_plan(desk_scale=True)
+    h = cs.synth_channel(model.Scene(tags=(harness.single_path_tag((0.1, 2.2, 1.11),
+                                                                   (0, 1) * 48),)),
+                         geom, plan, 0)
+    good = json.dumps(harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h))
+    packets = tmp_path / "packets.jsonl"
+    packets.write_text(f"{good}\n{{not json\n{good}\n")
+    results = tmp_path / "results.jsonl"
+    assert run(["localize", packets, "--out", results]) == 1
+    out, err = capsys.readouterr()
+    assert results.read_text() == out
+    (line,) = out.splitlines()
+    pos = json.loads(line)
+    assert abs(pos["x"] - 0.1) < 0.15 and abs(pos["y"] - 2.2) < 0.15
+    assert json.loads(err)["line"] == 2
 
 
 @pytest.mark.parametrize("line, message", [

@@ -642,11 +642,40 @@ def test_quality_is_finite_on_a_noiseless_pre_sof_window(plan, geom):
 
 def test_fast_path_quality_does_not_saturate(plan, geom):
     # quality from the template-mismatch residual read 15.7 dB on this 60 dB
-    # scene; the pre-SOF noise gives 46.0 dB
+    # scene; the pre-SOF noise gives 57.4 dB
     tag = single_path_tag((0.4, 3.0, 1.11), random_epc(np.random.default_rng(17)))
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=60.0, leak_db=None, t0_s=0.8e-3)
     banks, _, _ = simulate_capture(spec, plan, geom, seed=21, fast_path=True)
     assert np.median(dc.decode_pipeline(banks, plan, geom).channel.quality) > 40.0
+
+
+def _full_path_banks(plan, geom, t0_s, seed=3):
+    tag = single_path_tag((0.4, 3.0, 1.11), random_epc(np.random.default_rng(17)))
+    spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=20.0, leak_db=20.0, t0_s=t0_s)
+    captures, _, _ = simulate_capture(spec, plan, geom, seed=seed)
+    return [chz.channelize(c, plan) for c in captures]
+
+
+@pytest.mark.parametrize("t0_s", [0.92e-3, 1.08e-3])
+def test_pre_sof_noise_window_skips_the_chain_transient_at_both_ends(plan, geom, t0_s):
+    # a window reaching back to the bank's start holds the leak's switch-on
+    # transient: this 20 dB scene read 14.9 dB at t0 = 0.92 ms
+    packet = dc.decode_pipeline(_full_path_banks(plan, geom, t0_s), plan, geom)
+    assert packet.crc_ok
+    assert 18.5 <= np.median(packet.channel.quality) <= 20.5
+
+
+def test_decode_notches_its_banks(plan, geom):
+    # channelize's banks hold each tone's leak at DC; decode_pipeline notches
+    # them itself, as a caller's notch_dc would
+    banks = _full_path_banks(plan, geom, 1.0e-3, seed=4)
+    got = dc.decode_pipeline(banks, plan, geom)
+    want = dc.decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom)
+    assert got.crc_ok and (got.rn16_bits, got.epc_bits) == (want.rn16_bits, want.epc_bits)
+    assert got.sync == want.sync
+    assert all(np.array_equal(a, b) for a, b in zip(got.tracks, want.tracks))
+    assert np.array_equal(got.channel.h, want.channel.h)
+    assert np.array_equal(got.channel.quality, want.channel.quality)
 
 
 def test_integration_gain_template_length_scaling(plan, geom):
@@ -844,7 +873,8 @@ def test_pipeline_single_antenna_decodes_and_localizes(plan, geom):
 
 
 def test_pipeline_64_bit_epc(plan, geom):
-    tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(25), 64))
+    epc = tuple(int(b) for b in np.random.default_rng(25).integers(0, 2, size=64))
+    tag = single_path_tag((0.3, 2.5, 1.11), epc)
     packet, pkt = _decode_fast(plan, geom, tag, seed=6, epc_len=64)
     assert packet.crc_ok and packet.epc_bits == tag.epc_bits
     assert len(packet.epc_bits) == 64 and packet.rn16_bits == pkt.rn16_bits

@@ -25,7 +25,7 @@ from chordsim.harness import (BatchConfig, HarnessError, SceneSpec, SnapshotReco
                               import_snapshots, nearest_rank_percentile,
                               multipath_tag, random_epc, run_batch, simulate_capture,
                               single_path_tag)
-from chordsim.model import ModelError, Scene, default_array_geometry, default_carrier_plan
+from chordsim.model import Scene, default_array_geometry, default_carrier_plan
 
 
 @pytest.fixture(scope="module")

@@ -289,7 +289,7 @@ def test_tof_two_resolved_paths(uplan):
     # one-way 3.0 m and 4.2 m with a metallic bounce: both maxima within
     # 0.15 m of truth
     h = _h_oneway(uplan, [3.0, 4.2], [1.0, 0.5 * np.exp(1j * math.pi)])
-    prof = loc.tof_spectrum(h, uplan, d_max_m=8.0, spacing_m=0.02, one_way=True)
+    prof = loc.tof_spectrum(h, uplan, d_max_m=8.0, spacing_m=0.02)
     m = prof.magnitude
     pk, _ = sps.find_peaks(m, height=0.25 * m.max(), prominence=0.12 * m.max())
     found = [float(prof.distances_m[p]) for p in pk if 2.0 < prof.distances_m[p] < 5.5]
@@ -300,7 +300,7 @@ def test_tof_two_resolved_paths(uplan):
 
 def test_tof_sub_resolution_merged(uplan):
     h = _h_oneway(uplan, [3.0, 3.3], [1.0, 1.0])
-    prof = loc.tof_spectrum(h, uplan, d_max_m=8.0, spacing_m=0.02, one_way=True)
+    prof = loc.tof_spectrum(h, uplan, d_max_m=8.0, spacing_m=0.02)
     m = prof.magnitude
     pk, _ = sps.find_peaks(m, height=0.25 * m.max(), prominence=0.12 * m.max())
     found = [p for p in pk if 2.0 < prof.distances_m[p] < 4.5]
@@ -313,12 +313,13 @@ def test_tof_requires_two_carriers(uplan):
 
 
 def test_tof_spectrum_identical_to_profile(uplan):
+    # the same values on the one-way axis: half the total path length
     rng = np.random.default_rng(5)
     h = np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
     a = loc.tof_profile(h, uplan, d_max_m=12.0, spacing_m=0.04)
-    b = loc.tof_spectrum(h, uplan, d_max_m=12.0, spacing_m=0.04)
+    b = loc.tof_spectrum(h, uplan, d_max_m=6.0, spacing_m=0.02)
     assert np.array_equal(a.complex_values, b.complex_values)
-    assert np.array_equal(a.distances_m, b.distances_m)
+    assert np.array_equal(a.distances_m / 2, b.distances_m)
 
 
 def test_tof_unambiguous_range(plan):
@@ -340,7 +341,7 @@ def test_identify_two_peak_prior(uplan):
 def test_identify_rejects_sidelobe_below_threshold(uplan):
     # in-phase two-path rows grow a leakage bump nearer than the true peak
     h = _h_oneway(uplan, [3.0, 4.2], [1.0, 0.6])
-    prof = loc.tof_spectrum(h, uplan, d_max_m=8.0, spacing_m=0.02, one_way=True)
+    prof = loc.tof_spectrum(h, uplan, d_max_m=8.0, spacing_m=0.02)
     prior = loc.PriorROI(path_bounds_m=(1.5, 4.0), peak_threshold=0.55)
     d0 = loc.identify_direct_path(prof, prior)
     assert d0 is not None

@@ -249,14 +249,6 @@ def test_emission_default_plan_passes(plan):
     assert len(report.tones) == 16
 
 
-def test_emission_power_violation_identified():
-    plan = default_carrier_plan()
-    hot = replace(plan, per_tone_power_dbm=-15.0)
-    report = cs.validate_emission(hot, limit_dbm=-20.0)
-    assert not report.passed
-    assert all(not t.power_ok for t in report.tones)
-
-
 def test_emission_exclusion_band():
     plan = model.uniform_carrier_plan(4, span_hz=60e6, center_hz=915e6)
     report = cs.validate_emission(plan)

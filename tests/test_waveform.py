@@ -11,7 +11,7 @@ from chordsim import channelizer as chz
 from chordsim import harness
 from chordsim import waveform as wf
 from chordsim.harness import SceneSpec, simulate_capture, single_path_tag
-from chordsim.model import ModelError, Scene, default_carrier_plan, uniform_carrier_plan
+from chordsim.model import ModelError, Scene, default_carrier_plan
 
 RATE = 2.56e6
 BLF = 250e3
@@ -209,7 +209,7 @@ def test_crest_errors():
 
 
 def test_optimized_sixteen_tone_crest(plan):
-    phases = cs.optimize_tone_phases(plan.tone_offsets_hz, iterations=200)
+    phases = cs.optimize_tone_phases(plan.tone_offsets_hz)
     tuned = default_carrier_plan(tone_phases_rad=phases)
     wave = cs.synth_multisine(tuned, 2e-3)
     cf = cs.crest_factor(wave)
@@ -229,7 +229,7 @@ def test_two_tone_optimum_matches_phase_sweep():
     for phi in np.arange(0, 2 * math.pi, 0.01):
         x = np.exp(2j * math.pi * t) + np.exp(1j * (2 * math.pi * 2 * t + phi))
         best = min(best, np.max(np.abs(x)) / np.sqrt(np.mean(np.abs(x) ** 2)))
-    phases = cs.optimize_crest_phases(2, iterations=50)
+    phases = cs.optimize_crest_phases(2)
     x = np.exp(1j * (2 * math.pi * t + phases[0])) + np.exp(1j * (2 * math.pi * 2 * t + phases[1]))
     cf = np.max(np.abs(x)) / np.sqrt(np.mean(np.abs(x) ** 2))
     assert cf == pytest.approx(best, rel=1e-3)
