@@ -16,8 +16,8 @@ from .waveform import (BasebandWave, TagPacket, apply_clock_offset, backscatter_
 from .channelizer import (ChannelBank, WidebandCapture, channelize,
                           dynamic_range_required, notch_dc)
 from .decoder import (DecodedPacket, DecodeError, NoPacketError, SyncEstimate,
-                      compensate_clock, decode_pipeline, mrc_combine, msnr_combine,
-                      pll_track, preamble_search, viterbi_decode)
+                      decode_pipeline, mrc_combine, msnr_combine, pll_track,
+                      preamble_search, viterbi_decode)
 from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI, TofProfile,
                       aoa_spectrum, basic_hologram, classify_roi, enhance_direct_path,
                       identify_direct_path, localize, peak_find_2d, summation_layer,

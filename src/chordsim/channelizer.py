@@ -162,10 +162,10 @@ class WidebandCapture:
 class ChannelBank:
     """Per-carrier baseband streams at the decimated channel rate.
 
-    ``group_delay_s`` is the filter transient span at each end of every
-    stream; those samples are present but not trustworthy.  ``notched`` is a
-    fact, not a setting: every stream's DFT bins within +/-NOTCH_HZ of DC are
-    zero (``notch_dc``'s output and the fast simulation path's banks).
+    ``notched`` is a fact, not a setting: every stream's DFT bins within
+    +/-NOTCH_HZ of DC are zero (``notch_dc``'s output and the fast simulation
+    path's banks).  The filter transient at each end of every stream is
+    ``chain_transient_s(plan)``.
     """
 
     streams: np.ndarray
@@ -173,7 +173,6 @@ class ChannelBank:
     carriers_hz: tuple[float, ...]
     antenna_id: int = 0
     start_s: float = 0.0
-    group_delay_s: float = 0.0
     notched: bool = False
 
     def __post_init__(self):
@@ -219,8 +218,7 @@ def channelize(capture: WidebandCapture, plan: CarrierPlan) -> ChannelBank:
     streams = _fft_bank(capture.samples, plan, offsets, start_phase)
     return ChannelBank(
         streams=streams, rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz,
-        antenna_id=capture.antenna_id, start_s=capture.start_s,
-        group_delay_s=chain_transient_s(plan))
+        antenna_id=capture.antenna_id, start_s=capture.start_s)
 
 
 def apply_shaping(wave: BasebandWave, out_rate_hz: float) -> BasebandWave:
@@ -319,7 +317,6 @@ def save_bank(bank: ChannelBank, directory) -> Path:
         "rate_hz": bank.rate_hz,
         "start_s": bank.start_s,
         "antenna_id": bank.antenna_id,
-        "group_delay_s": bank.group_delay_s,
         "carriers_hz": list(bank.carriers_hz),
         "files": files,
     }
@@ -332,12 +329,15 @@ def load_bank(manifest_path) -> ChannelBank:
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
     meta = read_json_object(manifest_path, "manifest", ("files", "rate_hz", "carriers_hz",
-                                                         "antenna_id", "start_s", "group_delay_s"))
+                                                         "antenna_id", "start_s"))
+    antenna_id = meta["antenna_id"]
+    if isinstance(antenna_id, bool) or not isinstance(antenna_id, int):
+        raise ModelError(f"{manifest_path}: antenna_id {antenna_id!r} is not an integer")
     streams = [load_wave(manifest_path.parent / name).samples for name in meta["files"]]
     for name, x in zip(meta["files"], streams):
         if not np.all(np.isfinite(x)):
             raise ModelError(f"channel file {name}: samples must be finite")
     return ChannelBank(
         streams=np.asarray(streams), rate_hz=float(meta["rate_hz"]),
-        carriers_hz=tuple(meta["carriers_hz"]), antenna_id=int(meta["antenna_id"]),
-        start_s=float(meta["start_s"]), group_delay_s=float(meta["group_delay_s"]))
+        carriers_hz=tuple(meta["carriers_hz"]), antenna_id=antenna_id,
+        start_s=float(meta["start_s"]))

@@ -382,10 +382,8 @@ def _clock_taps(n: int, rate_hz: float, spans) -> tuple[np.ndarray, np.ndarray]:
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def compensate_clock(streams: np.ndarray, rate_hz: float, spans) -> np.ndarray:
-    """Resample streams along the last axis by the taps of ``_clock_taps``."""
-    x = np.asarray(streams, dtype=complex)
-    idx, w = _clock_taps(x.shape[-1], rate_hz, spans)
+def _resample(x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Resample x along the last axis by the taps (idx, w) of ``_clock_taps``."""
     # interpolate in place on the two gathered copies: the same arithmetic
     # with fewer packet-sized temporaries
     out, nxt = np.take(x, idx, axis=-1), np.take(x, idx + 1, axis=-1)
@@ -516,11 +514,11 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
                     epc_len: int = 96) -> DecodedPacket:
     """One-shot decode of a tag reply from per-antenna channel banks.
 
-    Banks are expected to be time-aligned to a common capture clock, of one
-    length, and hold the plan's carriers at its channel rate; bank i is
-    antenna i of the geometry (ModelError otherwise).  Each bank not yet
-    DC-notched is notched here by ``notch_dc``.  Raises
-    DecodeError/NoPacketError with stage attribution.
+    Banks must share one start time (a common capture clock) and one length,
+    and hold the plan's carriers at its channel rate; bank i is antenna i of
+    the geometry (ModelError otherwise).  Each bank not yet DC-notched is
+    notched here by ``notch_dc``.  Raises DecodeError/NoPacketError with
+    stage attribution.
     """
     if not banks:
         raise ModelError("need at least one channel bank")
@@ -531,6 +529,8 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
     for i, b in enumerate(banks):
         if b.antenna_id != i:
             raise ModelError(f"decode_pipeline: bank {i} holds antenna {b.antenna_id}")
+        if b.start_s != banks[0].start_s:
+            raise ModelError(f"decode_pipeline: bank {i} start differs from bank 0's")
         if b.n_samples != banks[0].n_samples:
             raise ModelError(f"decode_pipeline: bank {i} length differs from bank 0's")
         if abs(b.rate_hz - plan.channel_out_rate_hz) > 1e-6:
@@ -591,7 +591,7 @@ def decode_pipeline(banks: list[ChannelBank], plan: CarrierPlan, geom: ArrayGeom
         noise[:, l] = rn.diagonal().real
         raw[l], w_l, _ = msnr_combine(rows[:, lo:hi], rn)
         noise_vars[l] = max(float(np.real(w_l.conj() @ rn @ w_l)), 1e-30)
-    steered = raw[:, idx - lo] * (1.0 - w) + raw[:, idx + 1 - lo] * w
+    steered = _resample(raw, idx - lo, w)
 
     pre_tmpl = _preamble_template(BLF_HZ, rate)        # the grid's alpha0 = 0 row
     gains = steered[:, :pre_tmpl.size] @ pre_tmpl / float(np.sum(pre_tmpl ** 2))

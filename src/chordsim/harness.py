@@ -25,8 +25,7 @@ from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
 from .waveform import (BLF_HZ, SYMBOL_S, TagPacket, backscatter_mix, build_packet_baseband,
                        packet_layout, random_walk_drift, tone_sum)
 from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
-                          chain_transient_s, processed_tag_baseband, shaped_noise,
-                          _notch_spectrum)
+                          processed_tag_baseband, shaped_noise, _notch_spectrum)
 from .decoder import DecodeError, decode_pipeline
 from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI,
                       DEFAULT_POLICY, localize)
@@ -134,8 +133,7 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
             streams += shaped_noise(rng, streams.shape, noise_var_chan, plan)
             banks.append(ChannelBank(streams=streams, rate_hz=plan.channel_out_rate_hz,
                                      carriers_hz=plan.carriers_hz, antenna_id=k,
-                                     start_s=0.0, group_delay_s=chain_transient_s(plan),
-                                     notched=True))
+                                     start_s=0.0, notched=True))
         return banks, pkt, h
 
     leak_amp = 0.0 if spec.leak_db is None else mean_h * 10 ** (spec.leak_db / 20)

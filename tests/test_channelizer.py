@@ -40,7 +40,7 @@ def test_single_tone_steering(plan):
     off = plan.tone_offsets_hz[3] + 50e3
     cap = _capture(np.exp(1j * (2 * math.pi * off * t + plan.tone_phases_rad[3])), plan)
     bank = chz.channelize(cap, plan)
-    skip = int(bank.group_delay_s * bank.rate_hz * 2) + 8
+    skip = int(chz.chain_transient_s(plan) * bank.rate_hz * 2) + 8
     powers = np.mean(np.abs(bank.streams[:, skip:-skip]) ** 2, axis=1)
     assert np.argmax(powers) == 3
     # the extracted channel is a clean 50 kHz complex exponential
@@ -129,7 +129,7 @@ def test_channelize_round_trip_matches_direct_baseband(plan, geom):
     rx = cs.backscatter_mix(plan, tag_bl.samples.size, tag_bl, h, 0)
     bank = chz.channelize(_capture(rx.samples, plan), plan)
     ref = chz.processed_tag_baseband(tagwave, plan)
-    skip = int(bank.group_delay_s * bank.rate_hz * 2) + 8
+    skip = int(chz.chain_transient_s(plan) * bank.rate_hz * 2) + 8
     for l in range(plan.n_carriers):
         a = bank.streams[l][skip:-skip]
         b = (h.h[0, l] * ref.samples)[skip:-skip]
@@ -166,7 +166,7 @@ def test_adjacent_isolation_physical_spacing():
     b[:b_wave.samples.size] = b_wave.samples[:n]
     sig = np.exp(1j * (2 * math.pi * plan.tone_offsets_hz[5] * t + plan.tone_phases_rad[5])) * b
     bank = chz.channelize(_capture(sig, plan), plan)
-    skip = int(bank.group_delay_s * bank.rate_hz * 2) + 8
+    skip = int(chz.chain_transient_s(plan) * bank.rate_hz * 2) + 8
     powers = np.mean(np.abs(bank.streams[:, skip:-skip]) ** 2, axis=1)
     iso_db = 10 * np.log10((powers[4] + powers[6]) / powers[5])
     assert iso_db < -60.0
@@ -284,13 +284,11 @@ def test_bank_save_load_round_trip(tmp_path, plan):
     rng = np.random.default_rng(7)
     streams = rng.standard_normal((16, 2048)) + 1j * rng.standard_normal((16, 2048))
     bank = chz.ChannelBank(streams=streams, rate_hz=plan.channel_out_rate_hz,
-                           carriers_hz=plan.carriers_hz, antenna_id=3,
-                           group_delay_s=1.2e-5)
+                           carriers_hz=plan.carriers_hz, antenna_id=3)
     manifest = chz.save_bank(bank, tmp_path / "ant3")
     back = chz.load_bank(manifest)
     assert back.antenna_id == 3
     assert back.carriers_hz == plan.carriers_hz
-    assert back.group_delay_s == pytest.approx(bank.group_delay_s)
     assert np.allclose(back.streams, streams, atol=1e-5)
 
 
@@ -299,18 +297,19 @@ def test_bank_with_the_earlier_compression_key_loads_and_decodes_alike(tmp_path,
                         (1.2, 4.0, 1.11), 0.5)
     banks, _, _ = harness.simulate_capture(SceneSpec(scene=Scene(tags=(tag,)), snr_db=10.0),
                                            plan, geom, seed=4, fast_path=True)
-    manifests = [chz.save_bank(chz.notch_dc(b), tmp_path / f"antenna_{b.antenna_id}")
-                 for b in banks]
+    manifests = [chz.save_bank(b, tmp_path / f"antenna_{b.antenna_id}") for b in banks]
     current = [chz.load_bank(m) for m in manifests]
-    # manifests written before the summary was dropped from ChannelBank held it
+    # manifests written before the summary and the transient were dropped
+    # from ChannelBank held them
     for m in manifests:
         m.write_text(json.dumps({**json.loads(m.read_text()),
-                                 "compression": chz.compression_report(plan)}))
+                                 "compression": chz.compression_report(plan),
+                                 "group_delay_s": chz.chain_transient_s(plan)}))
     earlier = [chz.load_bank(m) for m in manifests]
     for a, b in zip(current, earlier):
         assert np.array_equal(a.streams, b.streams)
-        assert (a.rate_hz, a.carriers_hz, a.antenna_id, a.start_s, a.group_delay_s) == \
-            (b.rate_hz, b.carriers_hz, b.antenna_id, b.start_s, b.group_delay_s)
+        assert (a.rate_hz, a.carriers_hz, a.antenna_id, a.start_s) == \
+            (b.rate_hz, b.carriers_hz, b.antenna_id, b.start_s)
     got, ref = decode_pipeline(earlier, plan, geom), decode_pipeline(current, plan, geom)
     assert got.crc_ok and got.epc_bits == ref.epc_bits == tag.epc_bits
     assert np.array_equal(got.channel.h, ref.channel.h)
@@ -369,6 +368,19 @@ def test_load_bank_names_the_file_and_the_missing_key(tmp_path, plan, target, ed
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ModelError, match=message):
         chz.load_bank(manifest)
+
+
+@pytest.mark.parametrize("antenna_id", [2.7, True, "2"])
+def test_load_bank_refuses_an_antenna_id_that_is_not_an_integer(tmp_path, plan, antenna_id):
+    # int() had read 2.7 as antenna 2, true as 1 and "2" as 2
+    bank = chz.ChannelBank(streams=np.ones((plan.n_carriers, 64), dtype=complex),
+                           rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz)
+    manifest = chz.save_bank(bank, tmp_path / "ant0")
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                    "antenna_id": antenna_id}))
+    with pytest.raises(ModelError, match="antenna_id .* is not an integer") as err:
+        chz.load_bank(manifest)
+    assert str(err.value).startswith(f"{manifest}: ")
 
 
 def test_shaped_noise_follows_the_shaping_filter():

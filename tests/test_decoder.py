@@ -175,11 +175,17 @@ def test_pll_known_answer(plan, snr_db, digest):
 
 # --- clock compensation ------------------------------------------------------
 
+def _compensate(x, spans):
+    """x resampled along its last axis onto the nominal clock of spans, as
+    decode_pipeline resamples its steered streams."""
+    return dc._resample(x, *dc._clock_taps(x.shape[-1], RATE, spans))
+
+
 def test_compensate_identity(plan):
     rng = np.random.default_rng(6)
     pkt = _packet(rng, t0_s=0.5e-3)
     x = _shaped_packet(pkt, plan)
-    comp = dc.compensate_clock(x, RATE, [(pkt.t0_s, 0.0, np.zeros(170), LAYOUT.total_s)])
+    comp = _compensate(x, [(pkt.t0_s, 0.0, np.zeros(170), LAYOUT.total_s)])
     i0 = int(round(pkt.t0_s * RATE))
     direct = x[i0:i0 + comp.size]
     err = np.sum(np.abs(comp - direct) ** 2) / np.sum(np.abs(direct) ** 2)
@@ -190,8 +196,7 @@ def test_compensate_constant_offset_correlation(plan):
     rng = np.random.default_rng(7)
     pkt = _packet(rng, t0_s=0.5e-3, alpha0_hz=0.025 * BLF)
     x = _shaped_packet(pkt, plan)
-    comp = dc.compensate_clock(x, RATE, [(pkt.t0_s, pkt.alpha0_hz, np.zeros(190),
-                                          LAYOUT.total_s)])
+    comp = _compensate(x, [(pkt.t0_s, pkt.alpha0_hz, np.zeros(190), LAYOUT.total_s)])
     tmpl = chz.apply_shaping(wf.packet_template(pkt, RATE), RATE).samples.real
     n = min(comp.size, tmpl.size)
     rho = abs(np.vdot(tmpl[:n], comp[:n])) / (np.linalg.norm(comp[:n]) * np.linalg.norm(tmpl[:n]))
@@ -210,8 +215,8 @@ def test_compensate_two_spans_equal_their_parts(plan):
     streams = np.stack([x, 0.5j * x, x[::-1]])
     spans = [(sync.t0_hat_s, sync.alpha0_hat_hz, tr1, LAYOUT.epc_start_s),
              (sync.epc_t0_hat_s, sync.epc_alpha_hat_hz, tr2, LAYOUT.total_s - LAYOUT.epc_start_s)]
-    both = dc.compensate_clock(streams, RATE, spans)
-    parts = [dc.compensate_clock(streams, RATE, [span]) for span in spans]
+    both = _compensate(streams, spans)
+    parts = [_compensate(streams, [span]) for span in spans]
     assert both.shape[:-1] == streams.shape[:-1]
     assert np.array_equal(both, np.concatenate(parts, axis=-1))
 
@@ -312,7 +317,7 @@ def test_sync_bank_built_once_per_length_and_read_only(plan, geom):
     for seed in range(3):
         banks, _, _ = simulate_capture(spec, plan, geom, seed=seed, fast_path=True)
         lengths.add(banks[0].n_samples)
-        dc.decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom)
+        dc.decode_pipeline(banks, plan, geom)
     assert len(lengths) == 1
     assert dc._sync_bank.cache_info().misses == 1
     for cached in dc._sync_bank(RATE, 1 << 14):
@@ -544,7 +549,6 @@ def test_full_packet_estimate_noiseless_phase(plan, geom):
     scene = Scene(tags=(tag,))
     spec = SceneSpec(scene=scene, snr_db=60.0, leak_db=None, t0_s=0.8e-3)
     banks, pkt, h = simulate_capture(spec, plan, geom, seed=21, fast_path=True)
-    banks = [chz.notch_dc(b) for b in banks]
     est = dc.decode_pipeline(banks, plan, geom).channel
     err = np.abs(np.angle(est.h * np.conj(h.h)))
     assert np.max(err) < 1e-3
@@ -583,7 +587,7 @@ def test_packet_estimate_matches_the_compensated_matched_filter(plan, geom, snr_
     est = dc._packet_estimate(list(streams), *dc._clock_taps(x.size, RATE, spans), noise,
                               pkt.rn16_bits, pkt.epc_bits, RATE, plan, geom)
     tmpl = chz.apply_shaping(wf.packet_template(pkt, RATE), RATE).samples.real
-    h_ref = dc.compensate_clock(streams, RATE, spans) @ tmpl / float(np.sum(tmpl ** 2))
+    h_ref = _compensate(streams, spans) @ tmpl / float(np.sum(tmpl ** 2))
     assert np.max(np.abs(est.h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
     active = np.abs(tmpl) > 0.1
     snr_ref = 10 * np.log10(np.abs(h_ref) ** 2 * float(np.mean(tmpl[active] ** 2)) / noise)
@@ -598,8 +602,8 @@ def test_steering_commutes_with_clock_compensation(plan):
     rows = np.outer(rng.standard_normal(8) + 1j * rng.standard_normal(8), x) + (
         rng.standard_normal((8, x.size)) + 1j * rng.standard_normal((8, x.size)))
     w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    lhs = w.conj() @ dc.compensate_clock(rows, RATE, spans)
-    rhs = dc.compensate_clock(w.conj() @ rows, RATE, spans)
+    lhs = w.conj() @ _compensate(rows, spans)
+    rhs = _compensate(w.conj() @ rows, spans)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
@@ -707,7 +711,6 @@ def test_two_path_estimate_matches_forward_model(plan, geom):
     scene = Scene(tags=(tag,))
     spec = SceneSpec(scene=scene, snr_db=30.0, leak_db=20.0, t0_s=0.9e-3)
     banks, pkt, h = simulate_capture(spec, plan, geom, seed=5, fast_path=True)
-    banks = [chz.notch_dc(b) for b in banks]
     packet = dc.decode_pipeline(banks, plan, geom)
     err = np.abs(packet.channel.h - h.h)
     assert np.max(err) / np.max(np.abs(h.h)) < 0.05
@@ -721,7 +724,6 @@ def test_pipeline_end_to_end_clean(plan, geom):
     scene = Scene(tags=(tag,))
     spec = SceneSpec(scene=scene, snr_db=18.0, leak_db=20.0)
     banks, pkt, h = simulate_capture(spec, plan, geom, seed=42, fast_path=True)
-    banks = [chz.notch_dc(b) for b in banks]
     packet = dc.decode_pipeline(banks, plan, geom)
     assert packet.crc_ok
     assert packet.epc_bits == tag.epc_bits
@@ -746,7 +748,6 @@ def test_pipeline_stress_corner(plan, geom):
     spec = SceneSpec(scene=scene, snr_db=10.0, leak_db=20.0,
                      alpha0_frac=-0.10, drift_frac=0.025)
     banks, pkt, h = simulate_capture(spec, plan, geom, seed=77, fast_path=True)
-    banks = [chz.notch_dc(b) for b in banks]
     packet = dc.decode_pipeline(banks, plan, geom)
     assert packet.crc_ok and packet.epc_bits == tag.epc_bits
 
@@ -757,7 +758,6 @@ def test_pipeline_deterministic(plan, geom):
     scene = Scene(tags=(tag,))
     spec = SceneSpec(scene=scene, snr_db=14.0, leak_db=20.0, drift_frac=0.02)
     banks, _, _ = simulate_capture(spec, plan, geom, seed=3, fast_path=True)
-    banks = [chz.notch_dc(b) for b in banks]
     a = dc.decode_pipeline(banks, plan, geom)
     b = dc.decode_pipeline(banks, plan, geom)
     assert a.epc_bits == b.epc_bits
@@ -792,7 +792,7 @@ def test_pipeline_epc_with_preamble_look_alikes(plan, geom):
                      alpha0_frac=0.05, drift_frac=0.025)
     for s in range(20):
         banks, pkt, _ = simulate_capture(spec, plan, geom, seed=977 * s + 13, fast_path=True)
-        packet = dc.decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom)
+        packet = dc.decode_pipeline(banks, plan, geom)
         assert packet.crc_ok and packet.epc_bits == tag.epc_bits
         assert packet.rn16_bits == pkt.rn16_bits
 
@@ -812,14 +812,15 @@ def test_pipeline_rejects_banks_that_do_not_match_the_plan(plan, geom):
     tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(28)))
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=18.0, leak_db=20.0)
     banks, _, _ = simulate_capture(spec, plan, geom, seed=8, fast_path=True)
-    banks = [chz.notch_dc(b) for b in banks]
     shifted = tuple(f + 5e6 for f in plan.carriers_hz)
-    # a 5 MHz carrier offset, a bank at twice the rate, a short bank, and a
-    # plan of half the banks' carriers
+    # a 5 MHz carrier offset, a bank at twice the rate, a short bank, banks
+    # 1 ms apart (they had decoded with a good CRC), and a plan of half the
+    # banks' carriers
     cases = [([replace(b, carriers_hz=shifted) for b in banks], plan, "carriers"),
              ([replace(banks[0], rate_hz=2 * banks[0].rate_hz)] + banks[1:], plan, "rate"),
              (banks[:-1] + [replace(banks[-1], streams=banks[-1].streams[:, :-100])], plan,
               "length"),
+             ([replace(b, start_s=1e-3 * b.antenna_id) for b in banks], plan, "start"),
              (banks, subset_plan(plan, range(8)), "carriers")]
     for case_banks, case_plan, what in cases:
         with pytest.raises(ModelError, match=f"decode_pipeline: bank .* {what}"):
@@ -832,7 +833,6 @@ def test_pipeline_rejects_banks_out_of_antenna_order(plan, geom):
     tag = single_path_tag((0.4, 3.0, 1.11), random_epc(np.random.default_rng(28)))
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=20.0, leak_db=20.0)
     banks, _, _ = simulate_capture(spec, plan, geom, seed=8, fast_path=True)
-    banks = [chz.notch_dc(b) for b in banks]
     cases = [(banks[::-1], "bank 0 holds antenna 7"),
              (banks[:7] + [banks[6]], "bank 7 holds antenna 6")]
     for case_banks, what in cases:
@@ -847,7 +847,6 @@ def test_pipeline_names_the_bank_and_carrier_of_a_non_finite_sample(plan, geom):
     tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(28)))
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=18.0, leak_db=20.0)
     banks, _, _ = simulate_capture(spec, plan, geom, seed=8, fast_path=True)
-    banks = [chz.notch_dc(b) for b in banks]
     streams = banks[3].streams.copy()
     streams[5, 1000] = np.nan
     banks[3] = replace(banks[3], streams=streams)
@@ -858,7 +857,7 @@ def test_pipeline_names_the_bank_and_carrier_of_a_non_finite_sample(plan, geom):
 def _decode_fast(plan, geom, tag, seed, **kw):
     spec = SceneSpec(scene=Scene(tags=(tag,)), snr_db=18.0, leak_db=20.0)
     banks, pkt, _ = simulate_capture(spec, plan, geom, seed=seed, fast_path=True)
-    return dc.decode_pipeline([chz.notch_dc(b) for b in banks], plan, geom, **kw), pkt
+    return dc.decode_pipeline(banks, plan, geom, **kw), pkt
 
 
 def test_pipeline_single_antenna_decodes_and_localizes(plan, geom):
