@@ -181,6 +181,8 @@ class ChannelBank:
             raise ModelError("stream count must equal carrier count")
         if self.streams.shape[1] == 0:
             raise ModelError("channel bank streams must hold at least one sample")
+        if not self.rate_hz > 0 or not math.isfinite(self.start_s):
+            raise ModelError("channel bank needs a positive rate and a finite start_s")
 
     @property
     def n_channels(self) -> int:
@@ -260,21 +262,25 @@ def _notch_spectrum(spectra: np.ndarray, rate_hz: float) -> np.ndarray:
     return spectra
 
 
-def shaped_noise(rng: np.random.Generator, shape: tuple[int, int], noise_var: float,
-                 plan: CarrierPlan) -> np.ndarray:
-    """Complex Gaussian channel-rate noise rows with the shaping filter's
+def fast_banks(rng: np.random.Generator, tag_row: np.ndarray, h: np.ndarray,
+               noise_var: float, plan: CarrierPlan) -> list[ChannelBank]:
+    """The fast simulation path's banks, notched: row l at antenna k is the tag
+    row times h[k, l] plus complex Gaussian noise with the shaping filter's
     spectrum and variance noise_var / decimation per sample, drawn in the band
     (DFT bins within SHAPE_STOP_HZ, beyond which the filter is below
-    -STOPBAND_ATTEN_DB), so the rows are stationary to their ends, and then
-    notched as ``notch_dc`` notches rows of their length."""
-    rate, n = plan.channel_out_rate_hz, shape[1]
+    -STOPBAND_ATTEN_DB), so the rows are stationary to their ends."""
+    rate, n = plan.channel_out_rate_hz, tag_row.size
     band = np.abs(np.fft.fftfreq(n, d=1.0 / rate)) <= SHAPE_STOP_HZ
     gain = np.abs(np.fft.fft(_shaping_taps(rate), n))[band]
     # E|g|^2 = 2 per draw, and E|ifft(X)[m]|^2 = sum_k E|X_k|^2 / n^2
     gain *= n * math.sqrt(noise_var / plan.decimation / 2 / float(np.sum(gain ** 2)))
-    spec = np.zeros(shape, dtype=complex)
-    spec[:, band] = rng.standard_normal((shape[0], 2 * gain.size)).view(complex) * gain
-    return np.fft.ifft(_notch_spectrum(spec, rate), axis=1)
+    tag_spec, banks = np.fft.fft(tag_row), []
+    for k, h_k in enumerate(h):
+        spec = np.outer(h_k, tag_spec)
+        spec[:, band] += rng.standard_normal((h_k.size, 2 * gain.size)).view(complex) * gain
+        streams = np.fft.ifft(_notch_spectrum(spec, rate), axis=1)
+        banks.append(ChannelBank(streams, rate, plan.carriers_hz, antenna_id=k, notched=True))
+    return banks
 
 
 def notch_dc(bank: ChannelBank) -> ChannelBank:
@@ -328,8 +334,8 @@ def load_bank(manifest_path) -> ChannelBank:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    meta = read_json_object(manifest_path, "manifest", ("files", "rate_hz", "carriers_hz",
-                                                         "antenna_id", "start_s"))
+    meta = read_json_object(manifest_path, "manifest", ("files", "carriers_hz", "antenna_id"),
+                            ("rate_hz", "start_s"))
     antenna_id = meta["antenna_id"]
     if isinstance(antenna_id, bool) or not isinstance(antenna_id, int):
         raise ModelError(f"{manifest_path}: antenna_id {antenna_id!r} is not an integer")

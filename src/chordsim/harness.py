@@ -24,8 +24,8 @@ from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     PropagationPath, Scene, TagDef, subset_plan, synth_channel)
 from .waveform import (BLF_HZ, SYMBOL_S, TagPacket, backscatter_mix, build_packet_baseband,
                        packet_layout, random_walk_drift, tone_sum)
-from .channelizer import (ChannelBank, WidebandCapture, bandlimit_tag, chain_noise_gain,
-                          processed_tag_baseband, shaped_noise, _notch_spectrum)
+from .channelizer import (WidebandCapture, bandlimit_tag, chain_noise_gain, fast_banks,
+                          processed_tag_baseband)
 from .decoder import DecodeError, decode_pipeline
 from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI,
                       DEFAULT_POLICY, localize)
@@ -99,13 +99,12 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
     Returns (captures-or-banks, packet, channel).  The full path emits
     WidebandCapture objects for the channelizer, sum_l (h_kl b + leak_kl) tone_l
     plus white noise at antenna k (``waveform.tone_sum``); the fast path
-    applies the channelizer's own filter chain to the tag baseband directly
-    and emits per-antenna ChannelBank objects, bypassing the wideband mixing;
-    its noise is drawn in the shaping band, stationary to the bank edges.  Its
-    banks come out notched (the tag row and the noise spectrum notched once)
-    and hold no leak: the leak is DC, which the notch removes exactly.  Either
-    way the banks come out at a length that FFTs fast (the notch and the
-    preamble search transform every stream).
+    applies the channelizer's own filter chain to the tag baseband directly,
+    bypassing the wideband mixing, and sets the noise level for the SNR;
+    ``channelizer.fast_banks`` builds its per-antenna ChannelBank objects,
+    which come out notched and hold no leak: the leak is DC, which the notch
+    removes exactly.  Either way the banks come out at a length that FFTs
+    fast (the notch and the preamble search transform every stream).
     """
     rng = np.random.default_rng(seed)
     pkt = _make_packet(spec, spec.scene.tags[tag_index], rng)
@@ -125,16 +124,7 @@ def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,
         padded = np.pad(tag_wave.samples, (0, _fast_capture_length(n_wave, plan) - n_wave))
         base = processed_tag_baseband(replace(tag_wave, samples=padded), plan).samples
         sig_power = float(np.mean(np.abs(base[np.abs(base) > 0.1]) ** 2))
-        noise_var_chan = mean_h ** 2 * sig_power / snr_lin
-        base = np.fft.ifft(_notch_spectrum(np.fft.fft(base), plan.channel_out_rate_hz))
-        banks = []
-        for k in range(geom.n_antennas):
-            streams = np.outer(h.h[k], base)
-            streams += shaped_noise(rng, streams.shape, noise_var_chan, plan)
-            banks.append(ChannelBank(streams=streams, rate_hz=plan.channel_out_rate_hz,
-                                     carriers_hz=plan.carriers_hz, antenna_id=k,
-                                     start_s=0.0, notched=True))
-        return banks, pkt, h
+        return fast_banks(rng, base, h.h, mean_h ** 2 * sig_power / snr_lin, plan), pkt, h
 
     leak_amp = 0.0 if spec.leak_db is None else mean_h * 10 ** (spec.leak_db / 20)
     tag_bl = bandlimit_tag(tag_wave)
@@ -239,7 +229,7 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
                          ("carrier_idx", car, cfg.plan.n_carriers)):
         if len(set(idx)) < len(idx) or not all(i in range(n) for i in idx):
             raise HarnessError(f"{name} must hold distinct indices in range({n})")
-    plan = cfg.plan if carrier_idx is None else subset_plan(cfg.plan, car)
+    plan = subset_plan(cfg.plan, car)
     geom = cfg.geom if antenna_idx is None else replace(
         cfg.geom, rx_positions_m=tuple(cfg.geom.rx_positions_m[i] for i in ant))
     entries = np.ix_(ant, car)

@@ -208,7 +208,7 @@ def summation_layer(enhanced_phases: np.ndarray, grid: GridSpec, geom: ArrayGeom
     return _phase_hologram(phases, mask, grid, geom, plan)
 
 
-def peak_find_2d(heatmap: np.ndarray, rel_threshold: float = 0.5) -> list[tuple[int, int, float]]:
+def peak_find_2d(heatmap: np.ndarray, rel_threshold: float) -> list[tuple[int, int, float]]:
     """Local maxima over 8-neighborhoods above rel_threshold * global max,
     sorted by magnitude descending."""
     heat = np.asarray(heatmap, dtype=float)
@@ -389,13 +389,10 @@ def localize(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry, plan: Carri
     if d0 is None:
         return estimate(base, fallback="no direct path")
     enhanced = np.zeros(sub.shape)
-    for k, observed in enumerate(sub.mask.tolist()):
-        if all(observed):
-            enhanced[k] = enhance_direct_path(sub.h[k], sub_plan, d0)
-        elif any(observed):
-            seen = np.flatnonzero(observed)
-            enhanced[k, seen] = enhance_direct_path(sub.h[k, seen],
-                                                    subset_plan(sub_plan, seen), d0)
+    for k, seen in enumerate(sub.mask):
+        if seen.any():
+            enhanced[k, seen] = enhance_direct_path(
+                sub.h[k, seen], subset_plan(sub_plan, np.flatnonzero(seen)), d0)
     final = summation_layer(enhanced, grid, geom, sub_plan, mask=sub.mask)
     # The enhanced pick must still explain the raw phases: among the basic
     # hologram's ambiguous peaks it selects one, but a bad range pin would

@@ -158,10 +158,12 @@ def uniform_carrier_plan(n_tones: int = 16,
 
 
 def subset_plan(plan: CarrierPlan, indices) -> CarrierPlan:
-    """Plan restricted to a subset of carriers (used by the ablation sweeps)."""
+    """Plan restricted to a subset of carriers (the plan itself for all of them)."""
     idx = sorted(int(i) for i in indices)
     if not idx:
         raise ModelError("carrier subset must not be empty")
+    if idx == list(range(plan.n_carriers)):
+        return plan
     return replace(
         plan,
         carriers_hz=tuple(plan.carriers_hz[i] for i in idx),
@@ -446,16 +448,20 @@ def save_config(path, plan: CarrierPlan | None = None,
         json.dump(doc, fh, indent=2)
 
 
-def read_json_object(path, what: str, keys=()) -> dict:
+def read_json_object(path, what: str, keys=(), numbers=()) -> dict:
     """The JSON object in the file at ``path``.  Any other JSON value, or an
-    object that misses one of ``keys``, raises a ModelError naming the file."""
+    object that misses one of ``keys`` or ``numbers``, or whose ``numbers``
+    are not JSON ints or floats (nor bools), raises a ModelError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: {what} must be a JSON object")
-    for key in keys:
+    for key in (*keys, *numbers):
         if key not in doc:
             raise ModelError(f"{path}: {what} misses key {key!r}")
+    for key in numbers:
+        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
+            raise ModelError(f"{path}: {what} {key} {doc[key]!r} is not a number")
     return doc
 
 

@@ -451,7 +451,8 @@ def save_wave(wave: BasebandWave, path) -> Path:
 
 def load_wave(path) -> BasebandWave:
     path = Path(path)
-    meta = read_json_object(_sidecar_path(path), "sidecar", ("n_samples", "rate_hz", "start_s"))
+    meta = read_json_object(_sidecar_path(path), "sidecar", ("n_samples",),
+                            ("rate_hz", "start_s"))
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     samples = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
     if samples.size != meta["n_samples"]:

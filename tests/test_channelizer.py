@@ -383,11 +383,19 @@ def test_load_bank_refuses_an_antenna_id_that_is_not_an_integer(tmp_path, plan, 
     assert str(err.value).startswith(f"{manifest}: ")
 
 
+def _noise_rows(plan, n_antennas, n, var, seed):
+    """The fast path's banks for a zero tag row, stacked: noise only."""
+    banks = chz.fast_banks(np.random.default_rng(seed), np.zeros(n, dtype=complex),
+                           np.ones((n_antennas, plan.n_carriers)), var, plan)
+    return np.concatenate([b.streams for b in banks])
+
+
 def test_shaped_noise_follows_the_shaping_filter():
     plan = default_carrier_plan(desk_scale=True)
     rate, shape, var = plan.channel_out_rate_hz, (64, 10752), 3.0
-    x = chz.shaped_noise(np.random.default_rng(5), shape, var, plan)
-    assert np.array_equal(x, chz.shaped_noise(np.random.default_rng(5), shape, var, plan))
+    x = _noise_rows(plan, 4, shape[1], var, seed=5)
+    assert x.shape == shape
+    assert np.array_equal(x, _noise_rows(plan, 4, shape[1], var, seed=5))
     freqs = np.abs(np.fft.fftfreq(shape[1], d=1.0 / rate))
     notch = freqs <= chz.NOTCH_HZ
     gain2 = np.abs(np.fft.fft(chz._shaping_taps(rate), shape[1])) ** 2
@@ -404,3 +412,58 @@ def test_shaped_noise_follows_the_shaping_filter():
     # blocks of 64 bins x 64 rows: ~1.6% standard error each
     blocks = ratio[:ratio.size // 64 * 64].reshape(-1, 64).mean(axis=1)
     assert np.max(np.abs(blocks / np.mean(ratio) - 1.0)) < 0.1
+
+
+def test_fast_banks_are_the_notched_signal_plus_the_noise_only_banks(plan):
+    # at finite SNR: the signal and the noise add in the spectrum, and the
+    # noise draws do not depend on the tag row
+    rng = np.random.default_rng(11)
+    n, var = 4096, 30.0
+    row = rng.standard_normal(2 * n).view(complex)
+    h = rng.standard_normal((3, 2 * plan.n_carriers)).view(complex)
+    banks = chz.fast_banks(np.random.default_rng(5), row, h, var, plan)
+    noise = chz.fast_banks(np.random.default_rng(5), np.zeros(n, dtype=complex), h, var, plan)
+    for k, (bank, noise_bank) in enumerate(zip(banks, noise)):
+        assert (bank.antenna_id, bank.notched, bank.start_s) == (k, True, 0.0)
+        assert bank.rate_hz == plan.channel_out_rate_hz and bank.carriers_hz == plan.carriers_hz
+        signal = chz.notch_dc(replace(bank, streams=np.outer(h[k], row), notched=False)).streams
+        peak = np.max(np.abs(bank.streams))
+        # the noise is not negligible next to the signal
+        assert np.max(np.abs(noise_bank.streams)) > 0.1 * peak
+        assert np.max(np.abs(bank.streams - (signal + noise_bank.streams))) <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("key", ["rate_hz", "start_s"])
+@pytest.mark.parametrize("target", ["manifest.json", "ch_00.json"])
+@pytest.mark.parametrize("value", ["2560000.0", True, None, [0.0]])
+def test_load_bank_refuses_a_rate_or_start_that_is_not_a_number(tmp_path, plan, key, target,
+                                                                 value):
+    # float() had read "2560000.0" as a rate and true as a start of 1 s
+    bank = chz.ChannelBank(streams=np.ones((plan.n_carriers, 64), dtype=complex),
+                           rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz)
+    manifest = chz.save_bank(bank, tmp_path / "ant0")
+    path = tmp_path / "ant0" / target
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    with pytest.raises(ModelError, match=f"{key} .* is not a number") as err:
+        chz.load_bank(manifest)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("start_s", math.nan, "a finite start_s"),
+    ("start_s", -math.inf, "a finite start_s"),
+    ("rate_hz", math.nan, "a positive rate"),
+    ("rate_hz", 0, "a positive rate"),
+    ("rate_hz", -1.0, "a positive rate"),
+])
+def test_channel_bank_refuses_a_non_finite_start_or_a_rate_that_is_not_positive(
+        tmp_path, plan, key, value, message):
+    fields = dict(streams=np.ones((plan.n_carriers, 64), dtype=complex),
+                  rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz)
+    with pytest.raises(ModelError, match=message):
+        chz.ChannelBank(**{**fields, key: value})
+    # a manifest with that value, its channel files intact, fails alike at load
+    manifest = chz.save_bank(chz.ChannelBank(**fields), tmp_path / "ant0")
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+    with pytest.raises(ModelError, match=message):
+        chz.load_bank(manifest)

@@ -343,6 +343,7 @@ def test_load_config_names_the_file_and_section(tmp_path, doc, message):
 def test_subset_plan_and_geometry(plan, geom):
     sub = model.subset_plan(plan, [0, 1, 2])
     assert sub.carriers_hz == plan.carriers_hz[:3]
+    assert model.subset_plan(plan, reversed(range(plan.n_carriers))) is plan
     g2 = model.subset_geometry(geom, 2)
     assert g2.n_antennas == 2
     xs = [p[0] for p in g2.rx_positions_m]

@@ -1,6 +1,8 @@
 """Multisine, crest optimization, Miller coding and clock-model tests."""
 
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -493,6 +495,19 @@ def test_wave_file_round_trip(tmp_path, plan):
     assert np.allclose(back.samples, wave.samples, atol=1e-6)
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     assert raw.size == 2 * wave.samples.size
+
+
+@pytest.mark.parametrize("key", ["rate_hz", "start_s"])
+@pytest.mark.parametrize("value", ["2560000.0", False, None])
+def test_load_wave_refuses_a_rate_or_start_that_is_not_a_number(tmp_path, key, value):
+    # float() had read "2560000.0" as a rate and false as a start of 0 s
+    path = wf.save_wave(wf.BasebandWave(samples=np.ones(16), rate_hz=RATE),
+                        tmp_path / "x.cf32")
+    sidecar = tmp_path / "x.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+    with pytest.raises(ModelError, match=f"^{re.escape(str(sidecar))}: sidecar {key} .* "
+                                         "is not a number"):
+        wf.load_wave(path)
 
 
 def test_synthesis_bit_reproducible():
