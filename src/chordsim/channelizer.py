@@ -17,6 +17,11 @@ its zero-phase response, decimation is the mean of the D spectral replicas
 and shaping a product on the decimated spectrum.  The padding holds both
 filters' tails, so every circular convolution is the linear one.  The tones
 repeat on that grid, which the simulator's tone sums use (waveform.tone_sum).
+
+Each FIR is a Kaiser-windowed sinc by Kaiser's order and beta formulas
+(``_design_lowpass``), and time-domain filtering is one FFT convolution
+(``_filter_aligned``); both equal scipy.signal's firwin(kaiserord(...)) and
+fftconvolve(mode="same") bit for bit, and scipy.signal is not imported.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
+from scipy import fft as sfft, special
 
 from .model import CarrierPlan, ModelError, TAG_BANDWIDTH_HZ, read_json_object
 from .waveform import BLF_HZ, BasebandWave, load_wave, save_wave
@@ -59,13 +64,27 @@ TONE_GRID_BINS = 4096
 
 @functools.lru_cache(maxsize=16)
 def _design_lowpass(rate_hz: float, pass_hz: float, stop_hz: float) -> np.ndarray:
-    """Windowed-sinc (Kaiser) linear-phase FIR, odd length for integer delay."""
+    """Windowed-sinc (Kaiser) linear-phase FIR, odd length for integer delay.
+
+    Kaiser's rule for A = STOPBAND_ATTEN_DB > 50 dB and a transition width w
+    (a fraction of Nyquist): N = ceil((A - 7.95) / 2.285 / (pi w) + 1), made
+    odd, and beta = 0.1102 (A - 8.7).  The cutoff sits mid-transition, the
+    window is I0(beta sqrt(1 - (m / M)^2)) / I0(beta) with m = -M..M and
+    M = (N - 1) / 2, and the taps sum to 1.  These are the operations, in
+    order, of scipy.signal's kaiserord and firwin(..., window=("kaiser", beta)),
+    so the taps are equal to theirs bit for bit.
+    """
     if not 0 < pass_hz < stop_hz < rate_hz / 2:
         raise ModelError("invalid filter band edges")
     width = (stop_hz - pass_hz) / (rate_hz / 2)
-    numtaps, beta = sps.kaiserord(STOPBAND_ATTEN_DB, width)
-    numtaps |= 1
-    taps = sps.firwin(numtaps, (pass_hz + stop_hz) / 2, window=("kaiser", beta), fs=rate_hz)
+    numtaps = math.ceil((STOPBAND_ATTEN_DB - 7.95) / 2.285 / (math.pi * width) + 1) | 1
+    beta = 0.1102 * (STOPBAND_ATTEN_DB - 8.7)
+    half = (numtaps - 1) / 2
+    m = np.arange(numtaps, dtype=float) - half
+    cutoff = (pass_hz + stop_hz) / rate_hz          # of Nyquist
+    taps = cutoff * np.sinc(cutoff * m)
+    taps *= special.i0(beta * np.sqrt(1 - (m / half) ** 2.0)) / special.i0(beta)
+    taps /= np.sum(taps)
     taps.flags.writeable = False
     return taps
 
@@ -85,8 +104,13 @@ def _shaping_taps(out_rate_hz: float) -> np.ndarray:
 
 def _filter_aligned(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Filter and remove the group delay; output sample n is aligned with
-    input sample n."""
-    return sps.fftconvolve(x, taps, mode="same")
+    input sample n.  x is complex: the full linear convolution on a fast FFT
+    length, cropped to its centred x.size samples (scipy.signal.fftconvolve's
+    mode="same", bit for bit)."""
+    nfft = sfft.next_fast_len(x.size + taps.size - 1, False)
+    y = sfft.ifft(sfft.fft(x, nfft) * sfft.fft(taps, nfft))
+    start = (taps.size - 1) // 2
+    return y[start:start + x.size]
 
 
 @functools.lru_cache(maxsize=4)
@@ -342,8 +366,14 @@ def load_bank(manifest_path) -> ChannelBank:
     streams = [load_wave(manifest_path.parent / name).samples for name in meta["files"]]
     for name, x in zip(meta["files"], streams):
         if not np.all(np.isfinite(x)):
-            raise ModelError(f"channel file {name}: samples must be finite")
-    return ChannelBank(
-        streams=np.asarray(streams), rate_hz=float(meta["rate_hz"]),
-        carriers_hz=tuple(meta["carriers_hz"]), antenna_id=antenna_id,
-        start_s=float(meta["start_s"]))
+            raise ModelError(f"{manifest_path.parent / name}: samples must be finite")
+        if x.size != streams[0].size:
+            raise ModelError(f"{manifest_path}: channel file {name} holds {x.size} samples, "
+                             f"{meta['files'][0]} {streams[0].size}")
+    try:
+        return ChannelBank(
+            streams=np.asarray(streams), rate_hz=float(meta["rate_hz"]),
+            carriers_hz=tuple(meta["carriers_hz"]), antenna_id=antenna_id,
+            start_s=float(meta["start_s"]))
+    except ModelError as err:
+        raise ModelError(f"{manifest_path}: {err}") from None

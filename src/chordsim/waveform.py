@@ -451,11 +451,14 @@ def save_wave(wave: BasebandWave, path) -> Path:
 
 def load_wave(path) -> BasebandWave:
     path = Path(path)
-    meta = read_json_object(_sidecar_path(path), "sidecar", ("n_samples",),
-                            ("rate_hz", "start_s"))
+    sidecar = _sidecar_path(path)
+    meta = read_json_object(sidecar, "sidecar", ("n_samples",), ("rate_hz", "start_s"))
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     samples = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
     if samples.size != meta["n_samples"]:
-        raise ModelError("sample count does not match sidecar")
-    return BasebandWave(samples=samples, rate_hz=float(meta["rate_hz"]),
-                        start_s=float(meta["start_s"]))
+        raise ModelError(f"{path}: sample count does not match sidecar")
+    try:
+        return BasebandWave(samples=samples, rate_hz=float(meta["rate_hz"]),
+                            start_s=float(meta["start_s"]))
+    except ModelError as err:
+        raise ModelError(f"{sidecar}: {err}") from None

@@ -344,6 +344,9 @@ def test_c12_throughput_informational():
     prior = loc.PriorROI(path_bounds_m=(1.5, 14.0))
     cfg = BatchConfig(plan=PLAN, geom=GEOM, grid=GRID, prior=prior,
                       mode="waveform", seed=4)
+    # one untimed scene first: the filter designs and FFT plans are built then,
+    # not inside the 5 timed packets
+    harness.run_batch(scenes[:1], cfg)
     rep = harness.run_batch(scenes, cfg)
     # soft criterion: measured and reported, never gated
     print(f"INFO criterion 12: decode+localize throughput "

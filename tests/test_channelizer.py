@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, firwin, kaiserord
 
 import chordsim as cs
 from chordsim import channelizer as chz
@@ -107,6 +107,44 @@ def test_channelize_matches_the_linear_chain_at_the_fft_room_boundary(desk_scale
     rng = np.random.default_rng(9)
     plan = default_carrier_plan(desk_scale=desk_scale, tone_phases_rad=rng.uniform(0, 6, 16))
     _check_linear_chain(plan, _room_boundary(plan) + extra, rng)
+
+
+def _scipy_lowpass(rate_hz, pass_hz, stop_hz):
+    """The reference design: scipy.signal's Kaiser order and window method."""
+    numtaps, beta = kaiserord(chz.STOPBAND_ATTEN_DB, (stop_hz - pass_hz) / (rate_hz / 2))
+    return firwin(numtaps | 1, (pass_hz + stop_hz) / 2, window=("kaiser", beta), fs=rate_hz)
+
+
+@pytest.mark.parametrize("desk_scale", [True, False], ids=["desk", "physical"])
+def test_chain_taps_equal_scipys_kaiser_design(desk_scale):
+    plan = default_carrier_plan(desk_scale=desk_scale)
+    rate, out = plan.capture_rate_hz, plan.channel_out_rate_hz
+    aa_stop = max(out - chz.TAG_STOP_HZ, 1.5 * chz.ANTIALIAS_PASS_HZ)
+    for taps, want in ((chz._tag_taps(rate), (rate, chz.TAG_PASS_HZ, chz.TAG_STOP_HZ)),
+                       (chz._antialias_taps(rate, out), (rate, chz.ANTIALIAS_PASS_HZ, aa_stop)),
+                       (chz._shaping_taps(out), (out, chz.SHAPE_PASS_HZ, chz.SHAPE_STOP_HZ))):
+        assert taps.size % 2 == 1 and not taps.flags.writeable
+        assert np.array_equal(taps, _scipy_lowpass(*want))
+
+
+@pytest.mark.parametrize("rate_hz", [2.0e6, 2.56e6, 7.3e6, 15.36e6, 40.0e6])
+def test_lowpass_design_equals_scipys_over_band_edges(rate_hz):
+    design = chz._design_lowpass.__wrapped__          # leave the chain's cache alone
+    for pass_hz in (50e3, 150e3, 300e3, 400e3):
+        for stop_hz in (1.1 * pass_hz, 1.5 * pass_hz, 2.3 * pass_hz, pass_hz + 70e3):
+            assert np.array_equal(design(rate_hz, pass_hz, stop_hz),
+                                  _scipy_lowpass(rate_hz, pass_hz, stop_hz))
+
+
+# one sample is left out: fftconvolve multiplies directly when an input has one
+@pytest.mark.parametrize("n", [2, 3, 64, 184, 185, 186, 1001, 4096, 12345])
+def test_filter_aligned_equals_fftconvolve_same(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(2 * n).view(complex)
+    plan = default_carrier_plan()
+    # 185 and 965 taps: x is shorter than both, between them or longer
+    for taps in (chz._shaping_taps(plan.channel_out_rate_hz), chz._tag_taps(plan.capture_rate_hz)):
+        assert np.array_equal(chz._filter_aligned(x, taps), fftconvolve(x, taps, mode="same"))
 
 
 def test_compression_report_full_rates():
@@ -383,6 +421,30 @@ def test_load_bank_refuses_an_antenna_id_that_is_not_an_integer(tmp_path, plan, 
     assert str(err.value).startswith(f"{manifest}: ")
 
 
+def _one_carrier(bank_dir):
+    manifest = bank_dir / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "carriers_hz": [915e6]}))
+
+
+def _short_channel_3(bank_dir):
+    wf.save_wave(wf.BasebandWave(samples=np.ones(63), rate_hz=2.56e6), bank_dir / "ch_03.cf32")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_one_carrier, "stream count must equal carrier count"),
+    # np.asarray had raised a bare ValueError on the ragged rows
+    (_short_channel_3, "channel file ch_03.cf32 holds 63 samples, ch_00.cf32 64"),
+], ids=["one_carrier", "short_channel"])
+def test_load_bank_names_the_manifest_when_its_files_disagree(tmp_path, plan, edit, message):
+    manifest = chz.save_bank(chz.ChannelBank(streams=np.ones((plan.n_carriers, 64)),
+                                             rate_hz=plan.channel_out_rate_hz,
+                                             carriers_hz=plan.carriers_hz), tmp_path / "ant0")
+    edit(manifest.parent)
+    with pytest.raises(ModelError) as err:
+        chz.load_bank(manifest)
+    assert str(err.value) == f"{manifest}: {message}"
+
+
 def _noise_rows(plan, n_antennas, n, var, seed):
     """The fast path's banks for a zero tag row, stacked: noise only."""
     banks = chz.fast_banks(np.random.default_rng(seed), np.zeros(n, dtype=complex),
@@ -451,10 +513,12 @@ def test_load_bank_refuses_a_rate_or_start_that_is_not_a_number(tmp_path, plan, 
 
 @pytest.mark.parametrize("key, value, message", [
     ("start_s", math.nan, "a finite start_s"),
+    ("start_s", math.inf, "a finite start_s"),
     ("start_s", -math.inf, "a finite start_s"),
     ("rate_hz", math.nan, "a positive rate"),
     ("rate_hz", 0, "a positive rate"),
     ("rate_hz", -1.0, "a positive rate"),
+    ("rate_hz", -5, "a positive rate"),
 ])
 def test_channel_bank_refuses_a_non_finite_start_or_a_rate_that_is_not_positive(
         tmp_path, plan, key, value, message):
@@ -462,8 +526,10 @@ def test_channel_bank_refuses_a_non_finite_start_or_a_rate_that_is_not_positive(
                   rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz)
     with pytest.raises(ModelError, match=message):
         chz.ChannelBank(**{**fields, key: value})
-    # a manifest with that value, its channel files intact, fails alike at load
+    # a manifest with that value, its channel files intact, fails alike at
+    # load, and the error names the manifest
     manifest = chz.save_bank(chz.ChannelBank(**fields), tmp_path / "ant0")
     manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
-    with pytest.raises(ModelError, match=message):
+    with pytest.raises(ModelError, match=message) as err:
         chz.load_bank(manifest)
+    assert str(err.value).startswith(f"{manifest}: ")

@@ -136,6 +136,17 @@ def test_decode_reports_a_model_error_as_its_stage(tmp_path, capsys, banks, mess
     assert len(lines) == 1 and doc["stage"] == "model_error" and message in doc["error"]
 
 
+def test_decode_names_the_manifest_of_a_bank_it_refuses(tmp_path, capsys):
+    manifests = _antenna_banks(tmp_path)
+    manifests[3].write_text(json.dumps({**json.loads(manifests[3].read_text()),
+                                        "start_s": float("nan")}))
+    assert run(["decode", *manifests]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": f"{manifests[3]}: channel bank needs a positive rate and a finite start_s",
+        "stage": "model_error"}
+
+
 def test_channelize_command(tmp_path):
     plan = model.default_carrier_plan()
     wave = cs.synth_multisine(plan, 2e-4)

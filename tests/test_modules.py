@@ -1,6 +1,10 @@
-"""Package structure tests: modules use only each other's public names."""
+"""Package structure tests: modules use only each other's public names, and
+the package imports none of scipy's slow-to-load subpackages."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,15 @@ def test_private_imports_finds_both_forms():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_importing_the_package_loads_no_scipy_signal_or_stats():
+    # scipy.signal takes ~0.5 s and ~40 MB of a cold start and pulls in
+    # scipy.stats; the package uses scipy's fft, special, linalg and ndimage
+    code = ("import sys, chordsim, chordsim.cli; print(' '.join(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.signal', 'scipy.stats')))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == []

@@ -510,6 +510,24 @@ def test_load_wave_refuses_a_rate_or_start_that_is_not_a_number(tmp_path, key, v
         wf.load_wave(path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("start_s", math.nan, "wave start_s must be finite"),
+    ("start_s", -math.inf, "wave start_s must be finite"),
+    ("rate_hz", -5, "sample rate must be positive"),
+    ("rate_hz", 0, "sample rate must be positive"),
+    ("n_samples", 17, "sample count does not match sidecar"),
+], ids=["nan_start", "infinite_start", "negative_rate", "zero_rate", "sample_count"])
+def test_load_wave_names_the_file_in_every_error(tmp_path, key, value, message):
+    # a value the sidecar holds names the sidecar; the count names the data file
+    path = wf.save_wave(wf.BasebandWave(samples=np.ones(16), rate_hz=RATE),
+                        tmp_path / "x.cf32")
+    sidecar = tmp_path / "x.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+    with pytest.raises(ModelError) as err:
+        wf.load_wave(path)
+    assert str(err.value) == f"{path if key == 'n_samples' else sidecar}: {message}"
+
+
 def test_synthesis_bit_reproducible():
     rng1 = np.random.default_rng(77)
     rng2 = np.random.default_rng(77)
