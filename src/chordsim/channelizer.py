@@ -272,10 +272,9 @@ def processed_tag_baseband(tag_capture_rate: BasebandWave, plan: CarrierPlan) ->
     Multiplying this by h[k][l] reproduces channel (k, l) of a channelized
     capture up to cross-channel leakage, which is the fast simulation path.
     """
-    rate = plan.capture_rate_hz
-    if abs(tag_capture_rate.rate_hz - rate) > 1e-6:
+    if abs(tag_capture_rate.rate_hz - plan.capture_rate_hz) > 1e-6:
         raise ModelError("tag waveform must be at the capture rate")
-    x = _filter_aligned(tag_capture_rate.samples, _tag_taps(rate))
+    x = bandlimit_tag(tag_capture_rate).samples
     return BasebandWave(samples=_fft_bank(x, plan, (0.0,), (0.0,))[0],
                         rate_hz=plan.channel_out_rate_hz, start_s=tag_capture_rate.start_s)
 
@@ -358,22 +357,24 @@ def load_bank(manifest_path) -> ChannelBank:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    meta = read_json_object(manifest_path, "manifest", ("files", "carriers_hz", "antenna_id"),
-                            ("rate_hz", "start_s"))
-    antenna_id = meta["antenna_id"]
-    if isinstance(antenna_id, bool) or not isinstance(antenna_id, int):
-        raise ModelError(f"{manifest_path}: antenna_id {antenna_id!r} is not an integer")
-    streams = [load_wave(manifest_path.parent / name).samples for name in meta["files"]]
-    for name, x in zip(meta["files"], streams):
-        if not np.all(np.isfinite(x)):
+    meta = read_json_object(manifest_path, "manifest", ("files", "carriers_hz"),
+                            ("rate_hz", "start_s"), ("antenna_id",))
+    waves = [load_wave(manifest_path.parent / name) for name in meta["files"]]
+    for name, w in zip(meta["files"], waves):
+        if not np.all(np.isfinite(w.samples)):
             raise ModelError(f"{manifest_path.parent / name}: samples must be finite")
-        if x.size != streams[0].size:
-            raise ModelError(f"{manifest_path}: channel file {name} holds {x.size} samples, "
-                             f"{meta['files'][0]} {streams[0].size}")
+        if w.samples.size != waves[0].samples.size:
+            raise ModelError(f"{manifest_path}: channel file {name} holds {w.samples.size} "
+                             f"samples, {meta['files'][0]} {waves[0].samples.size}")
     try:
-        return ChannelBank(
-            streams=np.asarray(streams), rate_hz=float(meta["rate_hz"]),
-            carriers_hz=tuple(meta["carriers_hz"]), antenna_id=antenna_id,
+        bank = ChannelBank(
+            streams=np.asarray([w.samples for w in waves]), rate_hz=float(meta["rate_hz"]),
+            carriers_hz=tuple(meta["carriers_hz"]), antenna_id=meta["antenna_id"],
             start_s=float(meta["start_s"]))
     except ModelError as err:
         raise ModelError(f"{manifest_path}: {err}") from None
+    for name, w in zip(meta["files"], waves):
+        if (w.rate_hz, w.start_s) != (bank.rate_hz, bank.start_s):
+            raise ModelError(f"{manifest_path}: channel file {name} rate_hz, start_s "
+                             f"{w.rate_hz!r}, {w.start_s!r} differ from the manifest's")
+    return bank

@@ -175,8 +175,6 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     ``epc_alpha_hat_hz``.
     """
     x = np.asarray(stream, dtype=complex)
-    if rate_hz < 4 * BLF_HZ:
-        raise ModelError("channel rate must be at least 4x BLF")
     n = x.size
     max_tmpl = int(2 * len(PREAMBLE_BITS) * MILLER_M / BLF_HZ * rate_hz)
     nfft = int(2 ** np.ceil(np.log2(n + max_tmpl + 1)))

@@ -169,8 +169,12 @@ class BatchConfig:
     grid: GridSpec
     prior: PriorROI | None = None
     policy: LocalizePolicy = DEFAULT_POLICY
-    mode: str = "channel"          # "channel" or "waveform" (fast simulation path)
+    mode: str = "channel"          # or "waveform", the fast simulation path
     seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in ("channel", "waveform"):
+            raise HarnessError(f"batch mode {self.mode!r} is not 'channel' or 'waveform'")
 
 
 @dataclass(frozen=True)
@@ -386,6 +390,12 @@ GATE_OUTSIDE_Y_M = (3.0, 6.0)
 GATE_X_RANGE_M = (-1.2, 1.2)
 
 
+def _reflector(rng: np.random.Generator, pos) -> tuple[float, float, float]:
+    """A corpus reflector 0.5-2 m from the tag at a uniform angle, at y >= 0.3 m."""
+    ang, dist = rng.uniform(0, 2 * math.pi), rng.uniform(0.5, 2.0)
+    return (pos[0] + dist * math.cos(ang), max(pos[1] + dist * math.sin(ang), 0.3), CORPUS_Z_M)
+
+
 def desk_multipath_corpus(n_scenes: int = 200, seed: int = 7) -> list[SceneSpec]:
     """Multipath evaluation corpus: reflectors drawn within 2 m of each tag.
 
@@ -405,10 +415,7 @@ def desk_multipath_corpus(n_scenes: int = 200, seed: int = 7) -> list[SceneSpec]
             n_refl = int(rng.integers(DESK_REFLECTORS_PER_TAG[0],
                                       DESK_REFLECTORS_PER_TAG[1] + 1))
             for _ in range(n_refl):
-                ang = rng.uniform(0, 2 * math.pi)
-                dist = rng.uniform(0.5, 2.0)
-                refl = (pos[0] + dist * math.cos(ang),
-                        max(pos[1] + dist * math.sin(ang), 0.3), CORPUS_Z_M)
+                refl = _reflector(rng, pos)
                 paths.append(PropagationPath(gain=float(rng.uniform(*DESK_GAIN_RANGE)),
                                              reflector_m=refl))
             tags.append(TagDef(epc_bits=random_epc(rng), position_m=pos,
@@ -430,10 +437,7 @@ def gate_corpus(n_inside: int = 100, n_outside: int = 100, seed: int = 11):
         for _ in range(count):
             pos = (float(rng.uniform(*GATE_X_RANGE_M)), float(rng.uniform(*y_range)),
                    CORPUS_Z_M)
-            ang = rng.uniform(0, 2 * math.pi)
-            dist = rng.uniform(0.5, 2.0)
-            refl = (pos[0] + dist * math.cos(ang),
-                    max(pos[1] + dist * math.sin(ang), 0.3), CORPUS_Z_M)
+            refl = _reflector(rng, pos)
             tag = multipath_tag(pos, random_epc(rng), refl, float(rng.uniform(0.2, 0.6)))
             scenes.append(SceneSpec(scene=Scene(tags=(tag,), seed=int(rng.integers(2 ** 31))),
                                     snr_db=GATE_SNR_DB))

@@ -104,7 +104,6 @@ class PriorROI:
 
     path_bounds_m: tuple[float, float]
     region_xy: tuple[tuple[float, float], ...] | None = None
-    peak_threshold: float = 0.55
 
     def __post_init__(self):
         object.__setattr__(self, "path_bounds_m", tuple(self.path_bounds_m))
@@ -115,8 +114,6 @@ class PriorROI:
         a, b = self.path_bounds_m
         if not 0 <= a < b:
             raise ModelError("path bounds must satisfy 0 <= a < b")
-        if not 0 < self.peak_threshold < 1:
-            raise ModelError("peak threshold must be in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,13 +196,9 @@ def basic_hologram(ch: ChannelMatrix, grid: GridSpec, geom: ArrayGeometry,
 
 
 def summation_layer(enhanced_phases: np.ndarray, grid: GridSpec, geom: ArrayGeometry,
-                    plan: CarrierPlan, mask: np.ndarray | None = None) -> HologramResult:
-    """Final combining layer: the basic hologram's sum over enhanced angle(h)
-    phases, every entry observed unless ``mask`` says otherwise."""
-    phases = np.asarray(enhanced_phases, dtype=float)
-    if mask is None:
-        mask = np.ones(phases.shape, dtype=bool)
-    return _phase_hologram(phases, mask, grid, geom, plan)
+                    plan: CarrierPlan, mask: np.ndarray) -> HologramResult:
+    """Final layer: the basic hologram's sum over the enhanced angle(h) phases ``mask`` keeps."""
+    return _phase_hologram(np.asarray(enhanced_phases, dtype=float), mask, grid, geom, plan)
 
 
 def peak_find_2d(heatmap: np.ndarray, rel_threshold: float) -> list[tuple[int, int, float]]:
@@ -250,8 +243,8 @@ def tof_spectrum(ch_row, plan: CarrierPlan, d_max_m: float = 20.0,
 
 def identify_direct_path(profile: TofProfile, prior: PriorROI) -> float | None:
     """Direct-path identification: crop the profile to the prior bounds and
-    return the first (nearest) local maximum above the relative threshold;
-    None when no peak qualifies."""
+    return the first (nearest) local maximum above ``DIRECT_PEAK_FRAC`` of the
+    cropped maximum; None when no peak qualifies."""
     d = profile.distances_m
     a, b = prior.path_bounds_m
     if a > d[-1] or b < d[0]:
@@ -261,7 +254,7 @@ def identify_direct_path(profile: TofProfile, prior: PriorROI) -> float | None:
     if right - left < 2:
         raise ModelError("prior bounds crop the profile to fewer than three samples")
     mag = profile.magnitude[left:right + 1]
-    limit = prior.peak_threshold * float(mag.max())
+    limit = DIRECT_PEAK_FRAC * float(mag.max())
     diff = np.diff(mag)
     spacing = float(d[1] - d[0])
     for i in range(1, mag.size - 1):
@@ -310,6 +303,8 @@ def combined_carrier_channel(ch: ChannelMatrix) -> np.ndarray:
     return np.einsum("k,kl->l", weights, np.where(mask, h, 0.0))
 
 
+# The direct path is the nearest ToF peak reaching this fraction of the cropped maximum.
+DIRECT_PEAK_FRAC = 0.55
 # Conditional enhancement: the basic hologram is ambiguous when a second peak
 # reaches this fraction of the maximum at least this far from it.
 AMBIGUOUS_PEAK_FRAC = 0.6

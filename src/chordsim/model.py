@@ -311,9 +311,7 @@ def theoretical_phase(position_m, antenna: int, carrier: int,
         raise ModelError("antenna index out of range")
     if not 0 <= carrier < plan.n_carriers:
         raise ModelError("carrier index out of range")
-    tx = np.asarray(geom.tx_wideband_position_m, dtype=float)
-    rx = np.asarray(geom.rx_positions_m[antenna], dtype=float)
-    d = float(np.linalg.norm(g - tx)) + float(np.linalg.norm(rx - g))
+    d = path_length_m(PropagationPath(gain=1.0, direct=True), g, geom, antenna)
     theta = 2.0 * math.pi * plan.carriers_hz[carrier] / C_M_PER_S * d
     return float(wrap_phase(theta))
 
@@ -448,20 +446,22 @@ def save_config(path, plan: CarrierPlan | None = None,
         json.dump(doc, fh, indent=2)
 
 
-def read_json_object(path, what: str, keys=(), numbers=()) -> dict:
+def read_json_object(path, what: str, keys=(), numbers=(), integers=()) -> dict:
     """The JSON object in the file at ``path``.  Any other JSON value, or an
-    object that misses one of ``keys`` or ``numbers``, or whose ``numbers``
-    are not JSON ints or floats (nor bools), raises a ModelError naming the file."""
+    object that misses one of ``keys``, ``numbers`` or ``integers``, or whose
+    ``numbers`` are not JSON ints or floats or whose ``integers`` are not JSON
+    ints (a bool is neither), raises a ModelError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: {what} must be a JSON object")
-    for key in (*keys, *numbers):
+    for key in (*keys, *numbers, *integers):
         if key not in doc:
             raise ModelError(f"{path}: {what} misses key {key!r}")
-    for key in numbers:
-        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
-            raise ModelError(f"{path}: {what} {key} {doc[key]!r} is not a number")
+    for names, kinds, noun in ((numbers, (int, float), "a number"), (integers, int, "an integer")):
+        for key in names:
+            if isinstance(doc[key], bool) or not isinstance(doc[key], kinds):
+                raise ModelError(f"{path}: {what} {key} {doc[key]!r} is not {noun}")
     return doc
 
 

@@ -452,7 +452,7 @@ def save_wave(wave: BasebandWave, path) -> Path:
 def load_wave(path) -> BasebandWave:
     path = Path(path)
     sidecar = _sidecar_path(path)
-    meta = read_json_object(sidecar, "sidecar", ("n_samples",), ("rate_hz", "start_s"))
+    meta = read_json_object(sidecar, "sidecar", (), ("rate_hz", "start_s"), ("n_samples",))
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     samples = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
     if samples.size != meta["n_samples"]:

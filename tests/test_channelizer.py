@@ -445,6 +445,27 @@ def test_load_bank_names_the_manifest_when_its_files_disagree(tmp_path, plan, ed
     assert str(err.value) == f"{manifest}: {message}"
 
 
+@pytest.mark.parametrize("target", ["manifest.json", "ch_05.json"])
+@pytest.mark.parametrize("key, value", [("rate_hz", 1e6), ("start_s", 0.5)])
+def test_load_bank_refuses_channel_files_the_manifest_contradicts(tmp_path, plan, target,
+                                                                  key, value):
+    # a manifest edited to 1 MHz over 2.56 MHz channel files had loaded as a
+    # 1 MHz bank
+    manifest = chz.save_bank(chz.ChannelBank(streams=np.ones((plan.n_carriers, 64)),
+                                             rate_hz=plan.channel_out_rate_hz,
+                                             carriers_hz=plan.carriers_hz), tmp_path / "ant0")
+    path = manifest.parent / target
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    with pytest.raises(ModelError) as err:
+        chz.load_bank(manifest)
+    name = "ch_05.cf32" if target == "ch_05.json" else "ch_00.cf32"
+    assert str(err.value).startswith(f"{manifest}: channel file {name} rate_hz, start_s ")
+    # the manifest and every channel file moved alike still load
+    for sidecar in manifest.parent.glob("*.json"):
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+    assert getattr(chz.load_bank(manifest), key) == value
+
+
 def _noise_rows(plan, n_antennas, n, var, seed):
     """The fast path's banks for a zero tag row, stacked: noise only."""
     banks = chz.fast_banks(np.random.default_rng(seed), np.zeros(n, dtype=complex),

@@ -122,6 +122,14 @@ def test_preamble_rate_precondition():
         dc.preamble_search(np.zeros(4096, dtype=complex), 3 * BLF)
 
 
+@pytest.mark.parametrize("rate_hz", [0.9e6, 1.5e6, 2.2e6])
+def test_preamble_rate_floor_is_the_miller_encoder_s(rate_hz):
+    # the sync grid's fastest template (BLF + 13%, 282.5 kHz) needs 8x that,
+    # 2.26 MHz; a 4x BLF floor had let 1.5 and 2.2 MHz through to the encoder
+    with pytest.raises(ModelError, match="sample rate must be at least 8x BLF"):
+        dc.preamble_search(np.ones(20000, dtype=complex), rate_hz)
+
+
 # --- PLL ---------------------------------------------------------------------
 
 def test_pll_static_clock(plan):

@@ -205,6 +205,13 @@ def test_run_batch_rejects_indices_that_are_no_subset(plan, geom, grid, subset):
         run_batch(scenes, BatchConfig(plan=plan, geom=geom, grid=grid), **subset)
 
 
+@pytest.mark.parametrize("mode", ["Channel", "fast", ""])
+def test_batch_config_refuses_an_unknown_mode(plan, geom, grid, mode):
+    # any mode but "channel" had run the waveform path
+    with pytest.raises(HarnessError, match=f"batch mode {mode!r} is not"):
+        BatchConfig(plan=plan, geom=geom, grid=grid, mode=mode)
+
+
 def test_run_batch_empty_rejected(plan, geom, grid):
     with pytest.raises(HarnessError):
         run_batch([], BatchConfig(plan=plan, geom=geom, grid=grid))

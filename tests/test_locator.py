@@ -190,7 +190,7 @@ def test_masked_nan_entry_never_enters_the_sum(geom, plan):
     sub_plan = cs.model.subset_plan(plan, keep)
     assert np.array_equal(
         loc.summation_layer(with_nan, GRID, geom, plan, mask=mask).heatmap,
-        loc.summation_layer(phases[:, keep], GRID, geom, sub_plan).heatmap)
+        loc.summation_layer(phases[:, keep], GRID, geom, sub_plan, mask=mask[:, keep]).heatmap)
 
 
 def test_single_carrier_plan_localizes(geom, plan):
@@ -342,7 +342,7 @@ def test_identify_rejects_sidelobe_below_threshold(uplan):
     # in-phase two-path rows grow a leakage bump nearer than the true peak
     h = _h_oneway(uplan, [3.0, 4.2], [1.0, 0.6])
     prof = loc.tof_spectrum(h, uplan, d_max_m=8.0, spacing_m=0.02)
-    prior = loc.PriorROI(path_bounds_m=(1.5, 4.0), peak_threshold=0.55)
+    prior = loc.PriorROI(path_bounds_m=(1.5, 4.0))
     d0 = loc.identify_direct_path(prof, prior)
     assert d0 is not None
     assert d0 == pytest.approx(2.96, abs=0.2)
@@ -415,7 +415,7 @@ def test_summation_equals_basic_on_raw_phases(geom, plan):
                                       (1.2, 3.5, 1.11), 0.5),))
     h = cs.synth_channel(scene, geom, plan, 0)
     base = loc.basic_hologram(h, GRID, geom, plan)
-    summed = loc.summation_layer(np.angle(h.h), GRID, geom, plan)
+    summed = loc.summation_layer(np.angle(h.h), GRID, geom, plan, mask=h.mask)
     assert np.array_equal(summed.heatmap, base.heatmap)
     assert (summed.argmax_iy, summed.argmax_ix) == (base.argmax_iy, base.argmax_ix)
 
@@ -425,7 +425,7 @@ def test_summation_single_channel(geom, plan):
                           tx_wideband_position_m=geom.tx_wideband_position_m,
                           tx_ism_position_m=geom.tx_ism_position_m)
     p1 = cs.model.subset_plan(plan, [0])
-    res = loc.summation_layer(np.array([[0.3]]), GRID, g1, p1)
+    res = loc.summation_layer(np.array([[0.3]]), GRID, g1, p1, mask=np.ones((1, 1), dtype=bool))
     assert np.all(res.heatmap <= 1.0 + 1e-12)
 
 

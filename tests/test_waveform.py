@@ -510,6 +510,18 @@ def test_load_wave_refuses_a_rate_or_start_that_is_not_a_number(tmp_path, key, v
         wf.load_wave(path)
 
 
+@pytest.mark.parametrize("value", [True, 16.0, "16", None])
+def test_load_wave_refuses_a_sample_count_that_is_not_an_integer(tmp_path, value):
+    # a comparison with the file's count had read true as 1 and 16.0 as 16
+    n = 1 if value is True else 16
+    path = wf.save_wave(wf.BasebandWave(samples=np.ones(n), rate_hz=RATE), tmp_path / "x.cf32")
+    sidecar = tmp_path / "x.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n_samples": value}))
+    with pytest.raises(ModelError, match=f"^{re.escape(str(sidecar))}: sidecar n_samples "
+                                         ".* is not an integer"):
+        wf.load_wave(path)
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("start_s", math.nan, "wave start_s must be finite"),
     ("start_s", -math.inf, "wave start_s must be finite"),
