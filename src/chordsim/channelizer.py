@@ -291,19 +291,24 @@ def fast_banks(rng: np.random.Generator, tag_row: np.ndarray, h: np.ndarray,
     row times h[k, l] plus complex Gaussian noise with the shaping filter's
     spectrum and variance noise_var / decimation per sample, drawn in the band
     (DFT bins within SHAPE_STOP_HZ, beyond which the filter is below
-    -STOPBAND_ATTEN_DB), so the rows are stationary to their ends."""
+    -STOPBAND_ATTEN_DB), so the rows are stationary to their ends.  The K x L
+    rows are one [K, L, n] block, from one draw (the values of K per-antenna
+    draws, in order) and one in-place inverse FFT; bank k's streams are the
+    row view block[k], so keeping one bank keeps all of them."""
     rate, n = plan.channel_out_rate_hz, tag_row.size
     band = np.abs(np.fft.fftfreq(n, d=1.0 / rate)) <= SHAPE_STOP_HZ
     gain = np.abs(np.fft.fft(_shaping_taps(rate), n))[band]
     # E|g|^2 = 2 per draw, and E|ifft(X)[m]|^2 = sum_k E|X_k|^2 / n^2
     gain *= n * math.sqrt(noise_var / plan.decimation / 2 / float(np.sum(gain ** 2)))
-    tag_spec, banks = np.fft.fft(tag_row), []
-    for k, h_k in enumerate(h):
-        spec = np.outer(h_k, tag_spec)
-        spec[:, band] += rng.standard_normal((h_k.size, 2 * gain.size)).view(complex) * gain
-        streams = np.fft.ifft(_notch_spectrum(spec, rate), axis=1)
-        banks.append(ChannelBank(streams, rate, plan.carriers_hz, antenna_id=k, notched=True))
-    return banks
+    spec = h[:, :, None] * np.fft.fft(tag_row)
+    noise = rng.standard_normal((*h.shape, 2 * gain.size)).view(complex)
+    noise *= gain
+    n_lo = int(np.count_nonzero(band[:(n + 1) // 2]))  # the band's bins at f >= 0
+    spec[..., :n_lo] += noise[..., :n_lo]
+    spec[..., n - gain.size + n_lo:] += noise[..., n_lo:]
+    streams = np.fft.ifft(_notch_spectrum(spec, rate), axis=2, out=spec)
+    return [ChannelBank(streams[k], rate, plan.carriers_hz, antenna_id=k, notched=True)
+            for k in range(h.shape[0])]
 
 
 def notch_dc(bank: ChannelBank) -> ChannelBank:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -514,6 +515,53 @@ def test_fast_banks_are_the_notched_signal_plus_the_noise_only_banks(plan):
         # the noise is not negligible next to the signal
         assert np.max(np.abs(noise_bank.streams)) > 0.1 * peak
         assert np.max(np.abs(bank.streams - (signal + noise_bank.streams))) <= 1e-12 * peak
+
+
+def _per_antenna_streams(rng, tag_row, h, noise_var, plan):
+    """The fast path's streams built one antenna at a time: the outer product,
+    a noise draw per antenna added through the boolean band mask, the notch
+    and an inverse FFT per antenna."""
+    rate, n = plan.channel_out_rate_hz, tag_row.size
+    band = np.abs(np.fft.fftfreq(n, d=1.0 / rate)) <= chz.SHAPE_STOP_HZ
+    gain = np.abs(np.fft.fft(chz._shaping_taps(rate), n))[band]
+    gain *= n * math.sqrt(noise_var / plan.decimation / 2 / float(np.sum(gain ** 2)))
+    tag_spec, streams = np.fft.fft(tag_row), []
+    for h_k in h:
+        spec = np.outer(h_k, tag_spec)
+        spec[:, band] += rng.standard_normal((h_k.size, 2 * gain.size)).view(complex) * gain
+        streams.append(np.fft.ifft(chz._notch_spectrum(spec, rate), axis=1))
+    return streams
+
+
+@pytest.mark.parametrize("desk_scale", [True, False])
+@pytest.mark.parametrize("n", [10752, 4095])
+def test_fast_banks_equal_the_per_antenna_reference(desk_scale, n):
+    # guards the draw order across antennas and the band's split at Nyquist
+    plan = default_carrier_plan(desk_scale=desk_scale)
+    rng = np.random.default_rng(n)
+    row = rng.standard_normal(2 * n).view(complex)
+    h = rng.standard_normal((8, 2 * plan.n_carriers)).view(complex)
+    banks = chz.fast_banks(np.random.default_rng(3), row, h, 2.5, plan)
+    reference = _per_antenna_streams(np.random.default_rng(3), row, h, 2.5, plan)
+    assert len(banks) == len(reference)
+    for bank, streams in zip(banks, reference):
+        assert np.array_equal(bank.streams, streams)
+
+
+def test_fast_banks_transform_the_block_in_place():
+    plan = default_carrier_plan(desk_scale=True)
+    k, n = 8, 10752
+    h = np.ones((k, plan.n_carriers), dtype=complex)
+    tracemalloc.start()
+    try:
+        banks = chz.fast_banks(np.random.default_rng(1), np.ones(n, dtype=complex), h, 1.0, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = k * plan.n_carriers * n * 16
+    # the block and the scaled noise draw, ~1.31x; an out-of-place inverse FFT is >= 2x
+    assert peak < 1.4 * block
+    assert all(bank.streams.base is banks[0].streams.base for bank in banks)
 
 
 @pytest.mark.parametrize("key", ["rate_hz", "start_s"])

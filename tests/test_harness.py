@@ -240,10 +240,14 @@ def test_run_batch_records_the_failure_stage(plan, geom, grid):
     assert rep.n_failed == 1
 
 
-def test_run_batch_charges_failed_decodes_to_busy_time(plan, geom, grid, monkeypatch):
-    # every perf_counter read advances 1 s, so each timed item costs 1 s
-    ticks = itertools.count()
-    monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
+@pytest.mark.parametrize("wall_step, cpu_step", [(3, 1), (1, 3)])
+def test_run_batch_charges_failed_decodes_to_busy_time(plan, geom, grid, monkeypatch,
+                                                       wall_step, cpu_step):
+    # each read of a clock advances it by its step, and an item is charged the
+    # shorter of its wall and CPU times, so each timed item costs 1 s
+    for clock, step in (("perf_counter", wall_step), ("process_time", cpu_step)):
+        ticks = itertools.count(0, step)
+        monkeypatch.setattr(harness.time, clock, lambda ticks=ticks: float(next(ticks)))
     tag = single_path_tag((0.3, 2.5, 1.11), random_epc(np.random.default_rng(25)))
     scenes = [SceneSpec(scene=Scene(tags=(tag,)), snr_db=snr) for snr in (20.0, -40.0)]
     rep = run_batch(scenes, BatchConfig(plan=plan, geom=geom, grid=grid, mode="waveform",
