@@ -7,9 +7,9 @@ runnable at desk scale on synthetic scenes.
 
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     PropagationPath, Scene, TagDef, C_M_PER_S,
-                    default_array_geometry, default_carrier_plan, uniform_carrier_plan,
+                    default_array_geometry, default_carrier_plan,
                     distance_resolution, fraunhofer_distance, synth_channel,
-                    theoretical_phase, thermal_noise_dbm, validate_emission)
+                    thermal_noise_dbm, validate_emission)
 from .waveform import (BasebandWave, TagPacket, apply_clock_offset, backscatter_mix,
                        build_packet_baseband, crest_factor, miller_encode,
                        optimize_crest_phases, optimize_tone_phases, papr_db, synth_multisine)

@@ -14,7 +14,7 @@ import numpy as np
 from . import harness, model
 from .channelizer import channelize, compression_report, load_bank, save_bank, WidebandCapture
 from .decoder import DecodeError, decode_pipeline
-from .harness import (BatchConfig, HarnessError, SceneSpec, ablation_sweep, evaluate_roi,
+from .harness import (BatchConfig, SceneSpec, ablation_sweep, evaluate_roi,
                       packet_record, record_to_channel, simulate_capture, sweep_rows_to_csv)
 from .locator import GridSpec, PriorROI, classify_roi, localize
 from .model import default_array_geometry, default_carrier_plan, load_config, read_json_object
@@ -119,15 +119,15 @@ def cmd_localize(args):
         try:
             doc = json.loads(line)
             if not isinstance(doc, dict) or "epc" not in doc:
-                raise HarnessError("record has no epc")
-            ch = record_to_channel(doc, geom, plan)
+                raise model.ModelError("record has no epc")
+            est = localize(record_to_channel(doc, geom, plan), grid, geom, plan, prior,
+                           keep_heatmap=bool(args.heatmap_dir))
+            roi = classify_roi(est, prior, geom) if prior else None
         except ValueError as exc:
             # the records before it keep their positions
             print(json.dumps({"error": f"line {i}: {exc}", "line": i}), file=sys.stderr)
             status = 1
             break
-        est = localize(ch, grid, geom, plan, prior, keep_heatmap=bool(args.heatmap_dir))
-        roi = classify_roi(est, prior, geom) if prior else None
         out_lines.append(json.dumps({
             "epc": doc["epc"], "x": est.position_m[0], "y": est.position_m[1],
             "likelihood": est.likelihood, "enhancement_applied": est.enhancement_applied,
@@ -156,11 +156,11 @@ def cmd_evaluate(args):
         try:
             doc = json.loads(line)
             if not isinstance(doc, dict) or not isinstance(doc.get("epc"), str):
-                raise HarnessError("result has no epc")
+                raise model.ModelError("result has no epc")
             if doc["epc"] not in labels:
-                raise HarnessError(f"EPC {doc['epc']} has no label in {args.labels}")
+                raise model.ModelError(f"EPC {doc['epc']} has no label in {args.labels}")
         except ValueError as exc:
-            raise HarnessError(f"{args.results} line {i}: {exc}") from exc
+            raise model.ModelError(f"{args.results} line {i}: {exc}") from exc
         decisions.append({"label": labels[doc["epc"]], "classified": doc.get("roi")})
     miss, cross = evaluate_roi(decisions)
     print(json.dumps({"miss_rate": miss, "cross_rate": cross}))

@@ -21,7 +21,8 @@ from scipy import fft as sfft
 
 from . import model
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
-                    PropagationPath, Scene, TagDef, subset_plan, synth_channel)
+                    PropagationPath, Scene, TagDef, json_integer, json_number, subset_plan,
+                    synth_channel)
 from .waveform import (BLF_HZ, SYMBOL_S, TagPacket, backscatter_mix, build_packet_baseband,
                        packet_layout, random_walk_drift, tone_sum)
 from .channelizer import (WidebandCapture, bandlimit_tag, chain_noise_gain, fast_banks,
@@ -31,10 +32,6 @@ from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI,
                       DEFAULT_POLICY, localize)
 
 CLOCK_STRETCH_MARGIN = 1.18
-
-
-class HarnessError(ModelError):
-    pass
 
 
 def bits_to_hex(bits) -> str:
@@ -61,7 +58,7 @@ class SceneSpec:
 
     def __post_init__(self):
         if not math.isfinite(self.snr_db):
-            raise HarnessError("target SNR must be finite")
+            raise ModelError("target SNR must be finite")
 
 
 def _leak_gains(geom: ArrayGeometry, plan: CarrierPlan, antenna: int,
@@ -174,7 +171,7 @@ class BatchConfig:
 
     def __post_init__(self):
         if self.mode not in ("channel", "waveform"):
-            raise HarnessError(f"batch mode {self.mode!r} is not 'channel' or 'waveform'")
+            raise ModelError(f"batch mode {self.mode!r} is not 'channel' or 'waveform'")
 
 
 @dataclass(frozen=True)
@@ -205,7 +202,7 @@ def nearest_rank_percentile(values, pct: float) -> float:
     """Nearest-rank percentile; the 99th of fewer than 100 samples is the max."""
     vals = sorted(float(v) for v in values)
     if not vals:
-        raise HarnessError("no values to rank")
+        raise ModelError("no values to rank")
     rank = max(int(math.ceil(pct / 100.0 * len(vals))), 1)
     return vals[rank - 1]
 
@@ -226,13 +223,13 @@ def run_batch(scenes: list[SceneSpec], cfg: BatchConfig,
     Individual failures are recorded, never aborting the batch.
     """
     if not scenes:
-        raise HarnessError("empty scene list")
+        raise ModelError("empty scene list")
     ant = list(range(cfg.geom.n_antennas)) if antenna_idx is None else sorted(antenna_idx)
     car = list(range(cfg.plan.n_carriers)) if carrier_idx is None else sorted(carrier_idx)
     for name, idx, n in (("antenna_idx", ant, cfg.geom.n_antennas),
                          ("carrier_idx", car, cfg.plan.n_carriers)):
         if len(set(idx)) < len(idx) or not all(i in range(n) for i in idx):
-            raise HarnessError(f"{name} must hold distinct indices in range({n})")
+            raise ModelError(f"{name} must hold distinct indices in range({n})")
     plan = subset_plan(cfg.plan, car)
     geom = cfg.geom if antenna_idx is None else replace(
         cfg.geom, rx_positions_m=tuple(cfg.geom.rx_positions_m[i] for i in ant))
@@ -323,7 +320,7 @@ def ablation_sweep(corpus: list[SceneSpec], axis: str, cfg: BatchConfig) -> list
         table = [(name, replace(cfg, policy=policy), None, None)
                  for name, policy in ALGORITHM_SETTINGS]
     else:
-        raise HarnessError(f"unknown sweep axis {axis!r}")
+        raise ModelError(f"unknown sweep axis {axis!r}")
     rows = []
     for setting, setting_cfg, carrier_idx, antenna_idx in table:
         rep = run_batch(corpus, setting_cfg, carrier_idx, antenna_idx)
@@ -347,11 +344,11 @@ def evaluate_roi(decisions: list[dict]) -> tuple[float, float]:
     """
     for d in decisions:
         if d.get("label") not in ("inside", "outside"):
-            raise HarnessError("every tag needs an inside/outside label")
+            raise ModelError("every tag needs an inside/outside label")
     inside = [d for d in decisions if d["label"] == "inside"]
     outside = [d for d in decisions if d["label"] == "outside"]
     if not inside or not outside:
-        raise HarnessError("need both inside and outside tags")
+        raise ModelError("need both inside and outside tags")
     miss = sum(1 for d in inside if d.get("classified") != "inside") / len(inside)
     cross = sum(1 for d in outside if d.get("classified") == "inside") / len(outside)
     return miss, cross
@@ -449,13 +446,6 @@ def gate_corpus(n_inside: int = 100, n_outside: int = 100, seed: int = 11):
 # Snapshot interchange (line-delimited JSON)
 
 
-def _json_number(field: str, value) -> float:
-    """A numeric field's value as a float: a JSON int or float, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise HarnessError(f"{field} must be a JSON number, not {type(value).__name__}")
-    return float(value)
-
-
 _SNAPSHOT_NUMBERS = ("phase_rad", "timestamp_s", "carrier_hz", "rssi_db", "re", "im")
 
 
@@ -474,18 +464,17 @@ class SnapshotRecord:
 
     def __post_init__(self):
         if not isinstance(self.epc, str):
-            raise HarnessError("epc must be a string")
-        if isinstance(self.antenna_id, bool) or not isinstance(self.antenna_id, int):
-            raise HarnessError(f"antenna {self.antenna_id!r} is not an integer")
+            raise ModelError("epc must be a string")
+        json_integer("antenna", self.antenna_id)
         if (self.re is None) != (self.im is None):
-            raise HarnessError("re and im must be given together")
-        numbers = [_json_number(field, getattr(self, field))
+            raise ModelError("re and im must be given together")
+        numbers = [json_number(field, getattr(self, field))
                    for field in _SNAPSHOT_NUMBERS[:4 if self.re is None else 6]]
         # a non-finite phase (the first number) fails the range test below
         if not all(map(math.isfinite, numbers[1:])):
-            raise HarnessError("every number must be finite")
+            raise ModelError("every number must be finite")
         if not -math.pi < self.phase_rad <= math.pi + 1e-12:
-            raise HarnessError("phase must lie in (-pi, pi]")
+            raise ModelError("phase must lie in (-pi, pi]")
 
     def to_json(self) -> str:
         return json.dumps({k: v for k, v in vars(self).items() if v is not None}, sort_keys=True)
@@ -515,14 +504,13 @@ def export_snapshots(records: list[SnapshotRecord], path) -> None:
 def _entry_index(antenna_id: int, carrier_hz: float, geom: ArrayGeometry,
                  plan: CarrierPlan) -> tuple[int, int]:
     """(k, l) channel-matrix index of an (antenna id, carrier Hz) observation;
-    an antenna id that is not an integer, an antenna outside the geometry or a
-    carrier outside the plan raises a HarnessError."""
-    if isinstance(antenna_id, bool) or not isinstance(antenna_id, int):
-        raise HarnessError(f"antenna {antenna_id!r} is not an integer")
+    an antenna id that fails json_integer, an antenna outside the geometry or a
+    carrier outside the plan raises a ModelError."""
+    json_integer("antenna", antenna_id)
     if not 0 <= antenna_id < geom.n_antennas:
-        raise HarnessError(f"antenna {antenna_id} not in the {geom.n_antennas}-antenna geometry")
+        raise ModelError(f"antenna {antenna_id} not in the {geom.n_antennas}-antenna geometry")
     if carrier_hz not in plan.carriers_hz:
-        raise HarnessError(f"carrier {carrier_hz} not in the plan")
+        raise ModelError(f"carrier {carrier_hz} not in the plan")
     return antenna_id, plan.carriers_hz.index(carrier_hz)
 
 
@@ -568,10 +556,10 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan):
 
     Records sharing an EPC within SNAPSHOT_WINDOW_S form one reply; carriers or
     antennas never observed stay masked.  Malformed lines (a missing field,
-    an ``epc`` that is not a string, an ``antenna_id`` that is not an integer,
-    ``re`` without ``im`` or the reverse, a bool, string or non-finite
-    number), and lines naming an antenna or carrier outside the geometry or
-    plan, raise with their line number.
+    an ``epc`` that is not a string, an ``antenna_id`` that fails json_integer,
+    ``re`` without ``im`` or the reverse, a number that fails json_number or
+    is not finite), and lines naming an antenna or carrier outside the
+    geometry or plan, raise with their line number.
     """
     lines = Path(path).read_text().splitlines()
     kept = list(filter(str.strip, lines))
@@ -587,7 +575,7 @@ def import_snapshots(path, geom: ArrayGeometry, plan: CarrierPlan):
                         rec = parse_snapshot_line(line)
                         _entry_index(rec.antenna_id, rec.carrier_hz, geom, plan)
                 except Exception as exc:
-                    raise HarnessError(f"line {i}: {exc}") from exc
+                    raise ModelError(f"line {i}: {exc}") from exc
             raise AssertionError("snapshot columns refused lines that break no rule")
     if not chunks:
         return []
@@ -637,24 +625,24 @@ def packet_record(epc_bits, t0_s: float, alpha0_hz: float, crc_ok: bool,
 def record_to_channel(doc: dict, geom: ArrayGeometry, plan: CarrierPlan) -> ChannelMatrix:
     """Channel matrix of a decoded-packet record; absent entries stay masked.
     A record without a channel list, or an entry that is not an object, misses
-    a field, holds a non-number or a non-finite number, or names an antenna or
-    carrier outside the geometry or plan, raises a HarnessError naming the
-    record and entry."""
+    a field, holds a number that fails json_number or is not finite, or names
+    an antenna or carrier outside the geometry or plan, raises a ModelError
+    naming the record and entry."""
     h = np.zeros((geom.n_antennas, plan.n_carriers), dtype=complex)
     quality = np.zeros(h.shape)
     mask = np.zeros(h.shape, dtype=bool)
     if not isinstance(doc.get("channels"), list):
-        raise HarnessError(f"record {doc.get('epc')}: channels must be a list")
+        raise ModelError(f"record {doc.get('epc')}: channels must be a list")
     for j, c in enumerate(doc["channels"]):
         try:
-            snr = 0.0 if c.get("snr_db") is None else _json_number("snr_db", c["snr_db"])
-            k, l = _entry_index(c["antenna"], _json_number("carrier_hz", c["carrier_hz"]),
+            snr = 0.0 if c.get("snr_db") is None else json_number("snr_db", c["snr_db"])
+            k, l = _entry_index(c["antenna"], json_number("carrier_hz", c["carrier_hz"]),
                                 geom, plan)
-            re, im = _json_number("re", c["re"]), _json_number("im", c["im"])
+            re, im = json_number("re", c["re"]), json_number("im", c["im"])
             if not all(map(math.isfinite, (re, im, snr))):
-                raise HarnessError("every number must be finite")
+                raise ModelError("every number must be finite")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise HarnessError(f"record {doc.get('epc')} channel {j}: {exc}") from exc
+            raise ModelError(f"record {doc.get('epc')} channel {j}: {exc}") from exc
         h[k, l], mask[k, l], quality[k, l] = re + 1j * im, True, snr
     return ChannelMatrix(h=h, carriers_hz=plan.carriers_hz, geometry=geom, quality=quality,
                          mask=mask)

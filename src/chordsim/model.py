@@ -137,26 +137,6 @@ def default_carrier_plan(desk_scale: bool = True, tone_phases_rad=None) -> Carri
     )
 
 
-def uniform_carrier_plan(n_tones: int = 16,
-                         span_hz: float = 199.8e6,
-                         center_hz: float = DEFAULT_CAPTURE_CENTER_HZ) -> CarrierPlan:
-    """Evenly spaced desk-scale variant, handy for resolution studies without
-    the ISM gap."""
-    if n_tones < 2:
-        raise ModelError("need at least two tones")
-    offsets = np.linspace(-span_hz / 2, span_hz / 2, n_tones)
-    carriers = center_hz + offsets
-    return CarrierPlan(
-        carriers_hz=tuple(carriers),
-        tone_phases_rad=(0.0,) * n_tones,
-        per_tone_power_dbm=PER_TONE_LIMIT_DBM,
-        capture_rate_hz=DESK_CAPTURE_RATE_HZ,
-        channel_out_rate_hz=DEFAULT_CHANNEL_OUT_RATE_HZ,
-        capture_center_hz=center_hz,
-        tone_offsets_hz=tuple(offsets * DESK_OFFSET_SCALE),
-    )
-
-
 def subset_plan(plan: CarrierPlan, indices) -> CarrierPlan:
     """Plan restricted to a subset of carriers (the plan itself for all of them)."""
     idx = sorted(int(i) for i in indices)
@@ -301,21 +281,6 @@ def path_length_m(path: PropagationPath, tag_pos, geom: ArrayGeometry, antenna: 
     return out + float(np.linalg.norm(p - g)) + float(np.linalg.norm(rx - p))
 
 
-def theoretical_phase(position_m, antenna: int, carrier: int,
-                      geom: ArrayGeometry, plan: CarrierPlan) -> float:
-    """Propagation phase (2*pi*f_l/c)(|tx-g| + |g-rx_k|) wrapped into (-pi, pi]."""
-    g = np.asarray(position_m, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ModelError("position must be finite")
-    if not 0 <= antenna < geom.n_antennas:
-        raise ModelError("antenna index out of range")
-    if not 0 <= carrier < plan.n_carriers:
-        raise ModelError("carrier index out of range")
-    d = path_length_m(PropagationPath(gain=1.0, direct=True), g, geom, antenna)
-    theta = 2.0 * math.pi * plan.carriers_hz[carrier] / C_M_PER_S * d
-    return float(wrap_phase(theta))
-
-
 @dataclass(frozen=True)
 class ChannelMatrix:
     """Complex channel estimates indexed [antenna k][carrier l].
@@ -446,11 +411,26 @@ def save_config(path, plan: CarrierPlan | None = None,
         json.dump(doc, fh, indent=2)
 
 
+def json_number(name: str, value) -> float:
+    """``value`` as a float.  A JSON number is an int or a float, never a bool;
+    any other value raises a ModelError naming ``name`` and the value's type."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{name} must be a JSON number, not {type(value).__name__}")
+    return float(value)
+
+
+def json_integer(name: str, value) -> None:
+    """Check that ``value`` is a JSON integer: an int, never a bool; any other
+    value raises a ModelError naming ``name`` and the value."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"{name} {value!r} is not an integer")
+
+
 def read_json_object(path, what: str, keys=(), numbers=(), integers=()) -> dict:
     """The JSON object in the file at ``path``.  Any other JSON value, or an
     object that misses one of ``keys``, ``numbers`` or ``integers``, or whose
-    ``numbers`` are not JSON ints or floats or whose ``integers`` are not JSON
-    ints (a bool is neither), raises a ModelError naming the file."""
+    ``numbers`` fail json_number or whose ``integers`` fail json_integer,
+    raises a ModelError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -458,10 +438,10 @@ def read_json_object(path, what: str, keys=(), numbers=(), integers=()) -> dict:
     for key in (*keys, *numbers, *integers):
         if key not in doc:
             raise ModelError(f"{path}: {what} misses key {key!r}")
-    for names, kinds, noun in ((numbers, (int, float), "a number"), (integers, int, "an integer")):
-        for key in names:
-            if isinstance(doc[key], bool) or not isinstance(doc[key], kinds):
-                raise ModelError(f"{path}: {what} {key} {doc[key]!r} is not {noun}")
+    for key in numbers:
+        json_number(f"{path}: {what} {key}", doc[key])
+    for key in integers:
+        json_integer(f"{path}: {what} {key}", doc[key])
     return doc
 
 

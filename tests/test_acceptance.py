@@ -17,10 +17,10 @@ from chordsim import decoder as dc
 from chordsim import harness
 from chordsim import locator as loc
 from chordsim import waveform as wf
-from chordsim.model import (C_M_PER_S, Scene, default_array_geometry,
-                            default_carrier_plan, uniform_carrier_plan)
+from chordsim.model import C_M_PER_S, Scene, default_array_geometry, default_carrier_plan
 from chordsim.harness import (BatchConfig, SceneSpec, multipath_tag, random_epc,
                               simulate_capture, single_path_tag)
+from model_reference import uniform_carrier_plan
 
 PLAN = default_carrier_plan()
 GEOM = default_array_geometry()

@@ -269,6 +269,25 @@ def test_localize_prints_the_records_before_a_malformed_one(tmp_path, capsys):
     assert json.loads(err)["line"] == 2
 
 
+def test_localize_reports_a_record_that_localize_refuses(tmp_path, capsys):
+    # well formed, but every entry is absent: localize itself raises, which
+    # had ended the command in a traceback
+    geom = model.default_array_geometry()
+    plan = model.default_carrier_plan(desk_scale=True)
+    h = cs.synth_channel(model.Scene(tags=(harness.single_path_tag((0.1, 2.2, 1.11),
+                                                                   (0, 1) * 48),)),
+                         geom, plan, 0)
+    doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
+    packets = tmp_path / "packets.jsonl"
+    packets.write_text(f"{json.dumps(doc)}\n{json.dumps({**doc, 'channels': []})}\n")
+    results = tmp_path / "results.jsonl"
+    assert run(["localize", packets, "--out", results]) == 1
+    out, err = capsys.readouterr()
+    assert results.read_text() == out and len(out.splitlines()) == 1
+    assert json.loads(err) == {"error": "line 2: hologram: every channel entry is masked",
+                               "line": 2}
+
+
 @pytest.mark.parametrize("line, message", [
     ("{not json", "Expecting property name"),
     ("[1, 2]", "result has no epc"),
@@ -282,7 +301,7 @@ def test_evaluate_names_the_file_and_line_of_a_bad_result(tmp_path, line, messag
     labels = tmp_path / "labels.json"
     labels.write_text(json.dumps({"aa": "inside"}))
     prefix = re.escape(f"{results} line 3: ")
-    with pytest.raises(harness.HarnessError, match=f"^{prefix}{message}"):
+    with pytest.raises(model.ModelError, match=f"^{prefix}{message}"):
         run(["evaluate", results, labels])
 
 

@@ -17,6 +17,7 @@ from chordsim import waveform as wf
 from chordsim.harness import SceneSpec, simulate_capture, single_path_tag, random_epc
 from chordsim.model import (ModelError, Scene, default_array_geometry, default_carrier_plan,
                             subset_geometry, subset_plan)
+from model_reference import theoretical_phase
 
 RATE = 2.56e6
 BLF = 250e3
@@ -562,7 +563,7 @@ def test_full_packet_estimate_noiseless_phase(plan, geom):
     assert np.max(err) < 1e-3
     for k in (0, 7):
         for l in (0, 15):
-            theta = cs.theoretical_phase(tag.position_m, k, l, geom, plan)
+            theta = theoretical_phase(tag.position_m, k, l, geom, plan)
             assert np.angle(est.h[k, l]) == pytest.approx(
                 float(cs.model.wrap_phase(-theta)), abs=2e-3)
 

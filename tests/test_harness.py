@@ -19,13 +19,13 @@ from chordsim import harness
 from chordsim import locator as loc
 from chordsim import waveform as wf
 from chordsim.decoder import decode_pipeline
-from chordsim.harness import (BatchConfig, HarnessError, SceneSpec, SnapshotRecord,
+from chordsim.harness import (BatchConfig, SceneSpec, SnapshotRecord,
                               bits_to_hex, channel_to_snapshots, evaluate_roi,
                               export_snapshots, gate_corpus,
                               import_snapshots, nearest_rank_percentile,
                               multipath_tag, random_epc, run_batch, simulate_capture,
                               single_path_tag)
-from chordsim.model import Scene, default_array_geometry, default_carrier_plan
+from chordsim.model import ModelError, Scene, default_array_geometry, default_carrier_plan
 
 
 @pytest.fixture(scope="module")
@@ -201,19 +201,19 @@ def test_run_batch_rejects_indices_that_are_no_subset(plan, geom, grid, subset):
     # one counts its antenna twice, and both localize without an error
     scenes = [SceneSpec(scene=Scene(tags=(single_path_tag((0.1, 2.2, 1.11), (0, 1) * 48),)),
                         snr_db=60.0)]
-    with pytest.raises(HarnessError, match=next(iter(subset))):
+    with pytest.raises(ModelError, match=next(iter(subset))):
         run_batch(scenes, BatchConfig(plan=plan, geom=geom, grid=grid), **subset)
 
 
 @pytest.mark.parametrize("mode", ["Channel", "fast", ""])
 def test_batch_config_refuses_an_unknown_mode(plan, geom, grid, mode):
     # any mode but "channel" had run the waveform path
-    with pytest.raises(HarnessError, match=f"batch mode {mode!r} is not"):
+    with pytest.raises(ModelError, match=f"batch mode {mode!r} is not"):
         BatchConfig(plan=plan, geom=geom, grid=grid, mode=mode)
 
 
 def test_run_batch_empty_rejected(plan, geom, grid):
-    with pytest.raises(HarnessError):
+    with pytest.raises(ModelError):
         run_batch([], BatchConfig(plan=plan, geom=geom, grid=grid))
 
 
@@ -273,7 +273,7 @@ def test_run_batch_does_not_localize_a_failed_crc(plan, geom, grid):
 def test_ablation_unknown_axis(plan, geom, grid):
     corpus = harness.desk_multipath_corpus(n_scenes=2, seed=1)
     cfg = BatchConfig(plan=plan, geom=geom, grid=grid)
-    with pytest.raises(HarnessError):
+    with pytest.raises(ModelError):
         harness.ablation_sweep(corpus, "power", cfg)
 
 
@@ -299,7 +299,7 @@ def test_percentile_nearest_rank():
     assert nearest_rank_percentile(vals, 50) == 25
     assert nearest_rank_percentile(vals, 99) == 50  # fewer than 100 -> max
     assert nearest_rank_percentile([3.0], 99) == 3.0
-    with pytest.raises(HarnessError):
+    with pytest.raises(ModelError):
         nearest_rank_percentile([], 50)
     ranks = [nearest_rank_percentile(vals, p) for p in (50, 90, 99)]
     assert ranks == sorted(ranks)
@@ -332,7 +332,7 @@ def test_evaluate_roi_undecoded_counts_missed():
 
 
 def test_evaluate_roi_label_validation():
-    with pytest.raises(HarnessError):
+    with pytest.raises(ModelError):
         evaluate_roi([{"label": "nowhere", "classified": "inside"}])
 
 
@@ -438,7 +438,7 @@ def test_snapshot_malformed_line_number(tmp_path, plan, geom, change, match):
     bad = {k: v for k, v in {**good, **change}.items() if v is not _DROP}
     path = tmp_path / "bad.jsonl"
     path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\nnot json\n")
-    with pytest.raises(HarnessError, match=match):
+    with pytest.raises(ModelError, match=match):
         import_snapshots(path, geom, plan)
 
 
@@ -448,7 +448,7 @@ def test_snapshot_numeric_epc_raises_with_line(tmp_path, plan, geom):
                                      rssi_db=-40.0).to_json())
     path = tmp_path / "epc.jsonl"
     path.write_text(f"{json.dumps(line)}\n{json.dumps({**line, 'epc': 5})}\n")
-    with pytest.raises(HarnessError, match="^line 2: epc must be a string"):
+    with pytest.raises(ModelError, match="^line 2: epc must be a string"):
         import_snapshots(path, geom, plan)
 
 
@@ -564,7 +564,7 @@ def test_snapshot_error_names_the_first_bad_line_across_a_chunk_boundary(tmp_pat
     bad = json.dumps({**_good_snapshot(plan), **change})
     path = tmp_path / "boundary.jsonl"
     path.write_text("\n".join(["", *[good] * (n - 1), bad, "not json", good]) + "\n")
-    with pytest.raises(HarnessError, match=f"^line {n + 1}: {re.escape(message)}$"):
+    with pytest.raises(ModelError, match=f"^line {n + 1}: {re.escape(message)}$"):
         import_snapshots(path, geom, plan)
 
 
@@ -595,7 +595,7 @@ def test_snapshot_fault_alone_raises_the_per_line_message(tmp_path, plan, geom, 
     bad = {k: v for k, v in {**good, **change}.items() if v is not _DROP}
     path = tmp_path / "alone.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in (good, bad, good)))
-    with pytest.raises(HarnessError, match=f"^line 2: {re.escape(message)}$"):
+    with pytest.raises(ModelError, match=f"^line 2: {re.escape(message)}$"):
         import_snapshots(path, geom, plan)
 
 
@@ -611,7 +611,7 @@ def test_snapshot_fault_on_the_last_line_without_a_newline(tmp_path, plan, geom)
     bad = json.dumps({**_good_snapshot(plan), "carrier_hz": 900e6})
     path = tmp_path / "last.jsonl"
     path.write_text("\n".join([good] * 5 + [bad]))
-    with pytest.raises(HarnessError, match=r"^line 6: carrier 900000000.0 not in the plan$"):
+    with pytest.raises(ModelError, match=r"^line 6: carrier 900000000.0 not in the plan$"):
         import_snapshots(path, geom, plan)
 
 
@@ -630,7 +630,7 @@ def test_snapshot_line_that_is_no_json_value_alone_raises(tmp_path, plan, geom, 
     assert len(json.loads(f"[{first},{second}]")) == 2
     path = tmp_path / "split.jsonl"
     path.write_text(f"{first}\n{second}\n")
-    with pytest.raises(HarnessError, match="^line 1: "):
+    with pytest.raises(ModelError, match="^line 1: "):
         import_snapshots(path, geom, plan)
 
 
@@ -639,7 +639,7 @@ def test_snapshot_record_rejects_a_number_that_is_not_a_json_number(plan, field)
     # so export_snapshots cannot write a line that import_snapshots refuses
     fields = dict(epc="ab", timestamp_s=0.0, antenna_id=0, carrier_hz=plan.carriers_hz[0],
                   phase_rad=0.0, rssi_db=-40.0, re=1, im=0)
-    with pytest.raises(HarnessError, match=f"^{field} must be a JSON number, not bool$"):
+    with pytest.raises(ModelError, match=f"^{field} must be a JSON number, not bool$"):
         SnapshotRecord(**{**fields, field: True})
 
 
@@ -719,13 +719,13 @@ def test_snapshot_antenna_outside_geometry_raises_with_line(tmp_path, plan, geom
     export_snapshots(recs, path)
     bad = {**json.loads(recs[0].to_json()), "antenna_id": antenna}
     path.write_text(path.read_text() + json.dumps(bad) + "\n")
-    with pytest.raises(HarnessError, match=f"line 3: antenna {antenna}"):
+    with pytest.raises(ModelError, match=f"line 3: antenna {antenna}"):
         import_snapshots(path, geom, plan)
 
 
 @pytest.mark.parametrize("antenna", [1.5, True, "2"])
 def test_snapshot_record_rejects_a_non_integer_antenna(plan, antenna):
-    with pytest.raises(HarnessError, match=f"^antenna {antenna!r} is not an integer$"):
+    with pytest.raises(ModelError, match=f"^antenna {antenna!r} is not an integer$"):
         SnapshotRecord(epc="ab", timestamp_s=0.0, antenna_id=antenna,
                        carrier_hz=plan.carriers_hz[0], phase_rad=0.5, rssi_db=-3.0)
 
@@ -754,7 +754,7 @@ def test_packet_record_unknown_carrier_raises(plan, geom, key, value, match):
         del target[key]
     else:
         target[key] = value
-    with pytest.raises(HarnessError, match=match):
+    with pytest.raises(ModelError, match=match):
         harness.record_to_channel(doc, geom, plan)
 
 
@@ -766,6 +766,49 @@ def test_packet_record_number_must_be_a_json_number(plan, geom, key, value):
                          geom, plan, 0)
     doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
     doc["channels"][5][key] = value
-    with pytest.raises(HarnessError, match=f"^record 5{{24}} channel 5: {key} must be a JSON "
+    with pytest.raises(ModelError, match=f"^record 5{{24}} channel 5: {key} must be a JSON "
                                            f"number, not {type(value).__name__}$"):
         harness.record_to_channel(doc, geom, plan)
+
+
+def _input_error(tmp_path, plan, geom, kind, key, value) -> str:
+    """The ModelError message of reading an input of ``kind`` (a bank
+    manifest, a wave sidecar, a snapshot line or a packet record) whose
+    ``key`` holds ``value``."""
+    if kind == "manifest":
+        bank = chz.ChannelBank(streams=np.ones((plan.n_carriers, 64), dtype=complex),
+                               rate_hz=plan.channel_out_rate_hz, carriers_hz=plan.carriers_hz)
+        path = chz.save_bank(bank, tmp_path / "bank")
+        read = lambda: chz.load_bank(path)
+    elif kind == "sidecar":
+        wave = wf.save_wave(wf.BasebandWave(samples=np.ones(16), rate_hz=plan.channel_out_rate_hz),
+                            tmp_path / "x.cf32")
+        path = tmp_path / "x.json"
+        read = lambda: wf.load_wave(wave)
+    elif kind == "snapshot":
+        path = tmp_path / "snapshots.jsonl"
+        path.write_text(json.dumps(_good_snapshot(plan)) + "\n")
+        read = lambda: import_snapshots(path, geom, plan)
+    else:
+        h = cs.synth_channel(Scene(tags=(single_path_tag((0.1, 2.2, 1.11), (0, 1) * 48),)),
+                             geom, plan, 0)
+        doc = harness.packet_record((0, 1) * 48, 0.0, 0.0, True, h)
+        doc["channels"][0][key] = value
+        read = lambda: harness.record_to_channel(doc, geom, plan)
+    if kind != "record":
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    with pytest.raises(ModelError) as err:
+        read()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("value, rule, inputs", [
+    (True, "must be a JSON number, not bool",
+     [("manifest", "rate_hz"), ("sidecar", "start_s"), ("snapshot", "timestamp_s"),
+      ("record", "re")]),
+    (1.5, "1.5 is not an integer",
+     [("manifest", "antenna_id"), ("snapshot", "antenna_id"), ("record", "antenna")]),
+], ids=["number", "integer"])
+def test_each_json_input_rule_has_one_message(tmp_path, plan, geom, value, rule, inputs):
+    messages = [_input_error(tmp_path, plan, geom, kind, key, value) for kind, key in inputs]
+    assert [m for m in messages if not m.endswith(f" {rule}")] == []

@@ -12,6 +12,7 @@ from chordsim import model
 from chordsim.model import (ModelError, PropagationPath, Scene, TagDef,
                             default_array_geometry, default_carrier_plan,
                             path_length_m, wrap_phase)
+from model_reference import theoretical_phase, uniform_carrier_plan
 
 C = model.C_M_PER_S
 
@@ -77,7 +78,7 @@ def test_phase_integer_wavelengths():
                              per_tone_power_dbm=-15.0, capture_rate_hz=15.36e6,
                              channel_out_rate_hz=2.56e6, capture_center_hz=750e6,
                              tone_offsets_hz=(0.0,))
-    phase = cs.theoretical_phase((0.0, 1.0, 0.0), 0, 0, geom, plan)
+    phase = theoretical_phase((0.0, 1.0, 0.0), 0, 0, geom, plan)
     assert abs(phase) < 0.03
 
 
@@ -89,7 +90,7 @@ def test_phase_quarter_wavelength_round_trip():
                              per_tone_power_dbm=-15.0, capture_rate_hz=15.36e6,
                              channel_out_rate_hz=2.56e6, capture_center_hz=750e6,
                              tone_offsets_hz=(0.0,))
-    phase = cs.theoretical_phase((0.0, 0.05, 0.0), 0, 0, geom, plan)
+    phase = theoretical_phase((0.0, 0.05, 0.0), 0, 0, geom, plan)
     assert phase == pytest.approx(0.5 * math.pi, rel=1e-2)
 
 
@@ -100,18 +101,18 @@ def test_phase_against_scalar_recomputation(geom, plan):
     d_rx = math.sqrt(0.7875 ** 2 + 4.0 ** 2)
     theta = 2.0 * math.pi * 787.1e6 / C * (d_tx + d_rx)
     expected = math.atan2(math.sin(theta), math.cos(theta))
-    got = cs.theoretical_phase((0.0, 4.0, 1.11), 0, 0, geom, plan)
+    got = theoretical_phase((0.0, 4.0, 1.11), 0, 0, geom, plan)
     assert got == pytest.approx(expected, abs=1e-9)
     assert got == pytest.approx(1.620021043867, abs=1e-6)
 
 
 def test_phase_argument_errors(geom, plan):
     with pytest.raises(ModelError):
-        cs.theoretical_phase((0.0, 4.0, 1.11), 99, 0, geom, plan)
+        theoretical_phase((0.0, 4.0, 1.11), 99, 0, geom, plan)
     with pytest.raises(ModelError):
-        cs.theoretical_phase((0.0, 4.0, 1.11), 0, 99, geom, plan)
+        theoretical_phase((0.0, 4.0, 1.11), 0, 99, geom, plan)
     with pytest.raises(ModelError):
-        cs.theoretical_phase((np.nan, 4.0, 1.11), 0, 0, geom, plan)
+        theoretical_phase((np.nan, 4.0, 1.11), 0, 0, geom, plan)
 
 
 def test_phase_wavelength_periodicity(geom, plan):
@@ -122,7 +123,7 @@ def test_phase_wavelength_periodicity(geom, plan):
         k = int(rng.integers(0, geom.n_antennas))
         l = int(rng.integers(0, plan.n_carriers))
         lam = C / plan.carriers_hz[l]
-        base = cs.theoretical_phase(g, k, l, geom, plan)
+        base = theoretical_phase(g, k, l, geom, plan)
         d0 = (np.linalg.norm(np.array(g) - geom.tx_wideband_position_m)
               + np.linalg.norm(np.array(geom.rx_positions_m[k]) - np.array(g)))
         for n in range(1, 9):
@@ -148,7 +149,7 @@ def test_single_path_angle_is_negative_phase(geom, plan):
     h = cs.synth_channel(scene, geom, plan, 0)
     for k in (0, 3, 7):
         for l in (0, 9, 15):
-            theta = cs.theoretical_phase(pos, k, l, geom, plan)
+            theta = theoretical_phase(pos, k, l, geom, plan)
             assert np.angle(h.h[k, l]) == pytest.approx(wrap_phase(-theta), abs=1e-9)
 
 
@@ -250,7 +251,7 @@ def test_emission_default_plan_passes(plan):
 
 
 def test_emission_exclusion_band():
-    plan = model.uniform_carrier_plan(4, span_hz=60e6, center_hz=915e6)
+    plan = uniform_carrier_plan(4, span_hz=60e6, center_hz=915e6)
     report = cs.validate_emission(plan)
     assert not report.passed
     flagged = [t for t in report.tones if t.in_exclusion_band]
@@ -311,7 +312,7 @@ def test_config_in_the_earlier_layout_loads_to_equal_values(tmp_path):
     path = tmp_path / "old.json"
     path.write_text(_OLD_LAYOUT)
     doc = model.load_config(path)
-    plan = replace(model.uniform_carrier_plan(3, span_hz=40e6, center_hz=870e6),
+    plan = replace(uniform_carrier_plan(3, span_hz=40e6, center_hz=870e6),
                    tone_phases_rad=(0.0, 1.25, -2.5))
     assert doc["plan"] == plan
     assert doc["geometry"] == model.subset_geometry(default_array_geometry(), 2)

@@ -58,3 +58,31 @@ def test_importing_the_package_loads_no_scipy_signal_or_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == []
+
+
+def _names_used(path: Path) -> set[str]:
+    """Names a module's source reads: a bare name, an attribute or an
+    imported name (the name a definition binds is not a use of it)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_name_outside_the_tests_is_used_or_a_kept_paper_formula():
+    # a public name that only the tests call is test-only API: it belongs in
+    # the tests; the paper's formulas are kept for the acceptance criteria
+    exported = {alias.asname or alias.name
+                for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    repo = PACKAGE.parents[1]
+    users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    users += [*(repo / "benchmarks").rglob("*.py"), *(repo / "demos").glob("*.py")]
+    unused = exported - set().union(*map(_names_used, users))
+    assert unused == {"distance_resolution", "fraunhofer_distance", "dynamic_range_required",
+                      "optimize_crest_phases", "tof_spectrum"}

@@ -505,8 +505,8 @@ def test_load_wave_refuses_a_rate_or_start_that_is_not_a_number(tmp_path, key, v
                         tmp_path / "x.cf32")
     sidecar = tmp_path / "x.json"
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
-    with pytest.raises(ModelError, match=f"^{re.escape(str(sidecar))}: sidecar {key} .* "
-                                         "is not a number"):
+    with pytest.raises(ModelError, match=f"^{re.escape(str(sidecar))}: sidecar {key} must be "
+                                         f"a JSON number, not {type(value).__name__}$"):
         wf.load_wave(path)
 
 
