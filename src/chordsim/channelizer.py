@@ -19,9 +19,12 @@ filters' tails, so every circular convolution is the linear one.  The tones
 repeat on that grid, which the simulator's tone sums use (waveform.tone_sum).
 
 Each FIR is a Kaiser-windowed sinc by Kaiser's order and beta formulas
-(``_design_lowpass``), and time-domain filtering is one FFT convolution
-(``_filter_aligned``); both equal scipy.signal's firwin(kaiserord(...)) and
-fftconvolve(mode="same") bit for bit, and scipy.signal is not imported.
+(``_design_lowpass``), its window's I0 evaluated by Cephes' two Chebyshev
+series (``_i0``), and time-domain filtering is one FFT convolution
+(``_filter_aligned``) on an 11-smooth length (``next_fast_len``); they equal
+scipy.signal's firwin(kaiserord(...)), scipy.special.i0, scipy.fft's
+next_fast_len and fftconvolve(mode="same") bit for bit, and no scipy module is
+imported.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sfft, special
 
 from .model import CarrierPlan, ModelError, TAG_BANDWIDTH_HZ, read_json_object
 from .waveform import BLF_HZ, BasebandWave, load_wave, save_wave
@@ -62,6 +64,65 @@ NOTCH_HZ = 10e3
 TONE_GRID_BINS = 4096
 
 
+# Chebyshev coefficients of exp(-x) I0(x) on [0, 8] and of exp(-x) sqrt(x) I0(x)
+# on (8, inf), from Cephes' i0.c (S. L. Moshier).
+_I0_A = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17, -2.43127984654795469359E-16,
+    1.71539128555513303061E-15, -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12, -1.72682629144155570723E-11,
+    9.67580903537323691224E-11, -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8, -2.67079385394061173391E-7,
+    1.11738753912010371815E-6, -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4, -5.76375574538582365885E-4,
+    1.63947561694133579842E-3, -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2, -9.49010970480476444210E-2,
+    1.71620901522208775349E-1, -3.04682672343198398683E-1, 6.76795274409476084995E-1,
+)
+_I0_B = (
+    -7.23318048787475395456E-18, -4.83050448594418207126E-18, 4.46562142029675999901E-17,
+    3.46122286769746109310E-17, -2.82762398051658348494E-16, -3.42548561967721913462E-16,
+    1.77256013305652638360E-15, 3.81168066935262242075E-15, -9.55484669882830764870E-15,
+    -4.15056934728722208663E-14, 1.54008621752140982691E-14, 3.85277838274214270114E-13,
+    7.18012445138366623367E-13, -1.79417853150680611778E-12, -1.32158118404477131188E-11,
+    -3.14991652796324136454E-11, 1.18891471078464383424E-11, 4.94060238822496958910E-10,
+    3.39623202570838634515E-9, 2.26666899049817806459E-8, 2.04891858946906374183E-7,
+    2.89137052083475648297E-6, 6.88975834691682398426E-5, 3.36911647825569408990E-3,
+    8.04490411014108831608E-1,
+)
+
+
+def _i0(x: float) -> float:
+    """Modified Bessel function I0 as Cephes (and scipy.special) evaluate it:
+    Clenshaw's recurrence on one of the two series, per value in double
+    precision with the C library's exp (numpy's vectorized exp, and np.i0,
+    differ from it in the last bit)."""
+    x = abs(x)
+    if x <= 8.0:
+        t, coeffs, scale = x / 2.0 - 2.0, _I0_A, 1.0
+    else:
+        t, coeffs, scale = 32.0 / x - 2.0, _I0_B, math.sqrt(x)
+    b0, b1 = coeffs[0], 0.0
+    for c in coeffs[1:]:
+        b2, b1 = b1, b0
+        b0 = t * b1 - b2 + c
+    return math.exp(x) * (0.5 * (b0 - b2)) / scale
+
+
+@functools.lru_cache(maxsize=64)
+def next_fast_len(target: int) -> int:
+    """Smallest n >= target whose prime factors are all at most 11: the
+    lengths pocketfft transforms fastest (scipy.fft.next_fast_len(target, False))."""
+    n = max(int(target), 1)
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 @functools.lru_cache(maxsize=16)
 def _design_lowpass(rate_hz: float, pass_hz: float, stop_hz: float) -> np.ndarray:
     """Windowed-sinc (Kaiser) linear-phase FIR, odd length for integer delay.
@@ -83,7 +144,8 @@ def _design_lowpass(rate_hz: float, pass_hz: float, stop_hz: float) -> np.ndarra
     m = np.arange(numtaps, dtype=float) - half
     cutoff = (pass_hz + stop_hz) / rate_hz          # of Nyquist
     taps = cutoff * np.sinc(cutoff * m)
-    taps *= special.i0(beta * np.sqrt(1 - (m / half) ** 2.0)) / special.i0(beta)
+    window = [_i0(v) for v in (beta * np.sqrt(1 - (m / half) ** 2.0)).tolist()]
+    taps *= np.array(window) / _i0(beta)
     taps /= np.sum(taps)
     taps.flags.writeable = False
     return taps
@@ -106,9 +168,12 @@ def _filter_aligned(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Filter and remove the group delay; output sample n is aligned with
     input sample n.  x is complex: the full linear convolution on a fast FFT
     length, cropped to its centred x.size samples (scipy.signal.fftconvolve's
-    mode="same", bit for bit)."""
-    nfft = sfft.next_fast_len(x.size + taps.size - 1, False)
-    y = sfft.ifft(sfft.fft(x, nfft) * sfft.fft(taps, nfft))
+    mode="same", bit for bit).  The real taps' spectrum is their real FFT
+    with the conjugate-mirrored upper half, as scipy.fft.fft forms it."""
+    nfft = next_fast_len(x.size + taps.size - 1)
+    half = np.fft.rfft(taps, nfft)
+    spec = np.concatenate([half, half[1:nfft - half.size + 1][::-1].conj()])
+    y = np.fft.ifft(np.fft.fft(x, nfft) * spec)
     start = (taps.size - 1) // 2
     return y[start:start + x.size]
 

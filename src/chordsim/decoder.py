@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import ndimage
 
 from .model import ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError
 from .channelizer import ChannelBank, apply_shaping, chain_transient_s, notch_dc
@@ -145,6 +143,22 @@ def _parabolic_refine(values: np.ndarray, p: int) -> float:
     return float(np.clip(0.5 * (c0 - c2) / denom, -0.5, 0.5))
 
 
+def _running_max(rows: np.ndarray, size: int) -> np.ndarray:
+    """Max of each row over a window of ``size`` samples centred on every
+    sample, the rows extended by their edge values
+    (ndimage.maximum_filter1d(rows, size, axis=1, mode="nearest")): windows
+    of doubling width, alternating between two buffers."""
+    n, left = rows.shape[1], size // 2
+    a = np.pad(rows, ((0, 0), (left, size - 1 - left)), mode="edge")
+    b = np.empty_like(a)
+    width = 1  # a[:, i] is the max of the padded rows over [i, i + width)
+    while 2 * width <= size:
+        m = a.shape[1] - 2 * width + 1
+        np.maximum(a[:, :m], a[:, width:width + m], out=b[:, :m])
+        a, b, width = b, a, 2 * width
+    return np.maximum(a[:, :n], a[:, size - width:size - width + n])
+
+
 def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
     """Joint argmax of the paired preamble correlation over start time and
     initial clock offset.
@@ -194,7 +208,7 @@ def preamble_search(stream: np.ndarray, rate_hz: float) -> SyncEstimate:
 
     def pair_score(rho: np.ndarray, lags) -> np.ndarray:
         score = rho.copy()
-        near = ndimage.maximum_filter1d(rho, size=2 * pair_win + 1, axis=1, mode="nearest")
+        near = _running_max(rho, 2 * pair_win + 1)
         for row, near_row, d in zip(score, near, lags):
             if d < n:
                 row[:n - d] += near_row[d:]
@@ -400,24 +414,33 @@ def msnr_combine(streams: np.ndarray, noise_cov: np.ndarray):
     """
     x = np.atleast_2d(np.asarray(streams, dtype=complex))
     k, n = x.shape
+    rn = np.asarray(noise_cov, dtype=complex)
+    if not np.isfinite(rn).all():
+        raise ModelError("msnr_combine: noise covariance holds a non-finite entry")
+    # a non-finite sample makes its antenna's power, on the diagonal, non-finite
+    with np.errstate(invalid="ignore"):
+        rx = x @ x.conj().T / n
+    if not np.isfinite(rx.diagonal()).all():
+        raise ModelError("msnr_combine: streams hold a non-finite sample")
     if k == 1:
         return x[0].copy(), np.ones(1, dtype=complex), False
-    rn = np.asarray(noise_cov, dtype=complex)
     rn = 0.5 * (rn + rn.conj().T)
-    rx = x @ x.conj().T / n
     scale = max(np.trace(rn).real, 1e-6 * np.trace(rx).real, 1e-30) / k
     loaded = False
     if np.linalg.cond(rn) > 1e9:
         rn = rn + DIAG_LOAD_FRAC * scale * np.eye(k)
         loaded = True
     rs = 0.5 * ((rx - rn) + (rx - rn).conj().T)
+    # the pencil reduced by rn's Cholesky factor L, as LAPACK's zhegvd does:
+    # eigh(L^-1 rs L^-H), whose eigenvectors y give the pencil's as L^-H y
     try:
-        vals, vecs = sla.eigh(rs, rn)
-    except sla.LinAlgError:
+        chol = np.linalg.cholesky(rn)
+    except np.linalg.LinAlgError:
         rn = rn + DIAG_LOAD_FRAC * scale * np.eye(k)
         loaded = True
-        vals, vecs = sla.eigh(rs, rn)
-    w = vecs[:, -1]
+        chol = np.linalg.cholesky(rn)
+    inv_h = np.linalg.inv(chol).conj().T
+    w = inv_h @ np.linalg.eigh(inv_h.conj().T @ rs @ inv_h)[1][:, -1]
     w = w / np.linalg.norm(w)
     pivot = int(np.argmax(np.abs(w)))
     w = w * np.exp(-1j * np.angle(w[pivot]))

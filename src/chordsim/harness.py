@@ -17,7 +17,6 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import model
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
@@ -26,7 +25,7 @@ from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
 from .waveform import (BLF_HZ, SYMBOL_S, TagPacket, backscatter_mix, build_packet_baseband,
                        packet_layout, random_walk_drift, tone_sum)
 from .channelizer import (WidebandCapture, bandlimit_tag, chain_noise_gain, fast_banks,
-                          processed_tag_baseband)
+                          next_fast_len, processed_tag_baseband)
 from .decoder import DecodeError, decode_pipeline
 from .locator import (GridSpec, LocalizePolicy, LocationEstimate, PriorROI,
                       DEFAULT_POLICY, localize)
@@ -86,7 +85,7 @@ def _fast_capture_length(n: int, plan: CarrierPlan) -> int:
     """Shortest capture of at least n samples whose bank (one stream sample
     per decimation D) has a length that FFTs fast."""
     d = plan.decimation
-    return d * sfft.next_fast_len(-(-n // d))
+    return d * next_fast_len(-(-n // d))
 
 
 def simulate_capture(spec: SceneSpec, plan: CarrierPlan, geom: ArrayGeometry,

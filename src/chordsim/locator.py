@@ -14,16 +14,20 @@ exp(-j(phi - theta)) is evaluated as exp(j(angle(h) + theta)).
 Hologram cost: the basic hologram and the summation layer weight one
 full-grid steering row exp(j 2 pi f_l (|cell - tx| + |cell - rx_k|) / c) by
 exp(j angle(h_kl)) for every unmasked (antenna k, carrier l) and sum the rows,
-K * L * cells complex multiply-adds per call.  Each row is added into the
-accumulator in place by one BLAS axpy, which reads the row once and makes no
-temporary: about 1.0-1.2 ms per call for the full 8 x 16 array on the default
-grid, against 1.5-2.1 ms for a multiply then add (one thread, shared 2-vCPU
-x86 VM).  A row depends only on the grid, the transmit and receive antenna
-positions and the carrier, so it is built once and cached (read-only) under
-that key; carrier and antenna subsets of a plan and geometry reuse the full
-set's rows.  On the default grid (64 x 120 cells, complex128) a row takes
-123 KB and the default 8 x 16 array 15.7 MB; the cache holds at most 256 rows
-(31.5 MB on the default grid).
+K * L * cells complex multiply-adds per call.  A row depends only on the
+grid, the transmit and receive antenna positions and the carrier, so it is
+built once and stored: the rows of one (grid, tx, rx) sit in one read-only,
+append-only slab, in the order their carriers were first asked for, so
+carrier and antenna subsets of a plan and geometry reuse the full set's rows.
+Antenna k adds its rows by one BLAS gemv over the run of its slab that covers
+its observed carriers, with zero weights in the gaps; a carrier masked at
+every antenna thus gives the same run and weights, and the same sum bit for
+bit, as the plan without it.  The gemv reads each row once: about 1 ms per
+call for the full 8 x 16 array on the default grid (one thread, shared
+2-vCPU x86 VM), where a multiply then add per row takes twice that.  On the
+default grid (64 x 120 cells, complex128) a row takes 123 KB and the default
+8 x 16 array 15.7 MB; the store holds at most 256 rows (31.5 MB on the
+default grid) and drops the least recently used slabs past that.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
-from scipy.linalg import blas
 
 from .model import (ArrayGeometry, CarrierPlan, ChannelMatrix, ModelError,
                     C_M_PER_S, subset_plan, wrap_phase)
@@ -126,10 +128,12 @@ class LocationEstimate:
     fallback: str | None = None
 
 
-# Bounds on the per-point distance and per-(point pair, carrier) steering-row
-# caches; 256 rows hold two full 8 x 16 arrays.
+# Bounds on the per-point distance cache, the steering-row store and the
+# per-(grid, geometry, carriers) slab positions; 256 rows hold two full
+# 8 x 16 arrays.
 _DISTANCE_CACHE_SIZE = 64
 _STEERING_CACHE_SIZE = 256
+_LAYOUT_CACHE_SIZE = 64
 
 
 def _point_key(position_m) -> tuple[float, float, float]:
@@ -146,15 +150,65 @@ def _cell_distances(grid: GridSpec, point_m: tuple[float, float, float]) -> np.n
     return d
 
 
-@functools.lru_cache(maxsize=_STEERING_CACHE_SIZE)
 def _steering_row(grid: GridSpec, tx_m: tuple[float, float, float],
                   rx_m: tuple[float, float, float], carrier_hz: float) -> np.ndarray:
-    """exp(j 2 pi f (|cell - tx| + |cell - rx|) / c) for every grid cell; read-only."""
+    """exp(j 2 pi f (|cell - tx| + |cell - rx|) / c) for every grid cell."""
     theta = (2 * math.pi * carrier_hz / C_M_PER_S) * (_cell_distances(grid, tx_m)
                                                       + _cell_distances(grid, rx_m))
-    row = np.exp(1j * theta)
-    row.flags.writeable = False
-    return row
+    return np.exp(1j * theta)
+
+
+class _RowStore:
+    """Steering rows, one read-only slab per (grid, tx, rx), each slab's rows
+    in the order their carriers were first asked for.  A slab only grows (a
+    new array, the old rows first), so a row keeps its position; past
+    ``max_rows`` rows the least recently used slabs are dropped (a geometry
+    and plan that alone need more rows keep theirs through ``_row_layout``)."""
+
+    def __init__(self, max_rows: int):
+        self.max_rows = max_rows
+        self.built = 0
+        # (grid, tx, rx) -> (rows, {carrier_hz: position}), least recently used first
+        self.slabs: dict[tuple, tuple[np.ndarray, dict[float, int]]] = {}
+
+    @property
+    def n_rows(self) -> int:
+        return sum(rows.shape[0] for rows, _ in self.slabs.values())
+
+    def clear(self) -> None:
+        self.slabs.clear()
+        self.built = 0
+        _row_layout.cache_clear()
+
+    def slab(self, grid: GridSpec, tx_m, rx_m, carriers_hz) -> tuple[np.ndarray, np.ndarray]:
+        """The slab of (grid, tx, rx) holding every carrier's row, and each
+        carrier's position in it."""
+        key = (grid, tx_m, rx_m)
+        rows, at = self.slabs.pop(key, (None, {}))
+        new = [f for f in dict.fromkeys(carriers_hz) if f not in at]
+        if new:
+            built = [_steering_row(grid, tx_m, rx_m, f) for f in new]
+            rows = np.stack(built if rows is None else [*rows, *built])
+            rows.flags.writeable = False
+            at = {**at, **{f: len(at) + i for i, f in enumerate(new)}}
+            self.built += len(new)
+            # cached positions may hold the slab this one replaces
+            _row_layout.cache_clear()
+            while self.slabs and self.n_rows + rows.shape[0] > self.max_rows:
+                del self.slabs[next(iter(self.slabs))]
+        self.slabs[key] = rows, at
+        return rows, np.array([at[f] for f in carriers_hz])
+
+
+_ROWS = _RowStore(_STEERING_CACHE_SIZE)
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _row_layout(grid: GridSpec, geom: ArrayGeometry, carriers_hz: tuple[float, ...]) -> tuple:
+    """Per receive antenna: its slab and each carrier's position in it."""
+    tx = _point_key(geom.tx_wideband_position_m)
+    return tuple(_ROWS.slab(grid, tx, _point_key(rx), carriers_hz)
+                 for rx in geom.rx_positions_m)
 
 
 def _phase_hologram(phases: np.ndarray, mask: np.ndarray,
@@ -166,18 +220,20 @@ def _phase_hologram(phases: np.ndarray, mask: np.ndarray,
         raise ModelError("empty grid")
     if np.shape(mask) != phases.shape:
         raise ModelError("hologram: mask shape differs from the phase matrix")
-    # the observed entries in row-major order, which fixes the summation order
-    ks, ls = np.nonzero(mask)
-    if not ks.size:
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
         raise ModelError("hologram: every channel entry is masked")
-    tx = _point_key(geom.tx_wideband_position_m)
-    rx = [_point_key(p) for p in geom.rx_positions_m]
     weights = np.exp(1j * phases)
     acc = np.zeros(grid.nx * grid.ny, dtype=complex)
-    for k, l in zip(ks.tolist(), ls.tolist()):
-        # zaxpy writes acc (its y) in place and only reads the cached row
-        acc = blas.zaxpy(_steering_row(grid, tx, rx[k], float(plan.carriers_hz[l])), acc,
-                         a=weights[k, l])
+    for (rows, at), w_k, seen in zip(_row_layout(grid, geom, plan.carriers_hz), weights, mask):
+        if seen.any():
+            # one gemv over the slab run covering the observed rows; the
+            # rows between them get weight 0
+            pos = at[seen]
+            lo = pos.min()
+            w = np.zeros(pos.max() + 1 - lo, dtype=complex)
+            w[pos - lo] = w_k[seen]
+            acc += w @ rows[lo:lo + w.size]
     heat = np.abs(acc).reshape(grid.ny, grid.nx)
     flat_idx = int(np.argmax(heat))
     iy, ix = divmod(flat_idx, grid.nx)
@@ -208,7 +264,11 @@ def peak_find_2d(heatmap: np.ndarray, rel_threshold: float) -> list[tuple[int, i
     if heat.size == 0:
         raise ModelError("empty heatmap")
     limit = rel_threshold * float(heat.max())
-    local_max = heat >= ndimage.maximum_filter(heat, size=3, mode="nearest")
+    # the 3 x 3 maximum with the edges repeated (ndimage.maximum_filter,
+    # mode "nearest"): shifted maxima over rows, then over columns
+    pad = np.pad(heat, 1, mode="edge")
+    rows = np.maximum(np.maximum(pad[:-2], pad[1:-1]), pad[2:])
+    local_max = heat >= np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
     iy, ix = np.nonzero(local_max & (heat >= limit) & (heat > 0))
     peaks = sorted(((int(y), int(x), float(heat[y, x])) for y, x in zip(iy, ix)),
                    key=lambda p: -p[2])

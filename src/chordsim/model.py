@@ -12,6 +12,7 @@ can be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -139,11 +140,15 @@ def default_carrier_plan(desk_scale: bool = True, tone_phases_rad=None) -> Carri
 
 def subset_plan(plan: CarrierPlan, indices) -> CarrierPlan:
     """Plan restricted to a subset of carriers (the plan itself for all of them)."""
-    idx = sorted(int(i) for i in indices)
+    idx = tuple(sorted(int(i) for i in indices))
+    return plan if idx == tuple(range(plan.n_carriers)) else _subset_plan(plan, idx)
+
+
+@functools.lru_cache(maxsize=256)
+def _subset_plan(plan: CarrierPlan, idx: tuple[int, ...]) -> CarrierPlan:
+    # cached: a plan is frozen, and building one re-runs all of its checks
     if not idx:
         raise ModelError("carrier subset must not be empty")
-    if idx == list(range(plan.n_carriers)):
-        return plan
     return replace(
         plan,
         carriers_hz=tuple(plan.carriers_hz[i] for i in idx),

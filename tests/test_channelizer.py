@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import fft as sfft, special
 from scipy.signal import fftconvolve, firwin, kaiserord
 
 import chordsim as cs
@@ -135,6 +136,22 @@ def test_lowpass_design_equals_scipys_over_band_edges(rate_hz):
         for stop_hz in (1.1 * pass_hz, 1.5 * pass_hz, 2.3 * pass_hz, pass_hz + 70e3):
             assert np.array_equal(design(rate_hz, pass_hz, stop_hz),
                                   _scipy_lowpass(rate_hz, pass_hz, stop_hz))
+
+
+def test_i0_equals_scipys_on_both_cephes_branches():
+    # x <= 8 takes the first Chebyshev series, x > 8 the second; 7.857 is
+    # the chain's Kaiser beta
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([rng.uniform(0, 30, 20000), [0.0, 7.857, 8.0, np.nextafter(8.0, 9),
+                                                     -3.5, 700.0]])
+    got = np.array([chz._i0(float(x)) for x in xs])
+    assert np.array_equal(got, special.i0(xs))
+    assert (xs <= 8).sum() > 1000 and (xs > 8).sum() > 1000
+
+
+def test_next_fast_len_equals_scipys():
+    for n in [*range(1, 5000), *range(60000, 80000, 7)]:
+        assert chz.next_fast_len(n) == sfft.next_fast_len(n, False), n
 
 
 # one sample is left out: fftconvolve multiplies directly when an input has one

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
+from scipy.ndimage import maximum_filter1d
 
 import chordsim as cs
 from chordsim import channelizer as chz
@@ -711,6 +713,74 @@ def test_integration_gain_template_length_scaling(plan, geom):
     r = np.corrcoef(np.log(lengths), np.log(variances))[0, 1]
     assert slope == pytest.approx(-1.0, abs=0.2)
     assert r ** 2 >= 0.98
+
+
+def _scipy_msnr_weights(x, rn):
+    """The reference: msnr_combine's loading rule with scipy.linalg.eigh on the pencil."""
+    k, n = x.shape
+    rn = 0.5 * (rn + rn.conj().T)
+    rx = x @ x.conj().T / n
+    scale = max(np.trace(rn).real, 1e-6 * np.trace(rx).real, 1e-30) / k
+    loaded = False
+    if np.linalg.cond(rn) > 1e9:
+        rn = rn + dc.DIAG_LOAD_FRAC * scale * np.eye(k)
+        loaded = True
+    rs = 0.5 * ((rx - rn) + (rx - rn).conj().T)
+    try:
+        w = sla.eigh(rs, rn)[1][:, -1]
+    except sla.LinAlgError:
+        rn = rn + dc.DIAG_LOAD_FRAC * scale * np.eye(k)
+        loaded = True
+        w = sla.eigh(rs, rn)[1][:, -1]
+    w = w / np.linalg.norm(w)
+    return w * np.exp(-1j * np.angle(w[np.argmax(np.abs(w))])), loaded
+
+
+@pytest.mark.parametrize("case", ["random", "singular", "indefinite"])
+def test_msnr_weights_equal_scipys_generalized_eigh(case):
+    rng = np.random.default_rng(23)
+    for trial in range(10):
+        k = (2, 4, 8)[trial % 3]
+        x = (rng.standard_normal((k, 4096)) + 1j * rng.standard_normal((k, 4096))) / 2
+        x += rng.standard_normal(k)[:, None] * np.exp(0.1j * np.arange(4096))
+        a = rng.standard_normal((k, 2 * k)) + 1j * rng.standard_normal((k, 2 * k))
+        rn = a @ a.conj().T / (2 * k)
+        if case == "singular":
+            rn = np.outer(a[:, 0], a[:, 0].conj())          # rank 1: cond > 1e9
+        elif case == "indefinite":
+            rn[0, 0] = -1e-4 * rn[0, 0].real              # cond < 1e9, not positive definite
+            rn[0, 1:] = rn[1:, 0] = 0
+        out, w, loaded = dc.msnr_combine(x, rn)
+        want, want_loaded = _scipy_msnr_weights(x, rn)
+        assert loaded == want_loaded == (case != "random")
+        assert np.max(np.abs(w - want)) <= 1e-12
+        assert np.array_equal(out, w.conj() @ x)
+
+
+@pytest.mark.parametrize("which", ["streams", "noise covariance"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("k", [1, 4])
+def test_msnr_refuses_non_finite_input_naming_its_stage(which, value, k):
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((k, 256)) + 1j * rng.standard_normal((k, 256))
+    rn = np.eye(k, dtype=complex)
+    if which == "streams":
+        x[k - 1, 100] = value
+    else:
+        rn[0, k - 1] = value
+    with pytest.raises(ModelError, match=f"^msnr_combine: {which} hold"):
+        dc.msnr_combine(x, rn)
+
+
+@pytest.mark.parametrize("shape, size", [((3, 50), 1), ((3, 50), 3), ((3, 50), 5),
+                                         ((3, 50), 4), ((3, 50), 139), ((1, 200), 139),
+                                         ((1, 1), 3), ((27, 10752), 139)])
+def test_running_max_equals_ndimage_nearest(shape, size):
+    rng = np.random.default_rng(size)
+    # small integers, so windows hold ties
+    rows = rng.integers(0, 20, shape).astype(float)
+    assert np.array_equal(dc._running_max(rows, size),
+                          maximum_filter1d(rows, size, axis=1, mode="nearest"))
 
 
 def test_two_path_estimate_matches_forward_model(plan, geom):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.signal as sps
 from hypothesis import given, settings, strategies as st
+from scipy.ndimage import maximum_filter
 
 import chordsim as cs
 from chordsim import locator as loc
@@ -152,19 +153,28 @@ def _subset_hologram(ch, carriers, antennas, geom, plan):
 def test_subset_holograms_build_no_new_rows(geom, plan):
     ch = _random_phase_channel(geom, plan, 11)
     loc.basic_hologram(ch, GRID, geom, plan)
-    misses = loc._steering_row.cache_info().misses
+    built = loc._ROWS.built
+    assert built >= 8 * 16
     for carriers, antennas in _sweep_keys(geom, plan):
         _subset_hologram(ch, carriers, antennas, geom, plan)
-    assert loc._steering_row.cache_info().misses == misses
+    assert loc._ROWS.built == built
+
+
+def _slabs(geom, plan):
+    """The stored slab of every receive antenna holding the plan's rows."""
+    tx = loc._point_key(geom.tx_wideband_position_m)
+    return [loc._ROWS.slab(GRID, tx, loc._point_key(rx), plan.carriers_hz)[0]
+            for rx in geom.rx_positions_m]
 
 
 def test_cached_rows_are_read_only(geom, plan):
     tx = loc._point_key(geom.tx_wideband_position_m)
-    rx = loc._point_key(geom.rx_positions_m[0])
-    row = loc._steering_row(GRID, tx, rx, float(plan.carriers_hz[0]))
+    rows, at = loc._ROWS.slab(GRID, tx, loc._point_key(geom.rx_positions_m[0]),
+                              plan.carriers_hz)
     dist = loc._cell_distances(GRID, tx)
-    assert row.shape == dist.shape == (GRID.nx * GRID.ny,)
-    for arr in (row, dist):
+    assert rows.shape[1:] == dist.shape == (GRID.nx * GRID.ny,)
+    assert at.shape == (plan.n_carriers,)
+    for arr in (rows, rows[at[0]], dist):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -220,7 +230,7 @@ def test_summation_layer_rejects_a_mis_shaped_mask(geom, plan):
 
 
 def _rows(geom, plan):
-    """The cached steering rows of every (antenna, carrier), antenna-major."""
+    """The steering rows of every (antenna, carrier), antenna-major."""
     tx = loc._point_key(geom.tx_wideband_position_m)
     return [[loc._steering_row(GRID, tx, loc._point_key(rx), float(f))
              for f in plan.carriers_hz] for rx in geom.rx_positions_m]
@@ -252,29 +262,76 @@ def test_hologram_equals_a_plain_numpy_sum(geom, plan):
 
 def test_hologram_leaves_cached_rows_untouched(geom, plan):
     ch = _random_phase_channel(geom, plan, 17)
-    rows = [row for per_antenna in _rows(geom, plan) for row in per_antenna]
-    before = [row.copy() for row in rows]
+    slabs = _slabs(geom, plan)
+    before = [slab.copy() for slab in slabs]
     mask = np.ones(ch.shape, dtype=bool)
     mask[5, 2] = False
     mask[:, 7] = False
     loc.basic_hologram(ch, GRID, geom, plan)
     loc.summation_layer(np.angle(ch.h), GRID, geom, plan, mask=mask)
-    after = [row for per_antenna in _rows(geom, plan) for row in per_antenna]
-    assert all(a is b for a, b in zip(after, rows))
-    for row, copy in zip(rows, before):
-        assert np.array_equal(row, copy)
-        assert not row.flags.writeable
+    after = _slabs(geom, plan)
+    assert all(a is b for a, b in zip(after, slabs))
+    for slab, copy in zip(slabs, before):
+        assert np.array_equal(slab, copy)
+        assert not slab.flags.writeable
 
 
 def test_cache_within_bound_after_sweep(geom, plan):
     ch = _random_phase_channel(geom, plan, 13)
-    loc._steering_row.cache_clear()
+    loc._ROWS.clear()
     loc.basic_hologram(ch, GRID, geom, plan)
     for carriers, antennas in _sweep_keys(geom, plan):
         _subset_hologram(ch, carriers, antennas, geom, plan)
-    info = loc._steering_row.cache_info()
-    assert info.currsize == info.misses == 8 * 16
-    assert info.currsize <= info.maxsize
+    assert loc._ROWS.n_rows == loc._ROWS.built == 8 * 16
+    assert loc._ROWS.n_rows <= loc._ROWS.max_rows
+
+
+def test_hologram_on_slabs_out_of_carrier_order_equals_a_sequential_sum(geom, plan):
+    # odd carriers first: every slab holds its rows out of carrier order, so
+    # each antenna's run has gaps and a permuted weight vector
+    ch = _random_phase_channel(geom, plan, 18)
+    mask = np.ones(ch.shape, dtype=bool)
+    mask[1, 3:9] = False
+    mask[:, 12] = False
+    mask[6] = False
+    loc._ROWS.clear()
+    odd = subset_plan(plan, range(1, plan.n_carriers, 2))
+    loc.basic_hologram(cs.ChannelMatrix(h=ch.h[:, 1::2], carriers_hz=odd.carriers_hz,
+                                        geometry=geom), GRID, geom, odd)
+    at = _slab_positions(geom, plan)
+    assert not np.array_equal(at, np.arange(plan.n_carriers))
+    rows = _rows(geom, plan)
+    weights = np.exp(1j * np.angle(ch.h))
+    acc = np.zeros(GRID.nx * GRID.ny, dtype=complex)
+    for k, l in zip(*np.nonzero(mask)):
+        acc = acc + weights[k, l] * rows[k][l]
+    ref = np.abs(acc).reshape(GRID.ny, GRID.nx)
+    res = loc.summation_layer(np.angle(ch.h), GRID, geom, plan, mask=mask)
+    assert np.max(np.abs(res.heatmap - ref)) <= 1e-12 * ref.max()
+    loc._ROWS.clear()
+    in_order = loc.summation_layer(np.angle(ch.h), GRID, geom, plan, mask=mask)
+    assert np.array_equal(_slab_positions(geom, plan), np.arange(plan.n_carriers))
+    assert np.max(np.abs(res.heatmap - in_order.heatmap)) <= 1e-12 * ref.max()
+
+
+def _slab_positions(geom, plan):
+    tx = loc._point_key(geom.tx_wideband_position_m)
+    return loc._ROWS.slab(GRID, tx, loc._point_key(geom.rx_positions_m[0]), plan.carriers_hz)[1]
+
+
+def test_row_store_drops_the_least_recently_used_slabs_past_its_bound(geom, plan, monkeypatch):
+    small = loc._RowStore(max_rows=40)
+    monkeypatch.setattr(loc, "_ROWS", small)
+    loc._row_layout.cache_clear()
+    ch = _random_phase_channel(geom, plan, 19)
+    want = loc.basic_hologram(ch, GRID, geom, plan)
+    # 8 slabs of 16 rows: only the last two fit
+    assert small.n_rows == 32 and small.built == 8 * 16
+    tx = loc._point_key(geom.tx_wideband_position_m)
+    assert list(small.slabs) == [(GRID, tx, loc._point_key(rx)) for rx in geom.rx_positions_m[6:]]
+    assert np.array_equal(loc.basic_hologram(ch, GRID, geom, plan).heatmap, want.heatmap)
+    monkeypatch.undo()
+    loc._row_layout.cache_clear()
 
 
 # --- ToF layers --------------------------------------------------------------
@@ -446,6 +503,17 @@ def test_peak_find_two_bumps_sorted():
             + 0.9 * np.exp(-((x - 38.0) ** 2 + (y - 40.0) ** 2) / 8.0))
     peaks = loc.peak_find_2d(heat, 0.5)
     assert [p[:2] for p in peaks] == [(10, 10), (40, 38)]
+
+
+@pytest.mark.parametrize("shape", [(120, 64), (1, 40), (40, 1), (2, 3), (1, 1)])
+def test_peak_find_uses_the_ndimage_3x3_maximum(shape):
+    # small integers, so neighborhoods hold ties; a tie is a local maximum
+    heat = np.random.default_rng(shape[1]).integers(0, 6, shape).astype(float)
+    local_max = heat >= maximum_filter(heat, size=3, mode="nearest")
+    iy, ix = np.nonzero(local_max & (heat >= 0.3 * heat.max()) & (heat > 0))
+    want = sorted(((int(y), int(x), float(heat[y, x])) for y, x in zip(iy, ix)),
+                  key=lambda p: -p[2])
+    assert loc.peak_find_2d(heat, 0.3) == want
 
 
 def test_two_path_hologram_multiple_peaks(geom, plan):

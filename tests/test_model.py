@@ -345,6 +345,8 @@ def test_subset_plan_and_geometry(plan, geom):
     sub = model.subset_plan(plan, [0, 1, 2])
     assert sub.carriers_hz == plan.carriers_hz[:3]
     assert model.subset_plan(plan, reversed(range(plan.n_carriers))) is plan
+    # the subset is built and checked once: the same indices give the same object
+    assert model.subset_plan(plan, np.array([2, 0, 1])) is sub
     g2 = model.subset_geometry(geom, 2)
     assert g2.n_antennas == 2
     xs = [p[0] for p in g2.rx_positions_m]
